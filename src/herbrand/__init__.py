@@ -83,9 +83,33 @@ from .transfer import (
     Statement,
     apply_statement,
     assign_transfer,
-    nondet_definitional,
     nondet_transfer,
-    y_free_universe_terms,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # congruence
+    "Base", "ExtendedValue", "LatticeElem", "Pair", "Partition", "TOP", "Top",
+    "Violation", "bottom", "congruence_violations", "equivalent", "get_class",
+    "is_congruence", "is_top", "meet", "meet_all", "partitions_equal", "refines",
+    "term_value",
+    # dataflow
+    "AnalysisState", "Confluence", "Entry", "FlowGraph", "Function", "NodeKind",
+    "SolveResult", "SolverConfig", "composite_step", "solve", "solve_jacobi",
+    "solve_worklist", "states_equal", "validate_graph",
+    # errors
+    "AnalysisError", "DeclarationError", "GraphError", "IterationLimitError",
+    "ParseError", "PathLimitError", "SelfReferenceError", "UniverseMismatchError",
+    # mop
+    "VerifyReport", "enum_paths", "m_l", "mop", "mop_table", "path_congruence",
+    "verify_mop_mfp",
+    # program
+    "parse_program",
+    # report
+    "emit_report", "visible_classes",
+    # terms
+    "Atom", "AtomRef", "Sum", "Term", "TermUniverse", "build_universe", "depth",
+    "format_term", "occurs", "parse_term", "substitute",
+    # transfer
+    "Assign", "NonDet", "Statement", "apply_statement", "assign_transfer",
+    "nondet_transfer",
+]

@@ -14,15 +14,30 @@ from pathlib import Path
 
 from .congruence import meet_all
 from .dataflow import SolverConfig, solve, states_equal
-from .errors import AnalysisError, IterationLimitError, PathLimitError
+from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import parse_program
 from .report import emit_report, point_entries, render_json, render_points_text
 
 
 def _load(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        line = err.object.count(b"\n", 0, err.start) + 1
+        bad = err.object[err.start]
+        raise ParseError(f"invalid UTF-8 byte 0x{bad:02x} in {path}", line=line) from None
     return parse_program(text, origin=path)
+
+
+def _length_bound(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
@@ -132,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
         if max_len:
             p.add_argument(
                 "--max-len",
-                type=int,
+                type=_length_bound,
                 default=12,
                 help="path length bound (default 12)",
             )

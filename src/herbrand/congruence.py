@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, product
 from typing import Iterable, Union
 
 from .errors import DeclarationError, UniverseMismatchError
@@ -67,17 +68,15 @@ class Partition:
             raise ValueError(
                 f"expected {len(self.universe.terms)} labels, got {len(self.labels)}"
             )
-        dense: dict[object, int] = {}
-        out = []
-        for key in self.labels:
-            if key not in dense:
-                dense[key] = len(dense)
-            out.append(dense[key])
-        object.__setattr__(self, "labels", tuple(out))
+        ids = dict(zip(dict.fromkeys(self.labels), count()))
+        # via a list: tuple() of a map grows by repeated reallocation, which
+        # raised the peak RSS of a large analysis
+        dense = list(map(ids.__getitem__, self.labels))
+        object.__setattr__(self, "labels", tuple(dense))
 
     @property
     def num_classes(self) -> int:
-        return self.labels[-1] + 1 if self.labels else 0
+        return max(self.labels, default=-1) + 1
 
     def class_of(self, t: Term) -> int:
         pos = self.universe.index.get(t)
@@ -94,15 +93,11 @@ class Partition:
 
     @cached_property
     def _pair_classes(self) -> dict[tuple[int, int], int]:
-        # (class(left), class(right)) -> class(left+right); functional by C2
+        # (class(left), class(right)) -> class(left+right); functional by C2,
+        # otherwise the last pair in row-major order wins
         m = len(self.universe.atoms)
-        out: dict[tuple[int, int], int] = {}
-        pos = m
-        for i in range(m):
-            for j in range(m):
-                out[(self.labels[i], self.labels[j])] = self.labels[pos]
-                pos += 1
-        return out
+        atom_labels = self.labels[:m]
+        return dict(zip(product(atom_labels, atom_labels), self.labels[m:]))
 
 
 LatticeElem = Union[Top, Partition]

@@ -10,31 +10,41 @@ Filtering affects visibility only, never membership.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable
 
 from .congruence import LatticeElem, Partition, is_top
-from .terms import RESERVED, AtomRef, Sum, Term, format_term
-
-
-def _mentions_reserved(t: Term) -> bool:
-    if isinstance(t, AtomRef):
-        return t.atom.kind == RESERVED
-    assert isinstance(t, Sum)
-    return _mentions_reserved(t.left) or _mentions_reserved(t.right)
+from .terms import format_term
 
 
 def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
-    """Class lists for one node, or ``None`` for a ``TOP`` node."""
+    """Class lists for one node, or ``None`` for a ``TOP`` node.
+
+    The reserved constants are the last atoms of the universe, so unless
+    ``full`` is set only the atoms below index ``k`` and the pairs of such
+    atoms are visible; only the kept classes are formatted.
+    """
     if is_top(elem):
         return None
     assert isinstance(elem, Partition)
-    rows = []
-    for members in elem.classes():
-        if not full:
-            members = [t for t in members if not _mentions_reserved(t)]
-            if len(members) < 2:
-                continue
-        rows.append(sorted(format_term(t) for t in members))
+    universe = elem.universe
+    labels = elem.labels
+    if full:
+        positions: Iterable[int] = range(len(labels))
+    else:
+        m = len(universe.atoms)
+        k = m - len(universe.reserved)
+        pair_rows = (range(m + i * m, m + i * m + k) for i in range(k))
+        positions = chain(range(k), *pair_rows)
+    members: dict[int, list[int]] = {}
+    for pos in positions:
+        members.setdefault(labels[pos], []).append(pos)
+    terms = universe.terms
+    rows = [
+        sorted(format_term(terms[pos]) for pos in group)
+        for group in members.values()
+        if full or len(group) > 1
+    ]
     rows.sort()
     return rows
 

@@ -12,18 +12,12 @@ to ``TOP`` without looking at the statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from itertools import repeat
+from typing import Union
 
-from .congruence import (
-    LatticeElem,
-    Partition,
-    Base,
-    is_top,
-    meet_all,
-    term_value,
-)
+from .congruence import LatticeElem, Partition, is_top, meet_all
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, AtomRef, Term, TermUniverse, VARIABLE, occurs, substitute
+from .terms import Atom, AtomRef, Term, TermUniverse, VARIABLE, occurs
 
 
 @dataclass(frozen=True)
@@ -60,21 +54,46 @@ def _check_rhs(universe: TermUniverse, beta: Term) -> None:
 
 
 def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
-    """Semantics of ``y := beta``; requires ``y`` not to occur in ``beta``."""
+    """Semantics of ``y := beta``; requires ``y`` not to occur in ``beta``.
+
+    Works on the universe grid (atom ``i`` at position ``i``, pair ``(i, j)``
+    at ``m + i*m + j``). Only the ``2m`` positions mentioning ``y`` change:
+    each takes the class of its image under ``[beta/y]``. For an atom ``b``
+    the image is another universe position; for a pair ``beta`` the image of
+    ``y+j`` or ``i+y`` is a depth-2 term, whose key is the universe class
+    with the same operand classes, if any, else the operand class pair.
+    """
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
-    _check_target(elem.universe, y)
-    _check_rhs(elem.universe, beta)
+    universe = elem.universe
+    _check_target(universe, y)
+    _check_rhs(universe, beta)
     if occurs(beta, y):
         raise SelfReferenceError(f"{y.name!r} occurs in its own right-hand side")
-    keys = []
-    for pos, t in enumerate(elem.universe.terms):
-        if occurs(t, y):
-            keys.append(term_value(substitute(t, y, beta), elem))
-        else:
-            keys.append(Base(elem.labels[pos]))
-    return Partition(elem.universe, tuple(keys))
+    labels = elem.labels
+    m = len(universe.atoms)
+    yi = universe.index[AtomRef(y)]
+    bpos = universe.index[beta]
+    row = m + yi * m
+    keys: list[object] = list(labels)
+    if bpos < m:
+        brow = m + bpos * m
+        keys[yi] = labels[bpos]
+        keys[row : row + m] = labels[brow : brow + m]
+        keys[m + yi :: m] = labels[m + bpos :: m]
+        keys[row + yi] = labels[brow + bpos]
+    else:
+        cb = labels[bpos]
+        pair_classes = elem._pair_classes
+        operands = list(labels[:m])
+        operands[yi] = cb
+        row_pairs = list(zip(repeat(cb), operands))
+        column_pairs = list(zip(operands, repeat(cb)))
+        keys[yi] = cb
+        keys[row : row + m] = map(pair_classes.get, row_pairs, row_pairs)
+        keys[m + yi :: m] = list(map(pair_classes.get, column_pairs, column_pairs))
+    return Partition(universe, keys)
 
 
 def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
@@ -93,38 +112,8 @@ def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
     )
 
 
-def nondet_definitional(elem: LatticeElem, y: Atom, betas: Iterable[Term]) -> LatticeElem:
-    """Reference semantics of ``y := *`` over an explicit substitution sample.
-
-    Two terms stay together iff they are equivalent under ``elem`` and remain
-    equivalent after substituting each ``beta``. Intended as a test oracle,
-    not a production path.
-    """
-    if is_top(elem):
-        return elem
-    assert isinstance(elem, Partition)
-    _check_target(elem.universe, y)
-    betas = tuple(betas)
-    for beta in betas:
-        if occurs(beta, y):
-            raise SelfReferenceError(f"sample substitution for {y.name!r} mentions it")
-    keys = []
-    for t in elem.universe.terms:
-        keys.append(
-            (
-                term_value(t, elem),
-                tuple(term_value(substitute(t, y, beta), elem) for beta in betas),
-            )
-        )
-    return Partition(elem.universe, tuple(keys))
-
-
 def apply_statement(elem: LatticeElem, stmt: Statement) -> LatticeElem:
     if isinstance(stmt, Assign):
         return assign_transfer(elem, stmt.target, stmt.rhs)
     return nondet_transfer(elem, stmt.target)
 
-
-def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
-    """Universe terms in which ``y`` does not occur."""
-    return [t for t in universe.terms if not occurs(t, y)]

@@ -10,18 +10,26 @@ from herbrand import (
     Assign,
     Atom,
     AtomRef,
+    Base,
+    LatticeElem,
     NonDet,
     Partition,
+    SelfReferenceError,
     Sum,
+    Term,
     TermUniverse,
     apply_statement,
     bottom,
     build_universe,
     format_term,
     get_class,
+    is_top,
     meet,
+    occurs,
     parse_program,
     parse_term,
+    substitute,
+    term_value,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +69,61 @@ def make_partition(universe: TermUniverse, groups: list[list[str]]) -> Partition
 def cls(p: Partition, text: str) -> set[str]:
     """Formatted member set of the class of the given term."""
     return {format_term(t) for t in get_class(parse_term(text, p.universe), p)}
+
+
+# ---------------------------------------------------------------------------
+# term-level reference semantics (test oracles for the index-level transfers)
+# ---------------------------------------------------------------------------
+
+
+def reference_assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
+    """``y := beta`` by inverse substitution on ``Term`` trees.
+
+    Every universe term mentioning ``y`` is keyed by the class value of its
+    image under ``[beta/y]``; every other term keeps its class. Inputs are
+    not validated beyond the self-reference check.
+    """
+    if is_top(elem):
+        return elem
+    assert isinstance(elem, Partition)
+    if occurs(beta, y):
+        raise SelfReferenceError(f"{y.name!r} occurs in its own right-hand side")
+    keys = []
+    for pos, t in enumerate(elem.universe.terms):
+        if occurs(t, y):
+            keys.append(term_value(substitute(t, y, beta), elem))
+        else:
+            keys.append(Base(elem.labels[pos]))
+    return Partition(elem.universe, tuple(keys))
+
+
+def nondet_definitional(elem: LatticeElem, y: Atom, betas) -> LatticeElem:
+    """Reference semantics of ``y := *`` over an explicit substitution sample.
+
+    Two terms stay together iff they are equivalent under ``elem`` and remain
+    equivalent after substituting each ``beta``.
+    """
+    if is_top(elem):
+        return elem
+    assert isinstance(elem, Partition)
+    betas = tuple(betas)
+    for beta in betas:
+        if occurs(beta, y):
+            raise SelfReferenceError(f"sample substitution for {y.name!r} mentions it")
+    keys = []
+    for t in elem.universe.terms:
+        keys.append(
+            (
+                term_value(t, elem),
+                tuple(term_value(substitute(t, y, beta), elem) for beta in betas),
+            )
+        )
+    return Partition(elem.universe, tuple(keys))
+
+
+def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
+    """Universe terms in which ``y`` does not occur."""
+    return [t for t in universe.terms if not occurs(t, y)]
 
 
 # ---------------------------------------------------------------------------

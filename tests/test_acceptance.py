@@ -21,7 +21,6 @@ from herbrand import (
     is_congruence,
     meet,
     meet_all,
-    nondet_definitional,
     nondet_transfer,
     parse_program,
     partitions_equal,
@@ -30,7 +29,6 @@ from herbrand import (
     solve_worklist,
     states_equal,
     verify_mop_mfp,
-    y_free_universe_terms,
 )
 from herbrand.cli import main
 from helpers import (
@@ -38,9 +36,11 @@ from helpers import (
     PROGRAMS_DIR,
     cls,
     full_corpus,
+    nondet_definitional,
     rand_partition,
     rand_statement,
     rand_universe,
+    y_free_universe_terms,
 )
 
 MAX_LEN = 10

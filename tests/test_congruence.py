@@ -329,3 +329,11 @@ def test_meet_preserves_congruence_axioms(u):
     for _ in range(40):
         p, q = rand_partition(u, rng), rand_partition(u, rng)
         assert is_congruence(meet(p, q))
+
+
+def test_num_classes_when_the_last_term_joins_an_earlier_class():
+    universe = build_universe(["x"], [])
+    size = len(universe.terms)
+    p = Partition(universe, (0, 1, *range(2, size - 1), 1))
+    assert p.num_classes == size - 1
+    assert [len(members) for members in p.classes()].count(2) == 1

@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
 from herbrand import (
+    AtomRef,
     Confluence,
     DeclarationError,
     Entry,
@@ -10,10 +12,33 @@ from herbrand import (
     GraphError,
     ParseError,
     SelfReferenceError,
+    Sum,
+    build_universe,
+    format_term,
     parse_program,
+    visible_classes,
 )
 from herbrand.cli import main
-from helpers import GOLDEN_DIR, PROGRAMS_DIR, program_text
+from herbrand.terms import RESERVED
+from helpers import GOLDEN_DIR, PROGRAMS_DIR, program_text, rand_partition
+
+
+def _mentions_reserved(t) -> bool:
+    if isinstance(t, AtomRef):
+        return t.atom.kind == RESERVED
+    assert isinstance(t, Sum)
+    return _mentions_reserved(t.left) or _mentions_reserved(t.right)
+
+
+def _term_level_visible_classes(p, full):
+    rows = []
+    for members in p.classes():
+        if not full:
+            members = [t for t in members if not _mentions_reserved(t)]
+            if len(members) < 2:
+                continue
+        rows.append(sorted(format_term(t) for t in members))
+    return sorted(rows)
 
 
 def test_minimal_program_parses():
@@ -253,6 +278,40 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "E_GRAPH" in err and out == ""
     code, _, err = _run(capsys, "check", str(tmp_path / "missing.dfg"))
     assert code == 2
+
+
+def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
+    bad = tmp_path / "latin1.dfg"
+    bad.write_bytes(b"vars x\nconsts a\nnode 1 entry # caf\xe9\n")
+    for command in ("check", "analyze", "verify"):
+        code, out, err = _run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error[E_PARSE]: line 3: invalid UTF-8 byte 0xe9")
+
+
+@pytest.mark.parametrize("command", ["mop", "verify"])
+def test_cli_negative_max_len_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(PROGRAMS_DIR / "loop.dfg"), "--max-len", "-3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --max-len: must not be negative, got -3" in captured.err
+
+
+def test_cli_max_len_zero_still_accepted(capsys):
+    code, out, _ = _run(capsys, "mop", str(PROGRAMS_DIR / "loop.dfg"), "--max-len", "0")
+    assert code == 0 and "max_len: 0" in out
+
+
+def test_visible_classes_match_term_level_filter():
+    rng = random.Random(31)
+    for variables, constants in [(["x", "y"], ["a"]), (["x", "y", "z"], ["a", "b"])]:
+        universe = build_universe(variables, constants)
+        for _ in range(20):
+            p = rand_partition(universe, rng, steps=rng.randrange(0, 12))
+            for full in (False, True):
+                assert visible_classes(p, full) == _term_level_visible_classes(p, full)
 
 
 def test_cli_path_cap_exit_3(capsys):

@@ -7,7 +7,9 @@ from herbrand import (
     AtomRef,
     DeclarationError,
     NonDet,
+    Partition,
     SelfReferenceError,
+    SolverConfig,
     Sum,
     TOP,
     UniverseMismatchError,
@@ -18,14 +20,24 @@ from herbrand import (
     is_top,
     meet,
     meet_all,
-    nondet_definitional,
     nondet_transfer,
+    parse_program,
     parse_term,
     partitions_equal,
     refines,
+    solve_jacobi,
+)
+from helpers import (
+    cls,
+    full_corpus,
+    make_partition,
+    nondet_definitional,
+    rand_partition,
+    rand_statement,
+    rand_universe,
+    reference_assign_transfer,
     y_free_universe_terms,
 )
-from helpers import cls, rand_partition, rand_statement, rand_universe
 
 
 @pytest.fixture
@@ -206,3 +218,52 @@ def test_transfer_outputs_are_congruences_on_random_universes():
             else:
                 p = assign_transfer(p, stmt.target, stmt.rhs)
             assert is_congruence(p)
+
+
+def _assert_kernel_matches_reference(p):
+    """Every ``y := beta`` with ``beta`` a universe term free of ``y``."""
+    checked = 0
+    for y in p.universe.variables:
+        for beta in y_free_universe_terms(p.universe, y):
+            kernel = assign_transfer(p, y, beta)
+            assert kernel == reference_assign_transfer(p, y, beta), (p.labels, y, beta)
+            checked += 1
+    return checked
+
+
+def test_assign_kernel_matches_reference_on_jacobi_traces():
+    seen = set()
+    checked = 0
+    for name, text in full_corpus(random_count=14):
+        universe, graph = parse_program(text, origin=name)
+        result = solve_jacobi(graph, universe, SolverConfig(trace=True))
+        for row in result.trace:
+            for p in row:
+                if is_top(p) or (name, p.labels) in seen:
+                    continue
+                seen.add((name, p.labels))
+                checked += _assert_kernel_matches_reference(p)
+    assert checked > 1000
+
+
+def test_assign_kernel_matches_reference_on_non_congruences(u):
+    # x ~ a without x+a ~ a+a breaks C2 forward; x+a ~ y+b breaks C2 backward;
+    # b ~ x+y breaks C3
+    p = make_partition(u, [["x", "a"], ["x+a", "y+b"], ["b", "x+y"], ["a+a", "y+y"]])
+    assert not is_congruence(p)
+    assert _assert_kernel_matches_reference(p) > 0
+    # arbitrary labelings: pair classes are looked up with several writers
+    rng = random.Random(29)
+    for _ in range(30):
+        universe = rand_universe(rng)
+        size = len(universe.terms)
+        width = rng.randrange(1, size + 1)
+        labels = tuple(rng.randrange(width) for _ in range(size))
+        _assert_kernel_matches_reference(Partition(universe, labels))
+
+
+def test_pair_classes_keep_last_writer(u):
+    # x ~ y, but x+x and y+y sit apart: (class x, class x) names the later one
+    p = make_partition(u, [["x", "y"]])
+    x, y = AtomRef(u.resolve("x")), AtomRef(u.resolve("y"))
+    assert p._pair_classes[(p.class_of(x), p.class_of(x))] == p.class_of(Sum(y, y))
