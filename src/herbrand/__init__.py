@@ -53,15 +53,7 @@ from .errors import (
     SelfReferenceError,
     UniverseMismatchError,
 )
-from .mop import (
-    VerifyReport,
-    enum_paths,
-    m_l,
-    mop,
-    mop_table,
-    path_congruence,
-    verify_mop_mfp,
-)
+from .mop import VerifyReport, mop_table, verify_mop_mfp
 from .program import parse_program
 from .report import emit_report, visible_classes
 from .terms import (
@@ -100,8 +92,7 @@ __all__ = [
     "AnalysisError", "DeclarationError", "GraphError", "IterationLimitError",
     "ParseError", "PathLimitError", "SelfReferenceError", "UniverseMismatchError",
     # mop
-    "VerifyReport", "enum_paths", "m_l", "mop", "mop_table", "path_congruence",
-    "verify_mop_mfp",
+    "VerifyReport", "mop_table", "verify_mop_mfp",
     # program
     "parse_program",
     # report

@@ -30,7 +30,7 @@ def _load(path: str):
     return parse_program(text, origin=path)
 
 
-def _length_bound(text: str) -> int:
+def _non_negative(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -147,13 +147,13 @@ def build_parser() -> argparse.ArgumentParser:
         if max_len:
             p.add_argument(
                 "--max-len",
-                type=_length_bound,
+                type=_non_negative,
                 default=12,
                 help="path length bound (default 12)",
             )
             p.add_argument(
                 "--path-cap",
-                type=int,
+                type=_non_negative,
                 default=DEFAULT_PATH_CAP,
                 help="abort if one length level exceeds this many paths",
             )

@@ -12,13 +12,19 @@ Two solvers compute the greatest fixpoint of that step starting from the
 all-``TOP`` vector: a synchronous (Jacobi) iteration that can retain its full
 iterate history, and an in-place sweep (Gauss-Seidel) iteration. Both yield
 the same result; the fixpoint is the per-point equivalence analysis answer.
+
+The Jacobi iteration is incremental: a node's value at step l + 1 depends
+only on its predecessors' values at step l, so a node none of whose
+predecessors changed at step l keeps its value object, and only the
+successors of the nodes that changed are recomputed. Every iterate is still
+exactly the full synchronous step's iterate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .congruence import LatticeElem, TOP, bottom, is_top, meet, partitions_equal
 from .errors import GraphError, IterationLimitError
@@ -127,20 +133,27 @@ AnalysisState = tuple[LatticeElem, ...]
 
 
 def composite_step(
-    state: tuple[LatticeElem, ...], graph: FlowGraph, universe: TermUniverse
+    state: tuple[LatticeElem, ...],
+    graph: FlowGraph,
+    universe: TermUniverse,
+    nodes: Iterable[int] | None = None,
 ) -> tuple[LatticeElem, ...]:
-    """One synchronous update of every node from the previous state."""
-    out: list[LatticeElem] = []
-    for k in range(1, graph.n + 1):
+    """One synchronous update from the previous state.
+
+    Recomputes every node, or only ``nodes`` when given; every other node
+    keeps its value from ``state``.
+    """
+    out = list(state)
+    for k in range(1, graph.n + 1) if nodes is None else nodes:
         kind = graph.kind(k)
         if isinstance(kind, Entry):
-            out.append(bottom(universe))
+            out[k - 1] = bottom(universe)
         elif isinstance(kind, Function):
             (j,) = graph.pred(k)
-            out.append(apply_statement(state[j - 1], kind.stmt))
+            out[k - 1] = apply_statement(state[j - 1], kind.stmt)
         else:
             i, j = graph.pred(k)
-            out.append(meet(state[i - 1], state[j - 1]))
+            out[k - 1] = meet(state[i - 1], state[j - 1])
     return tuple(out)
 
 
@@ -173,6 +186,13 @@ def solve_jacobi(
 ) -> SolveResult:
     """Synchronous iteration from the all-``TOP`` vector to the fixpoint.
 
+    The first step recomputes every node; each later step recomputes only
+    the successors of the nodes whose value changed in the step before.
+    That is exact, not an approximation: a node's next value is a function
+    of its predecessors' current values alone, so if none of them changed,
+    recomputing it would give back its current value. The entry has no
+    predecessors and changes once, from ``TOP`` to the finest partition.
+
     ``iterations`` counts the steps needed to first reach the fixpoint value;
     with tracing on, ``trace[l]`` is the l-th iterate (``trace[0]`` all
     ``TOP``) and the last two entries are equal.
@@ -181,13 +201,17 @@ def solve_jacobi(
     limit = cfg.max_iterations or default_iteration_limit(graph, universe)
     state: tuple[LatticeElem, ...] = (TOP,) * graph.n
     trace = [state] if cfg.trace else None
+    nodes: list[int] | None = None
     for step in range(1, limit + 1):
-        nxt = composite_step(state, graph, universe)
+        nxt = composite_step(state, graph, universe, nodes)
         if trace is not None:
             trace.append(nxt)
-        if states_equal(nxt, state):
+        recomputed = range(1, graph.n + 1) if nodes is None else nodes
+        changed = [k for k in recomputed if not partitions_equal(nxt[k - 1], state[k - 1])]
+        if not changed:
             assert not any(is_top(v) for v in nxt)
             return SolveResult(state=nxt, iterations=step - 1, trace=trace)
+        nodes = sorted({s for k in changed for s in graph.succ(k)})
         state = nxt
     raise IterationLimitError(f"no fixpoint within {limit} iterations")
 

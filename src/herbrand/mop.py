@@ -9,88 +9,24 @@ characterizations against each other:
   * once the path meets stop changing from one length bound to the next,
     they equal the solver's fixpoint exactly.
 
-``enum_paths``, ``path_congruence`` and ``m_l`` are the literal definitions
-(every path is rebuilt from scratch). ``mop_table`` enumerates the same
-paths breadth-first but carries each path's congruence along, extending it
-one edge at a time and memoizing repeated (node, value) steps; this is the
-form the verifier uses. Both routes are cross-checked in the test suite.
+``mop_table`` enumerates the paths breadth-first and carries each path's
+congruence along, extending it one edge at a time and memoizing repeated
+(node, value) steps; ``verify_mop_mfp`` compares its rows with the solver's
+iterates. The literal definitions, which rebuild every path from scratch,
+live with the tests and cross-check ``mop_table`` there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .congruence import (
-    LatticeElem,
-    Partition,
-    TOP,
-    bottom,
-    meet,
-    meet_all,
-    partitions_equal,
-)
+from .congruence import LatticeElem, Partition, TOP, bottom, meet, partitions_equal
 from .dataflow import FlowGraph, Function, SolverConfig, solve_jacobi, states_equal
 from .errors import PathLimitError
 from .terms import TermUniverse
 from .transfer import apply_statement
 
-Path = tuple[int, ...]
-
 DEFAULT_PATH_CAP = 10**6
-
-
-def enum_paths(graph: FlowGraph, k: int, bound: int, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
-    """All paths from the entry to ``k`` of length strictly below ``bound``.
-
-    Paths are produced breadth-first by length, lexicographically within a
-    length. Vertices may repeat (paths traverse loops).
-    """
-    result: list[Path] = []
-    if bound <= 0:
-        return result
-    frontier: list[Path] = [(1,)]
-    if k == 1:
-        result.append((1,))
-    for _ in range(1, bound):
-        nxt: list[Path] = []
-        for path in frontier:
-            for s in graph.succ(path[-1]):
-                nxt.append(path + (s,))
-        if len(nxt) > cap:
-            raise PathLimitError(f"more than {cap} paths of one length")
-        frontier = nxt
-        result.extend(p for p in frontier if p[-1] == k)
-        if len(result) > cap:
-            raise PathLimitError(f"more than {cap} paths to node {k}")
-        if not frontier:
-            break
-    return result
-
-
-def path_congruence(path: Path, graph: FlowGraph, universe: TermUniverse) -> Partition:
-    """Fold the statements along ``path`` starting from the finest partition.
-
-    Function points apply their statement; confluence points copy the value.
-    """
-    elem: LatticeElem = bottom(universe)
-    for v in path[1:]:
-        kind = graph.kind(v)
-        if isinstance(kind, Function):
-            elem = apply_statement(elem, kind.stmt)
-    assert isinstance(elem, Partition)
-    return elem
-
-
-def m_l(
-    graph: FlowGraph,
-    universe: TermUniverse,
-    k: int,
-    length: int,
-    cap: int = DEFAULT_PATH_CAP,
-) -> LatticeElem:
-    """Meet of the path congruences over all paths to ``k`` shorter than ``length``."""
-    paths = enum_paths(graph, k, length, cap)
-    return meet_all(path_congruence(p, graph, universe) for p in paths)
 
 
 def mop_table(
@@ -129,21 +65,6 @@ def mop_table(
             raise PathLimitError(f"more than {cap} paths of one length")
         frontier = nxt
     return rows
-
-
-def mop(
-    graph: FlowGraph,
-    universe: TermUniverse,
-    k: int,
-    max_len: int,
-    cap: int = DEFAULT_PATH_CAP,
-) -> tuple[LatticeElem, bool]:
-    """Meet over all bounded path meets at ``k``, and whether the whole
-    table already stabilized (in which case the value is exact)."""
-    rows = mop_table(graph, universe, max_len, cap)
-    value = meet_all(row[k - 1] for row in rows)
-    stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
-    return value, stabilized
 
 
 @dataclass

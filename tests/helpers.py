@@ -1,5 +1,6 @@
-"""Shared fixtures-in-code: program loading, hand-built partitions, and the
-seeded random generators used by property and acceptance tests."""
+"""Shared fixtures-in-code: program loading, hand-built partitions, the
+term-level and path-level reference oracles, and the seeded random
+generators used by property and acceptance tests."""
 
 from __future__ import annotations
 
@@ -11,9 +12,12 @@ from herbrand import (
     Atom,
     AtomRef,
     Base,
+    FlowGraph,
+    Function,
     LatticeElem,
     NonDet,
     Partition,
+    PathLimitError,
     SelfReferenceError,
     Sum,
     Term,
@@ -25,12 +29,16 @@ from herbrand import (
     get_class,
     is_top,
     meet,
+    meet_all,
+    mop_table,
     occurs,
     parse_program,
     parse_term,
+    states_equal,
     substitute,
     term_value,
 )
+from herbrand.mop import DEFAULT_PATH_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS_DIR = ROOT / "programs"
@@ -127,6 +135,82 @@ def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
 
 
 # ---------------------------------------------------------------------------
+# path-level reference semantics (test oracles for ``mop_table``)
+# ---------------------------------------------------------------------------
+
+Path = tuple[int, ...]
+
+
+def enum_paths(graph: FlowGraph, k: int, bound: int, cap: int = DEFAULT_PATH_CAP) -> list[Path]:
+    """All paths from the entry to ``k`` of length strictly below ``bound``.
+
+    Paths are produced breadth-first by length, lexicographically within a
+    length. Vertices may repeat (paths traverse loops).
+    """
+    result: list[Path] = []
+    if bound <= 0:
+        return result
+    frontier: list[Path] = [(1,)]
+    if k == 1:
+        result.append((1,))
+    for _ in range(1, bound):
+        nxt: list[Path] = []
+        for path in frontier:
+            for s in graph.succ(path[-1]):
+                nxt.append(path + (s,))
+        if len(nxt) > cap:
+            raise PathLimitError(f"more than {cap} paths of one length")
+        frontier = nxt
+        result.extend(p for p in frontier if p[-1] == k)
+        if len(result) > cap:
+            raise PathLimitError(f"more than {cap} paths to node {k}")
+        if not frontier:
+            break
+    return result
+
+
+def path_congruence(path: Path, graph: FlowGraph, universe: TermUniverse) -> Partition:
+    """Fold the statements along ``path`` starting from the finest partition.
+
+    Function points apply their statement; confluence points copy the value.
+    """
+    elem: LatticeElem = bottom(universe)
+    for v in path[1:]:
+        kind = graph.kind(v)
+        if isinstance(kind, Function):
+            elem = apply_statement(elem, kind.stmt)
+    assert isinstance(elem, Partition)
+    return elem
+
+
+def m_l(
+    graph: FlowGraph,
+    universe: TermUniverse,
+    k: int,
+    length: int,
+    cap: int = DEFAULT_PATH_CAP,
+) -> LatticeElem:
+    """Meet of the path congruences over all paths to ``k`` shorter than ``length``."""
+    paths = enum_paths(graph, k, length, cap)
+    return meet_all(path_congruence(p, graph, universe) for p in paths)
+
+
+def mop(
+    graph: FlowGraph,
+    universe: TermUniverse,
+    k: int,
+    max_len: int,
+    cap: int = DEFAULT_PATH_CAP,
+) -> tuple[LatticeElem, bool]:
+    """Meet over all bounded path meets at ``k``, and whether the whole
+    table already stabilized (in which case the value is exact)."""
+    rows = mop_table(graph, universe, max_len, cap)
+    value = meet_all(row[k - 1] for row in rows)
+    stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
+    return value, stabilized
+
+
+# ---------------------------------------------------------------------------
 # seeded random generation
 # ---------------------------------------------------------------------------
 
@@ -179,12 +263,12 @@ def rand_partition(universe: TermUniverse, rng: random.Random, steps: int | None
     return current
 
 
-def rand_program_text(rng: random.Random, max_nodes: int = 8) -> str:
+def rand_program_text(rng: random.Random, max_nodes: int = 8, min_nodes: int = 2) -> str:
     """A random valid program: ids are contiguous, every node reachable,
     back edges arise from confluence second-predecessors."""
     variables = ["x", "y", "z"][: rng.randrange(1, 4)]
     constants = ["a", "b"][: rng.randrange(0, 3)]
-    n = rng.randrange(2, max_nodes + 1)
+    n = rng.randrange(min_nodes, max_nodes + 1)
     lines = ["vars " + " ".join(variables)]
     if constants:
         lines.append("consts " + " ".join(constants))

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import herbrand.dataflow
 from herbrand import (
     Assign,
     AtomRef,
@@ -24,7 +27,7 @@ from herbrand import (
     states_equal,
     validate_graph,
 )
-from helpers import cls, full_corpus, load_program
+from helpers import cls, full_corpus, load_program, rand_program_text
 from herbrand import parse_program
 
 
@@ -191,3 +194,84 @@ def test_solve_dispatches_on_mode():
     assert states_equal(jac.state, wl.state)
     with pytest.raises(ValueError):
         solve(graph, universe, SolverConfig(mode="chaotic"))
+
+
+def _full_step_iterates(graph, universe):
+    """Iterates of the full synchronous step from all-``TOP`` until it stops changing."""
+    states = [(TOP,) * graph.n]
+    while True:
+        states.append(composite_step(states[-1], graph, universe))
+        if states_equal(states[-1], states[-2]):
+            return states
+
+
+def _large_looping_programs(count: int = 8, seed: int = 4242):
+    out = []
+    for i in range(count):
+        text = rand_program_text(random.Random(seed + i), max_nodes=40, min_nodes=21)
+        universe, graph = parse_program(text, origin=f"large_{i}")
+        assert graph.n > 20
+        # a predecessor at or after the node closes a loop
+        assert any(p >= k for k in range(1, graph.n + 1) for p in graph.pred(k)), i
+        out.append((f"large_{i}", universe, graph))
+    return out
+
+
+def _solver_corpus():
+    named = [(name, *parse_program(text, origin=name)) for name, text in full_corpus()]
+    return named + _large_looping_programs()
+
+
+def test_composite_step_on_a_node_subset_copies_the_rest():
+    universe, graph = load_program("diamond.dfg")
+    s1 = composite_step((TOP,) * graph.n, graph, universe)
+    full = composite_step(s1, graph, universe)
+    part = composite_step(s1, graph, universe, [2])
+    assert partitions_equal(part[1], full[1])
+    assert all(part[k] is s1[k] for k in range(graph.n) if k != 1)
+
+
+def test_incremental_jacobi_matches_full_steps_iterate_by_iterate():
+    for name, universe, graph in _solver_corpus():
+        expected = _full_step_iterates(graph, universe)
+        result = solve_jacobi(graph, universe, SolverConfig(trace=True))
+        assert result.trace is not None
+        assert len(result.trace) == len(expected), name
+        assert result.iterations == len(expected) - 2, name
+        for l, (got, want) in enumerate(zip(result.trace, expected)):
+            assert states_equal(got, want), (name, l)
+
+
+def test_nodes_with_unchanged_predecessors_keep_their_value_object():
+    for name, universe, graph in _solver_corpus():
+        trace = solve_jacobi(graph, universe, SolverConfig(trace=True)).trace
+        assert trace is not None
+        for l in range(2, len(trace)):
+            changed = {k for k in range(1, graph.n + 1) if trace[l - 1][k - 1] is not trace[l - 2][k - 1]}
+            for k in range(1, graph.n + 1):
+                if not changed.intersection(graph.pred(k)):
+                    assert trace[l][k - 1] is trace[l - 1][k - 1], (name, l, k)
+
+
+def test_jacobi_on_a_chain_makes_linearly_many_transfers(monkeypatch):
+    n = 40
+    lines = ["vars x y", "consts a", "node 1 entry"]
+    for k in range(2, n + 2):
+        stmt = "y := x" if k % 3 == 0 else ("x := y" if k % 2 else "x := a + y")
+        lines.append(f"node {k} assign {stmt} pred {k - 1}")
+    universe, graph = parse_program("\n".join(lines) + "\n")
+    expected = _full_step_iterates(graph, universe)
+    calls = 0
+    original = herbrand.dataflow.apply_statement
+
+    def counting(elem, stmt):
+        nonlocal calls
+        calls += 1
+        return original(elem, stmt)
+
+    monkeypatch.setattr(herbrand.dataflow, "apply_statement", counting)
+    result = solve_jacobi(graph, universe)
+    assert result.iterations == len(expected) - 2 == n + 1
+    assert states_equal(result.state, expected[-1])
+    # full steps would make n transfers in each of the n + 2 steps
+    assert calls <= 2 * n

@@ -7,20 +7,16 @@ from herbrand import (
     TOP,
     apply_statement,
     bottom,
-    enum_paths,
     is_top,
-    m_l,
     meet,
-    mop,
     mop_table,
     parse_program,
     partitions_equal,
-    path_congruence,
     refines,
     states_equal,
     verify_mop_mfp,
 )
-from helpers import cls, full_corpus, load_program
+from helpers import cls, enum_paths, full_corpus, load_program, m_l, mop, path_congruence
 
 
 def test_no_paths_below_length_zero():

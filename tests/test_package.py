@@ -14,6 +14,14 @@ def test_all_names_exist_and_are_unique():
 
 
 def test_term_level_oracles_are_not_exported():
-    for name in ("nondet_definitional", "y_free_universe_terms"):
+    for name in ("nondet_definitional", "y_free_universe_terms", "enum_paths", "path_congruence", "m_l"):
         assert name not in herbrand.__all__
         assert not hasattr(herbrand, name)
+
+
+def test_mop_submodule_is_not_shadowed():
+    import herbrand.mop as mop_module
+
+    assert "mop" not in herbrand.__all__
+    assert isinstance(mop_module, types.ModuleType)
+    assert isinstance(herbrand.mop, types.ModuleType)

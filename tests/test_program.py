@@ -299,6 +299,17 @@ def test_cli_negative_max_len_rejected(command, capsys):
     assert "argument --max-len: must not be negative, got -3" in captured.err
 
 
+@pytest.mark.parametrize("command", ["mop", "verify"])
+def test_cli_negative_path_cap_rejected(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(PROGRAMS_DIR / "diamond.dfg"), "--path-cap", "-5"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --path-cap: must not be negative, got -5" in captured.err
+    assert "E_PATH_LIMIT" not in captured.err
+
+
 def test_cli_max_len_zero_still_accepted(capsys):
     code, out, _ = _run(capsys, "mop", str(PROGRAMS_DIR / "loop.dfg"), "--max-len", "0")
     assert code == 0 and "max_len: 0" in out
