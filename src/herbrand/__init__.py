@@ -35,11 +35,8 @@ from .dataflow import (
     Function,
     NodeKind,
     SolveResult,
-    SolverConfig,
     composite_step,
     solve,
-    solve_jacobi,
-    solve_worklist,
     states_equal,
     validate_graph,
 )
@@ -86,8 +83,7 @@ __all__ = [
     "term_value",
     # dataflow
     "AnalysisState", "Confluence", "Entry", "FlowGraph", "Function", "NodeKind",
-    "SolveResult", "SolverConfig", "composite_step", "solve", "solve_jacobi",
-    "solve_worklist", "states_equal", "validate_graph",
+    "SolveResult", "composite_step", "solve", "states_equal", "validate_graph",
     # errors
     "AnalysisError", "DeclarationError", "GraphError", "IterationLimitError",
     "ParseError", "PathLimitError", "SelfReferenceError", "UniverseMismatchError",

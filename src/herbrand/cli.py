@@ -12,8 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .congruence import meet_all
-from .dataflow import SolverConfig, solve, states_equal
+from .dataflow import solve, states_equal
 from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import parse_program
@@ -27,7 +26,7 @@ def _load(path: str):
         line = err.object.count(b"\n", 0, err.start) + 1
         bad = err.object[err.start]
         raise ParseError(f"invalid UTF-8 byte 0x{bad:02x} in {path}", line=line) from None
-    return parse_program(text, origin=path)
+    return parse_program(text)
 
 
 def _non_negative(text: str) -> int:
@@ -42,14 +41,10 @@ def _non_negative(text: str) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     universe, graph = _load(args.program)
-    want_trace = args.trace and args.solver == "jacobi"
-    if args.trace and not want_trace:
-        print("note: --trace applies to the jacobi solver only", file=sys.stderr)
-    result = solve(graph, universe, SolverConfig(mode=args.solver, trace=want_trace))
+    result = solve(graph, universe, trace=args.trace)
     sys.stdout.write(
         emit_report(
             result.state,
-            solver=args.solver,
             iterations=result.iterations,
             fmt=args.format,
             full=args.full,
@@ -62,7 +57,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_mop(args: argparse.Namespace) -> int:
     universe, graph = _load(args.program)
     rows = mop_table(graph, universe, args.max_len, cap=args.path_cap)
-    values = tuple(meet_all(row[k] for row in rows) for k in range(graph.n))
+    # the running path meet only descends, so the last row is the meet of all
+    values = rows[args.max_len]
     stabilized = args.max_len >= 1 and states_equal(rows[args.max_len - 1], rows[args.max_len])
     points = point_entries(values, args.full)
     if args.format == "json":
@@ -160,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="solve the fixpoint and report classes")
     add_common(p_analyze, max_len=False)
-    p_analyze.add_argument("--solver", choices=("jacobi", "worklist"), default="jacobi")
     p_analyze.add_argument("--full", action="store_true", help="show singleton and reserved classes")
     p_analyze.add_argument("--trace", action="store_true", help="include every iterate")
     p_analyze.set_defaults(func=_cmd_analyze)

@@ -26,7 +26,6 @@ coincide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count, product
 from typing import Iterable, Union
 
@@ -91,10 +90,13 @@ class Partition:
             out[lab].append(t)
         return out
 
-    @cached_property
-    def _pair_classes(self) -> dict[tuple[int, int], int]:
-        # (class(left), class(right)) -> class(left+right); functional by C2,
-        # otherwise the last pair in row-major order wins
+    def pair_classes(self) -> dict[tuple[int, int], int]:
+        """``(class(l), class(r)) -> class(l+r)`` over the universe pairs.
+
+        Functional by C2; otherwise the last pair in row-major order wins.
+        Built on each call and not cached, so a long-lived partition does not
+        keep an up-to-m² dict alive.
+        """
         m = len(self.universe.atoms)
         atom_labels = self.labels[:m]
         return dict(zip(product(atom_labels, atom_labels), self.labels[m:]))
@@ -128,19 +130,28 @@ ExtendedValue = Union[Base, Pair]
 
 def term_value(t: Term, p: Partition) -> ExtendedValue:
     """Canonical class value of a term of arbitrary depth under ``p``."""
-    pos = p.universe.index.get(t)
-    if pos is not None:
-        return Base(p.labels[pos])
-    if isinstance(t, AtomRef):
-        raise DeclarationError(f"undeclared atom {t.atom.name!r}")
-    assert isinstance(t, Sum)
-    v1 = term_value(t.left, p)
-    v2 = term_value(t.right, p)
-    if isinstance(v1, Base) and isinstance(v2, Base):
-        cls = p._pair_classes.get((v1.cls, v2.cls))
-        if cls is not None:
-            return Base(cls)
-    return Pair(v1, v2)
+    index = p.universe.index
+    pair_classes: dict[tuple[int, int], int] | None = None  # built on first need
+
+    def value(t: Term) -> ExtendedValue:
+        nonlocal pair_classes
+        pos = index.get(t)
+        if pos is not None:
+            return Base(p.labels[pos])
+        if isinstance(t, AtomRef):
+            raise DeclarationError(f"undeclared atom {t.atom.name!r}")
+        assert isinstance(t, Sum)
+        v1 = value(t.left)
+        v2 = value(t.right)
+        if isinstance(v1, Base) and isinstance(v2, Base):
+            if pair_classes is None:
+                pair_classes = p.pair_classes()
+            cls = pair_classes.get((v1.cls, v2.cls))
+            if cls is not None:
+                return Base(cls)
+        return Pair(v1, v2)
+
+    return value(t)
 
 
 def equivalent(t1: Term, t2: Term, p: Partition) -> bool:

@@ -1,4 +1,4 @@
-"""Control flow graphs and the fixpoint solvers.
+"""Control flow graphs and the fixpoint solver.
 
 A graph has node 1 as the unique entry (no predecessors); every other node
 is reachable from the entry and is either a function point (one predecessor,
@@ -8,10 +8,9 @@ previous state vector: the entry is pinned to the finest partition, function
 points apply their statement to the predecessor value, confluences meet
 their two predecessor values.
 
-Two solvers compute the greatest fixpoint of that step starting from the
-all-``TOP`` vector: a synchronous (Jacobi) iteration that can retain its full
-iterate history, and an in-place sweep (Gauss-Seidel) iteration. Both yield
-the same result; the fixpoint is the per-point equivalence analysis answer.
+The solver computes the greatest fixpoint of that step by synchronous
+(Jacobi) iteration from the all-``TOP`` vector, and can retain its full
+iterate history; the fixpoint is the per-point equivalence analysis answer.
 
 The Jacobi iteration is incremental: a node's value at step l + 1 depends
 only on its predecessors' values at step l, so a node none of whose
@@ -162,13 +161,6 @@ def states_equal(a: tuple[LatticeElem, ...], b: tuple[LatticeElem, ...]) -> bool
 
 
 @dataclass
-class SolverConfig:
-    mode: str = "jacobi"
-    max_iterations: int | None = None
-    trace: bool = False
-
-
-@dataclass
 class SolveResult:
     state: tuple[LatticeElem, ...]
     iterations: int
@@ -181,9 +173,7 @@ def default_iteration_limit(graph: FlowGraph, universe: TermUniverse) -> int:
     return graph.n * (len(universe.terms) + 1) + 1
 
 
-def solve_jacobi(
-    graph: FlowGraph, universe: TermUniverse, config: SolverConfig | None = None
-) -> SolveResult:
+def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> SolveResult:
     """Synchronous iteration from the all-``TOP`` vector to the fixpoint.
 
     The first step recomputes every node; each later step recomputes only
@@ -194,67 +184,22 @@ def solve_jacobi(
     predecessors and changes once, from ``TOP`` to the finest partition.
 
     ``iterations`` counts the steps needed to first reach the fixpoint value;
-    with tracing on, ``trace[l]`` is the l-th iterate (``trace[0]`` all
-    ``TOP``) and the last two entries are equal.
+    with ``trace`` on, ``result.trace[l]`` is the l-th iterate
+    (``result.trace[0]`` all ``TOP``) and the last two entries are equal.
     """
-    cfg = config or SolverConfig()
-    limit = cfg.max_iterations or default_iteration_limit(graph, universe)
+    limit = default_iteration_limit(graph, universe)
     state: tuple[LatticeElem, ...] = (TOP,) * graph.n
-    trace = [state] if cfg.trace else None
+    iterates = [state] if trace else None
     nodes: list[int] | None = None
     for step in range(1, limit + 1):
         nxt = composite_step(state, graph, universe, nodes)
-        if trace is not None:
-            trace.append(nxt)
+        if iterates is not None:
+            iterates.append(nxt)
         recomputed = range(1, graph.n + 1) if nodes is None else nodes
         changed = [k for k in recomputed if not partitions_equal(nxt[k - 1], state[k - 1])]
         if not changed:
             assert not any(is_top(v) for v in nxt)
-            return SolveResult(state=nxt, iterations=step - 1, trace=trace)
+            return SolveResult(state=nxt, iterations=step - 1, trace=iterates)
         nodes = sorted({s for k in changed for s in graph.succ(k)})
         state = nxt
     raise IterationLimitError(f"no fixpoint within {limit} iterations")
-
-
-def solve_worklist(
-    graph: FlowGraph, universe: TermUniverse, config: SolverConfig | None = None
-) -> SolveResult:
-    """In-place ascending-id sweeps until a full sweep changes nothing.
-
-    Node 1 is pinned to the finest partition; every other node is recomputed
-    from current values, so updates within a sweep are visible immediately.
-    ``iterations`` counts full sweeps.
-    """
-    cfg = config or SolverConfig()
-    limit = cfg.max_iterations or default_iteration_limit(graph, universe)
-    state: list[LatticeElem] = [TOP] * graph.n
-    state[0] = bottom(universe)
-    for sweep in range(1, limit + 1):
-        changed = False
-        for k in range(2, graph.n + 1):
-            kind = graph.kind(k)
-            if isinstance(kind, Function):
-                (j,) = graph.pred(k)
-                new = apply_statement(state[j - 1], kind.stmt)
-            else:
-                i, j = graph.pred(k)
-                new = meet(state[i - 1], state[j - 1])
-            if not partitions_equal(state[k - 1], new):
-                changed = True
-            state[k - 1] = new
-        if not changed:
-            final = tuple(state)
-            assert not any(is_top(v) for v in final)
-            return SolveResult(state=final, iterations=sweep)
-    raise IterationLimitError(f"no fixpoint within {limit} sweeps")
-
-
-def solve(
-    graph: FlowGraph, universe: TermUniverse, config: SolverConfig | None = None
-) -> SolveResult:
-    cfg = config or SolverConfig()
-    if cfg.mode == "worklist":
-        return solve_worklist(graph, universe, cfg)
-    if cfg.mode == "jacobi":
-        return solve_jacobi(graph, universe, cfg)
-    raise ValueError(f"unknown solver mode {cfg.mode!r}")

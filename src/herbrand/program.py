@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .dataflow import Confluence, Entry, FlowGraph, Function, NodeKind, validate_graph
 from .errors import DeclarationError, GraphError, ParseError, SelfReferenceError
-from .terms import AtomRef, Sum, Term, TermUniverse, VARIABLE, build_universe, occurs
+from .terms import IDENT_RE, AtomRef, Sum, Term, TermUniverse, VARIABLE, build_universe, occurs
 from .transfer import Assign, NonDet
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|:=|\+")
@@ -43,7 +43,6 @@ class _NodeLine:
 class ProgramSource:
     """Scanned but not yet resolved program text."""
 
-    origin: str
     variables: list[str] = field(default_factory=list)
     constants: list[str] = field(default_factory=list)
     nodes: dict[int, _NodeLine] = field(default_factory=dict)
@@ -88,7 +87,7 @@ class _Cursor:
 
     def ident(self) -> str:
         tok = self.take("identifier")
-        if not re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", tok):
+        if not IDENT_RE.match(tok):
             raise ParseError(f"expected identifier, got {tok!r}", line=self.line)
         return tok
 
@@ -103,8 +102,8 @@ class _Cursor:
             raise ParseError(f"trailing input {' '.join(self.tokens[self.pos:])!r}", line=self.line)
 
 
-def _scan(text: str, origin: str) -> ProgramSource:
-    src = ProgramSource(origin=origin)
+def _scan(text: str) -> ProgramSource:
+    src = ProgramSource()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
         tokens = _tokenize(body, line_no)
@@ -185,9 +184,9 @@ def _resolve_rhs(universe: TermUniverse, names: list[str], line: int) -> Term:
     return refs[0] if len(refs) == 1 else Sum(refs[0], refs[1])
 
 
-def parse_program(text: str, origin: str = "<input>") -> tuple[TermUniverse, FlowGraph]:
+def parse_program(text: str) -> tuple[TermUniverse, FlowGraph]:
     """Parse and validate a program, returning its universe and flow graph."""
-    src = _scan(text, origin)
+    src = _scan(text)
     universe = build_universe(src.variables, src.constants)
 
     kinds: dict[int, NodeKind] = {}

@@ -1,10 +1,10 @@
 """Deterministic text and JSON rendering of per-node results.
 
 Class labels are internal, so reports list classes as sorted term strings,
-sorted again across classes; re-running an analysis (with either solver)
-reproduces the output byte for byte. By default singleton classes and terms
-mentioning a reserved constant are hidden; ``full=True`` shows everything.
-Filtering affects visibility only, never membership.
+sorted again across classes; re-running an analysis reproduces the output
+byte for byte. By default singleton classes and terms mentioning a reserved
+constant are hidden; ``full=True`` shows everything. Filtering affects
+visibility only, never membership.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ def render_points_text(points: list[dict], indent: str = "") -> list[str]:
 
 def emit_report(
     state: Iterable[LatticeElem],
-    solver: str,
     iterations: int,
     fmt: str = "text",
     full: bool = False,
@@ -84,14 +83,14 @@ def emit_report(
     """Render an analysis state; ``fmt`` is ``text`` or ``json``."""
     points = point_entries(state, full)
     if fmt == "json":
-        payload: dict = {"solver": solver, "iterations": iterations, "points": points}
+        payload: dict = {"solver": "jacobi", "iterations": iterations, "points": points}
         if trace is not None:
             payload["trace"] = [
                 {"iteration": l, "points": point_entries(row, full)}
                 for l, row in enumerate(trace)
             ]
         return render_json(payload)
-    lines = [f"solver: {solver}", f"iterations: {iterations}"]
+    lines = ["solver: jacobi", f"iterations: {iterations}"]
     lines.extend(render_points_text(points))
     if trace is not None:
         for l, row in enumerate(trace):

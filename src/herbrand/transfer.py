@@ -85,7 +85,7 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
         keys[row + yi] = labels[brow + bpos]
     else:
         cb = labels[bpos]
-        pair_classes = elem._pair_classes
+        pair_classes = elem.pair_classes()
         operands = list(labels[:m])
         operands[yi] = cb
         row_pairs = list(zip(repeat(cb), operands))

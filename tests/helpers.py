@@ -1,5 +1,5 @@
 """Shared fixtures-in-code: program loading, hand-built partitions, the
-term-level and path-level reference oracles, and the seeded random
+term-level, fixpoint and path-level reference oracles, and the seeded random
 generators used by property and acceptance tests."""
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from herbrand import (
     Partition,
     PathLimitError,
     SelfReferenceError,
+    SolveResult,
     Sum,
+    TOP,
     Term,
     TermUniverse,
     apply_statement,
@@ -34,10 +36,12 @@ from herbrand import (
     occurs,
     parse_program,
     parse_term,
+    partitions_equal,
     states_equal,
     substitute,
     term_value,
 )
+from herbrand.dataflow import default_iteration_limit
 from herbrand.mop import DEFAULT_PATH_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +65,7 @@ def program_text(name: str) -> str:
 
 
 def load_program(name: str):
-    return parse_program(program_text(name), origin=name)
+    return parse_program(program_text(name))
 
 
 def make_partition(universe: TermUniverse, groups: list[list[str]]) -> Partition:
@@ -132,6 +136,42 @@ def nondet_definitional(elem: LatticeElem, y: Atom, betas) -> LatticeElem:
 def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
     """Universe terms in which ``y`` does not occur."""
     return [t for t in universe.terms if not occurs(t, y)]
+
+
+# ---------------------------------------------------------------------------
+# fixpoint reference (test oracle for ``solve``)
+# ---------------------------------------------------------------------------
+
+
+def reference_round_robin(graph: FlowGraph, universe: TermUniverse) -> SolveResult:
+    """In-place ascending-id sweeps until a full sweep changes nothing.
+
+    A chaotic-iteration oracle for the synchronous solver: node 1 is pinned
+    to the finest partition and every other node is recomputed from current
+    values, so updates within a sweep are visible at once. Any fair update
+    order reaches the same greatest fixpoint. ``iterations`` counts full
+    sweeps.
+    """
+    limit = default_iteration_limit(graph, universe)
+    state: list[LatticeElem] = [TOP] * graph.n
+    state[0] = bottom(universe)
+    for sweep in range(1, limit + 1):
+        changed = False
+        for k in range(2, graph.n + 1):
+            kind = graph.kind(k)
+            if isinstance(kind, Function):
+                (j,) = graph.pred(k)
+                new = apply_statement(state[j - 1], kind.stmt)
+            else:
+                i, j = graph.pred(k)
+                new = meet(state[i - 1], state[j - 1])
+            if not partitions_equal(state[k - 1], new):
+                changed = True
+            state[k - 1] = new
+        if not changed:
+            assert not any(is_top(v) for v in state)
+            return SolveResult(state=tuple(state), iterations=sweep)
+    raise AssertionError(f"no fixpoint within {limit} sweeps")
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,7 @@ from herbrand import (
     parse_program,
     partitions_equal,
     refines,
-    solve_jacobi,
-    solve_worklist,
+    solve,
     states_equal,
     verify_mop_mfp,
 )
@@ -40,6 +39,7 @@ from helpers import (
     rand_partition,
     rand_statement,
     rand_universe,
+    reference_round_robin,
     y_free_universe_terms,
 )
 
@@ -54,7 +54,7 @@ def _report(n: int, detail: str) -> None:
 def corpus():
     programs = []
     for name, text in full_corpus(random_count=14):
-        universe, graph = parse_program(text, origin=name)
+        universe, graph = parse_program(text)
         programs.append((name, universe, graph))
     return programs
 
@@ -181,11 +181,9 @@ def test_criterion_5_lattice_laws():
 
 
 def test_criterion_6_solver_agreement_and_termination(corpus):
-    from herbrand import SolverConfig
-
     for name, universe, graph in corpus:
-        jac = solve_jacobi(graph, universe, SolverConfig(trace=True))
-        wl = solve_worklist(graph, universe)
+        jac = solve(graph, universe, trace=True)
+        wl = reference_round_robin(graph, universe)
         assert states_equal(jac.state, wl.state), name
         bound = graph.n * (len(universe.terms) + 1) + 1
         assert jac.iterations <= bound, name
@@ -194,22 +192,22 @@ def test_criterion_6_solver_agreement_and_termination(corpus):
         for prev, nxt in zip(jac.trace, jac.trace[1:]):
             for before, after in zip(prev, nxt):
                 assert refines(after, before), name
-    _report(6, f"both solvers agree on {len(corpus)} programs within the iteration bound")
+    _report(6, f"solver and round-robin reference agree on {len(corpus)} programs within the iteration bound")
 
 
 def test_criterion_7_canonical_examples(corpus, capsys):
     by_name = {name: (universe, graph) for name, universe, graph in corpus}
 
     universe, graph = by_name["straight_line.dfg"]
-    exit_state = solve_jacobi(graph, universe).state[-1]
+    exit_state = solve(graph, universe).state[-1]
     assert cls(exit_state, "x") == {"x", "y", "a"}
 
     universe, graph = by_name["diamond.dfg"]
-    join_state = solve_jacobi(graph, universe).state[4]
+    join_state = solve(graph, universe).state[4]
     assert cls(join_state, "x") == {"x", "y", "a"}
 
     universe, graph = by_name["nondet_copy.dfg"]
-    state = solve_jacobi(graph, universe).state
+    state = solve(graph, universe).state
     assert cls(state[1], "y") == {"x", "y"}
     assert cls(state[2], "y") == {"y"}
     assert cls(state[2], "x") == {"x"}

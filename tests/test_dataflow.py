@@ -11,7 +11,6 @@ from herbrand import (
     Function,
     GraphError,
     IterationLimitError,
-    SolverConfig,
     TOP,
     assign_transfer,
     bottom,
@@ -22,12 +21,10 @@ from herbrand import (
     partitions_equal,
     refines,
     solve,
-    solve_jacobi,
-    solve_worklist,
     states_equal,
     validate_graph,
 )
-from helpers import cls, full_corpus, load_program, rand_program_text
+from helpers import cls, full_corpus, load_program, rand_program_text, reference_round_robin
 from herbrand import parse_program
 
 
@@ -109,40 +106,40 @@ def test_second_step_applies_the_first_assignment():
 
 def test_fixpoint_is_a_fixed_point_of_the_step():
     universe, graph = load_program("loop.dfg")
-    result = solve_jacobi(graph, universe)
+    result = solve(graph, universe)
     assert states_equal(composite_step(result.state, graph, universe), result.state)
 
 
 def test_single_node_program_solves_in_one_iteration():
     universe, graph = parse_program("node 1 entry\n")
-    result = solve_jacobi(graph, universe)
+    result = solve(graph, universe)
     assert result.iterations == 1
     assert partitions_equal(result.state[0], bottom(universe))
 
 
 def test_straight_line_merges_copy_chain():
     universe, graph = load_program("straight_line.dfg")
-    result = solve_jacobi(graph, universe)
+    result = solve(graph, universe)
     assert cls(result.state[2], "x") == {"x", "y", "a"}
 
 
 def test_diamond_confluence_keeps_agreeing_branches():
     universe, graph = load_program("diamond.dfg")
-    result = solve_jacobi(graph, universe)
+    result = solve(graph, universe)
     assert cls(result.state[4], "x") == {"x", "y", "a"}
 
 
 def test_entry_stays_pinned_to_bottom():
     for name in ["straight_line.dfg", "diamond.dfg", "loop.dfg"]:
         universe, graph = load_program(name)
-        result = solve_jacobi(graph, universe)
+        result = solve(graph, universe)
         assert partitions_equal(result.state[0], bottom(universe))
 
 
 def test_every_fixpoint_component_is_a_congruence():
     for name, text in full_corpus():
-        universe, graph = parse_program(text, origin=name)
-        result = solve_jacobi(graph, universe)
+        universe, graph = parse_program(text)
+        result = solve(graph, universe)
         for elem in result.state:
             assert not is_top(elem)
             assert is_congruence(elem), name
@@ -150,21 +147,21 @@ def test_every_fixpoint_component_is_a_congruence():
 
 def test_worklist_agrees_with_jacobi_on_corpus():
     for name, text in full_corpus():
-        universe, graph = parse_program(text, origin=name)
-        jac = solve_jacobi(graph, universe)
-        wl = solve_worklist(graph, universe)
+        universe, graph = parse_program(text)
+        jac = solve(graph, universe)
+        wl = reference_round_robin(graph, universe)
         assert states_equal(jac.state, wl.state), name
 
 
 def test_worklist_on_straight_line_needs_two_sweeps():
     universe, graph = load_program("straight_line.dfg")
-    result = solve_worklist(graph, universe)
+    result = reference_round_robin(graph, universe)
     assert result.iterations <= 2
 
 
 def test_jacobi_trace_descends():
     universe, graph = load_program("nested_loop.dfg")
-    result = solve_jacobi(graph, universe, SolverConfig(trace=True))
+    result = solve(graph, universe, trace=True)
     assert result.trace is not None
     for prev, nxt in zip(result.trace, result.trace[1:]):
         for before, after in zip(prev, nxt):
@@ -173,27 +170,17 @@ def test_jacobi_trace_descends():
 
 def test_jacobi_iteration_bound():
     for name, text in full_corpus():
-        universe, graph = parse_program(text, origin=name)
-        result = solve_jacobi(graph, universe)
+        universe, graph = parse_program(text)
+        result = solve(graph, universe)
         assert result.iterations <= graph.n * (len(universe.terms) + 1) + 1, name
 
 
-def test_iteration_limit_error_is_raised_when_forced():
-    universe, graph = load_program("straight_line.dfg")
-    with pytest.raises(IterationLimitError):
-        solve_jacobi(graph, universe, SolverConfig(max_iterations=1))
-    universe, graph = load_program("loop.dfg")
-    with pytest.raises(IterationLimitError):
-        solve_worklist(graph, universe, SolverConfig(max_iterations=1))
-
-
-def test_solve_dispatches_on_mode():
-    universe, graph = load_program("diamond.dfg")
-    jac = solve(graph, universe, SolverConfig(mode="jacobi"))
-    wl = solve(graph, universe, SolverConfig(mode="worklist"))
-    assert states_equal(jac.state, wl.state)
-    with pytest.raises(ValueError):
-        solve(graph, universe, SolverConfig(mode="chaotic"))
+def test_iteration_limit_error_is_raised_when_forced(monkeypatch):
+    monkeypatch.setattr(herbrand.dataflow, "default_iteration_limit", lambda graph, universe: 1)
+    for name in ("straight_line.dfg", "loop.dfg"):
+        universe, graph = load_program(name)
+        with pytest.raises(IterationLimitError):
+            solve(graph, universe)
 
 
 def _full_step_iterates(graph, universe):
@@ -209,7 +196,7 @@ def _large_looping_programs(count: int = 8, seed: int = 4242):
     out = []
     for i in range(count):
         text = rand_program_text(random.Random(seed + i), max_nodes=40, min_nodes=21)
-        universe, graph = parse_program(text, origin=f"large_{i}")
+        universe, graph = parse_program(text)
         assert graph.n > 20
         # a predecessor at or after the node closes a loop
         assert any(p >= k for k in range(1, graph.n + 1) for p in graph.pred(k)), i
@@ -218,7 +205,7 @@ def _large_looping_programs(count: int = 8, seed: int = 4242):
 
 
 def _solver_corpus():
-    named = [(name, *parse_program(text, origin=name)) for name, text in full_corpus()]
+    named = [(name, *parse_program(text)) for name, text in full_corpus()]
     return named + _large_looping_programs()
 
 
@@ -234,7 +221,7 @@ def test_composite_step_on_a_node_subset_copies_the_rest():
 def test_incremental_jacobi_matches_full_steps_iterate_by_iterate():
     for name, universe, graph in _solver_corpus():
         expected = _full_step_iterates(graph, universe)
-        result = solve_jacobi(graph, universe, SolverConfig(trace=True))
+        result = solve(graph, universe, trace=True)
         assert result.trace is not None
         assert len(result.trace) == len(expected), name
         assert result.iterations == len(expected) - 2, name
@@ -244,7 +231,7 @@ def test_incremental_jacobi_matches_full_steps_iterate_by_iterate():
 
 def test_nodes_with_unchanged_predecessors_keep_their_value_object():
     for name, universe, graph in _solver_corpus():
-        trace = solve_jacobi(graph, universe, SolverConfig(trace=True)).trace
+        trace = solve(graph, universe, trace=True).trace
         assert trace is not None
         for l in range(2, len(trace)):
             changed = {k for k in range(1, graph.n + 1) if trace[l - 1][k - 1] is not trace[l - 2][k - 1]}
@@ -270,7 +257,7 @@ def test_jacobi_on_a_chain_makes_linearly_many_transfers(monkeypatch):
         return original(elem, stmt)
 
     monkeypatch.setattr(herbrand.dataflow, "apply_statement", counting)
-    result = solve_jacobi(graph, universe)
+    result = solve(graph, universe)
     assert result.iterations == len(expected) - 2 == n + 1
     assert states_equal(result.state, expected[-1])
     # full steps would make n transfers in each of the n + 2 steps

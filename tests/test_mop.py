@@ -116,7 +116,7 @@ def test_bounded_meets_descend_with_length():
 
 def test_table_matches_literal_path_enumeration():
     for name, text in full_corpus(random_count=6):
-        universe, graph = parse_program(text, origin=name)
+        universe, graph = parse_program(text)
         rows = mop_table(graph, universe, 6)
         for length in range(7):
             for k in range(1, graph.n + 1):

@@ -25,3 +25,10 @@ def test_mop_submodule_is_not_shadowed():
     assert "mop" not in herbrand.__all__
     assert isinstance(mop_module, types.ModuleType)
     assert isinstance(herbrand.mop, types.ModuleType)
+
+
+def test_one_solver_is_exported():
+    assert "solve" in herbrand.__all__
+    for name in ("SolverConfig", "solve_jacobi", "solve_worklist"):
+        assert name not in herbrand.__all__
+        assert not hasattr(herbrand, name)

@@ -153,20 +153,19 @@ def test_cli_analyze_json_diamond(capsys):
 
 def test_cli_reports_are_deterministic_across_runs(capsys):
     path = str(PROGRAMS_DIR / "nested_loop.dfg")
-    first = _run(capsys, "analyze", path, "--solver", "jacobi")
-    second = _run(capsys, "analyze", path, "--solver", "jacobi")
+    first = _run(capsys, "analyze", path)
+    second = _run(capsys, "analyze", path)
     assert first == second
 
 
-def test_cli_point_data_identical_across_solvers(capsys):
-    # solver metadata names the mode; the computed classes may not differ
-    path = str(PROGRAMS_DIR / "nested_loop.dfg")
-    payloads = []
-    for solver in ("jacobi", "worklist"):
-        code, out, _ = _run(capsys, "analyze", path, "--solver", solver, "--format", "json")
-        assert code == 0
-        payloads.append(json.dumps(json.loads(out)["points"]))
-    assert payloads[0] == payloads[1]
+@pytest.mark.parametrize("solver", ["worklist", "jacobi"])
+def test_cli_solver_flag_is_gone(solver, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(PROGRAMS_DIR / "loop.dfg"), "--solver", solver])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --solver" in captured.err
 
 
 def test_cli_golden_reports(capsys):

@@ -9,7 +9,6 @@ from herbrand import (
     NonDet,
     Partition,
     SelfReferenceError,
-    SolverConfig,
     Sum,
     TOP,
     UniverseMismatchError,
@@ -25,7 +24,7 @@ from herbrand import (
     parse_term,
     partitions_equal,
     refines,
-    solve_jacobi,
+    solve,
 )
 from helpers import (
     cls,
@@ -235,8 +234,8 @@ def test_assign_kernel_matches_reference_on_jacobi_traces():
     seen = set()
     checked = 0
     for name, text in full_corpus(random_count=14):
-        universe, graph = parse_program(text, origin=name)
-        result = solve_jacobi(graph, universe, SolverConfig(trace=True))
+        universe, graph = parse_program(text)
+        result = solve(graph, universe, trace=True)
         for row in result.trace:
             for p in row:
                 if is_top(p) or (name, p.labels) in seen:
@@ -266,4 +265,4 @@ def test_pair_classes_keep_last_writer(u):
     # x ~ y, but x+x and y+y sit apart: (class x, class x) names the later one
     p = make_partition(u, [["x", "y"]])
     x, y = AtomRef(u.resolve("x")), AtomRef(u.resolve("y"))
-    assert p._pair_classes[(p.class_of(x), p.class_of(x))] == p.class_of(Sum(y, y))
+    assert p.pair_classes()[(p.class_of(x), p.class_of(x))] == p.class_of(Sum(y, y))
