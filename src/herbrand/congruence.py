@@ -13,8 +13,14 @@ A well-formed congruence additionally satisfies three axioms:
       variables.
 
 ``Partition`` itself admits arbitrary partitions; ``congruence_violations``
-checks the axioms diagnostically. The lattice adds an artificial greatest
-element ``TOP`` so that the meet of an empty collection is defined.
+checks the axioms diagnostically. A partition hashes its labels once, at
+construction. The lattice adds an artificial greatest element ``TOP`` so
+that the meet of an empty collection is defined.
+
+The meet is the product of the two partitions (Kildall, POPL 1973). When the
+left operand already refines the right one that product is the left operand
+itself, so ``meet`` returns it unchanged and builds no new partition; the
+running path meet of ``mop_table`` almost always takes this route.
 
 Queries about terms deeper than the universe go through ``term_value``: the
 class structure of a deep term is folded bottom-up, collapsing any operand
@@ -56,7 +62,7 @@ class Partition:
     ``labels[i]`` is the class of ``universe.terms[i]``. The constructor
     accepts any hashable grouping keys and renumbers them densely in first
     occurrence order, so callers may pass raw keys produced by a transfer
-    or a meet.
+    or a meet. The hash of the canonical labels is computed once, here.
     """
 
     universe: TermUniverse
@@ -72,6 +78,12 @@ class Partition:
         # raised the peak RSS of a large analysis
         dense = list(map(ids.__getitem__, self.labels))
         object.__setattr__(self, "labels", tuple(dense))
+        object.__setattr__(self, "_hash", hash(self.labels))
+
+    def __hash__(self) -> int:
+        # equal partitions have equal labels; the generated __eq__ still
+        # tells partitions over different universes apart
+        return self._hash
 
     @property
     def num_classes(self) -> int:
@@ -164,13 +176,17 @@ def _require_same_universe(a: Partition, b: Partition) -> None:
 
 
 def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
-    """Greatest lower bound: pairwise nonempty class intersections."""
+    """Greatest lower bound: pairwise nonempty class intersections.
+
+    ``l1`` itself when it already refines ``l2``.
+    """
     if is_top(l1):
         return l2
     if is_top(l2):
         return l1
     assert isinstance(l1, Partition) and isinstance(l2, Partition)
-    _require_same_universe(l1, l2)
+    if refines(l1, l2):
+        return l1
     return Partition(l1.universe, tuple(zip(l1.labels, l2.labels)))
 
 
@@ -190,11 +206,11 @@ def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
         return False
     assert isinstance(l1, Partition) and isinstance(l2, Partition)
     _require_same_universe(l1, l2)
-    image: dict[int, int] = {}
-    for a, b in zip(l1.labels, l2.labels):
-        if image.setdefault(a, b) != b:
-            return False
-    return True
+    a, b = l1.labels, l2.labels
+    # map each class of l1 to a class of l2 it meets; l1 refines l2 exactly
+    # when that map sends every position to its own l2 label
+    image = dict(zip(a, b))
+    return tuple(map(image.__getitem__, a)) == b
 
 
 def partitions_equal(l1: LatticeElem, l2: LatticeElem) -> bool:

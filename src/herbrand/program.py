@@ -27,7 +27,7 @@ from .errors import DeclarationError, GraphError, ParseError, SelfReferenceError
 from .terms import IDENT_RE, AtomRef, Sum, Term, TermUniverse, VARIABLE, build_universe, occurs
 from .transfer import Assign, NonDet
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\d+|:=|\+")
+_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+")
 
 
 @dataclass
@@ -93,7 +93,7 @@ class _Cursor:
 
     def integer(self) -> int:
         tok = self.take("integer")
-        if not tok.isdigit():
+        if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"expected integer, got {tok!r}", line=self.line)
         return int(tok)
 

@@ -1,6 +1,6 @@
 """Shared fixtures-in-code: program loading, hand-built partitions, the
-term-level, fixpoint and path-level reference oracles, and the seeded random
-generators used by property and acceptance tests."""
+term-level, lattice, fixpoint and path-level reference oracles, and the
+seeded random generators used by property and acceptance tests."""
 
 from __future__ import annotations
 
@@ -136,6 +136,40 @@ def nondet_definitional(elem: LatticeElem, y: Atom, betas) -> LatticeElem:
 def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
     """Universe terms in which ``y`` does not occur."""
     return [t for t in universe.terms if not occurs(t, y)]
+
+
+# ---------------------------------------------------------------------------
+# lattice reference (test oracles for ``meet`` and ``refines``)
+# ---------------------------------------------------------------------------
+
+
+def reference_refines(l1: LatticeElem, l2: LatticeElem) -> bool:
+    """True iff every class of ``l1`` lies inside one class of ``l2``, by a
+    position-by-position scan that records where each class of ``l1`` goes."""
+    if is_top(l2):
+        return True
+    if is_top(l1):
+        return False
+    assert isinstance(l1, Partition) and isinstance(l2, Partition)
+    assert l1.universe is l2.universe
+    image: dict[int, int] = {}
+    for a, b in zip(l1.labels, l2.labels):
+        if image.setdefault(a, b) != b:
+            return False
+    return True
+
+
+def reference_meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
+    """The product of two partitions: one class per distinct label pair."""
+    if is_top(l1):
+        return l2
+    if is_top(l2):
+        return l1
+    assert isinstance(l1, Partition) and isinstance(l2, Partition)
+    assert l1.universe is l2.universe
+    pair_ids: dict[tuple[int, int], int] = {}
+    labels = [pair_ids.setdefault(pair, len(pair_ids)) for pair in zip(l1.labels, l2.labels)]
+    return Partition(l1.universe, tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,28 @@ from herbrand import (
     equivalent,
     get_class,
     is_congruence,
+    is_top,
     meet,
     meet_all,
     occurs,
+    parse_program,
     parse_term,
     partitions_equal,
     refines,
+    solve,
     substitute,
     term_value,
     assign_transfer,
 )
-from helpers import cls, make_partition, rand_partition, rand_universe
+from helpers import (
+    cls,
+    full_corpus,
+    make_partition,
+    rand_partition,
+    rand_universe,
+    reference_meet,
+    reference_refines,
+)
 
 
 @pytest.fixture
@@ -173,9 +184,82 @@ def test_meet_is_the_greatest_lower_bound(u):
     for _ in range(30):
         p, q = rand_partition(u, rng), rand_partition(u, rng)
         m = meet(p, q)
-        assert refines(m, p) and refines(m, q)
+        assert reference_refines(m, p) and reference_refines(m, q)
         r = meet(m, rand_partition(u, rng))  # an arbitrary common lower bound
-        assert refines(r, p) and refines(r, q) and refines(r, m)
+        assert reference_refines(r, p) and reference_refines(r, q) and reference_refines(r, m)
+
+
+def _assert_meet_and_refines_match_reference(p, q) -> bool:
+    """Check ``meet`` and ``refines`` on ``(p, q)`` against the references;
+    return whether ``p`` refines ``q``."""
+    fine = reference_refines(p, q)
+    assert refines(p, q) == fine, (p, q)
+    met = meet(p, q)
+    assert met == reference_meet(p, q), (p, q)
+    if fine:
+        assert met is p, (p, q)
+    return fine
+
+
+def test_meet_matches_reference_on_random_labelings():
+    rng = random.Random(31)
+    refining = 0
+    for i in range(200):
+        universe = rand_universe(rng)
+        q = rand_partition(universe, rng)
+        r = rand_partition(universe, rng)
+        if i % 4 == 0:
+            p = reference_meet(q, r)  # refines q
+        elif i % 4 == 1:
+            p, q = q, reference_meet(q, r)  # the right operand refines the left
+        elif i % 4 == 2:
+            p = Partition(universe, q.labels)  # equal, but another object
+        else:
+            p = r
+        refining += _assert_meet_and_refines_match_reference(p, q)
+        for top_pair in ((TOP, q), (p, TOP), (TOP, TOP)):
+            _assert_meet_and_refines_match_reference(*top_pair)
+    assert 100 <= refining < 200
+
+
+def test_meet_matches_reference_on_arbitrary_labelings():
+    # non-congruences too, so that classes cut across the grid layout
+    rng = random.Random(32)
+    for _ in range(100):
+        universe = rand_universe(rng)
+        size = len(universe.terms)
+        p, q = (
+            Partition(universe, tuple(rng.randrange(1 + rng.randrange(size)) for _ in range(size)))
+            for _ in range(2)
+        )
+        _assert_meet_and_refines_match_reference(p, q)
+        _assert_meet_and_refines_match_reference(reference_meet(p, q), q)
+
+
+def test_meet_matches_reference_on_jacobi_traces():
+    refining = pairs = 0
+    for _, text in full_corpus():
+        universe, graph = parse_program(text)
+        trace = solve(graph, universe, trace=True).trace
+        values = list({p: None for row in trace for p in row if not is_top(p)})
+        for p in values:
+            for q in values:
+                refining += _assert_meet_and_refines_match_reference(p, q)
+                pairs += 1
+    assert 0 < refining < pairs
+
+
+def test_equal_partitions_hash_equal(u):
+    raw = make_partition(u, [["x", "a"], ["y", "b"]])  # built from raw keys
+    canonical = Partition(u, raw.labels)
+    shifted = Partition(u, tuple(label + 17 for label in raw.labels))
+    assert raw == canonical == shifted
+    assert hash(raw) == hash(canonical) == hash(shifted)
+    memo = {(3, raw): "hit"}
+    assert memo[(3, shifted)] == "hit"
+    # same labels over another universe: never equal, whatever the hash
+    other = build_universe(["x", "y"], ["a", "b"])
+    assert bottom(u) != bottom(other)
 
 
 def test_meet_all_over_union_rule(u):

@@ -163,3 +163,21 @@ def test_verify_checks_every_length_even_without_stabilization():
     # stabilization is a whole-vector condition
     rows = mop_table(graph, universe, 4)
     assert report.stabilized == states_equal(rows[3], rows[4])
+
+
+@pytest.mark.parametrize("name", ["diamond.dfg", "nested_loop.dfg"])
+def test_mop_table_meets_once_per_path(name, monkeypatch):
+    # the path count is what --path-cap limits and what the benchmark's
+    # frontier counters read, so the table must not skip or merge paths
+    universe, graph = load_program(name)
+    calls = 0
+
+    def counting_meet(l1, l2):
+        nonlocal calls
+        calls += 1
+        return meet(l1, l2)
+
+    monkeypatch.setattr("herbrand.mop.meet", counting_meet)
+    mop_table(graph, universe, 12)
+    paths = sum(len(enum_paths(graph, k, 12)) for k in range(1, graph.n + 1))
+    assert calls == paths > graph.n

@@ -288,6 +288,16 @@ def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
         assert err.startswith("error[E_PARSE]: line 3: invalid UTF-8 byte 0xe9")
 
 
+def test_cli_non_ascii_digit_in_node_id_exits_2(tmp_path, capsys):
+    # U+0661 ARABIC-INDIC DIGIT ONE is a Unicode decimal digit, not an id
+    bad = tmp_path / "arabic_digit.dfg"
+    bad.write_text("vars x\nconsts a\nnode \u0661 entry\n", encoding="utf-8")
+    for command in ("check", "analyze", "verify"):
+        code, out, err = _run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err.startswith("error[E_PARSE]: line 3: unexpected character '\u0661'")
+
+
 @pytest.mark.parametrize("command", ["mop", "verify"])
 def test_cli_negative_max_len_rejected(command, capsys):
     with pytest.raises(SystemExit) as exc:
