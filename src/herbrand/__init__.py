@@ -14,12 +14,9 @@ from .congruence import (
     Partition,
     TOP,
     Top,
-    Violation,
     bottom,
-    congruence_violations,
     equivalent,
     get_class,
-    is_congruence,
     is_top,
     meet,
     meet_all,
@@ -60,11 +57,9 @@ from .terms import (
     Term,
     TermUniverse,
     build_universe,
-    depth,
     format_term,
     occurs,
     parse_term,
-    substitute,
 )
 from .transfer import (
     Assign,
@@ -78,9 +73,8 @@ from .transfer import (
 __all__ = [
     # congruence
     "Base", "ExtendedValue", "LatticeElem", "Pair", "Partition", "TOP", "Top",
-    "Violation", "bottom", "congruence_violations", "equivalent", "get_class",
-    "is_congruence", "is_top", "meet", "meet_all", "partitions_equal", "refines",
-    "term_value",
+    "bottom", "equivalent", "get_class", "is_top", "meet", "meet_all",
+    "partitions_equal", "refines", "term_value",
     # dataflow
     "AnalysisState", "Confluence", "Entry", "FlowGraph", "Function", "NodeKind",
     "SolveResult", "composite_step", "solve", "states_equal", "validate_graph",
@@ -94,8 +88,8 @@ __all__ = [
     # report
     "emit_report", "visible_classes",
     # terms
-    "Atom", "AtomRef", "Sum", "Term", "TermUniverse", "build_universe", "depth",
-    "format_term", "occurs", "parse_term", "substitute",
+    "Atom", "AtomRef", "Sum", "Term", "TermUniverse", "build_universe",
+    "format_term", "occurs", "parse_term",
     # transfer
     "Assign", "NonDet", "Statement", "apply_statement", "assign_transfer",
     "nondet_transfer",

@@ -15,15 +15,16 @@ from pathlib import Path
 from .dataflow import solve, states_equal
 from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
-from .program import parse_program
-from .report import emit_report, point_entries, render_json, render_points_text
+from .program import LINE_END_RE, parse_program
+from .report import emit_report, render_json, render_points
 
 
 def _load(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
-        line = err.object.count(b"\n", 0, err.start) + 1
+        # the bytes before the first invalid one decode
+        line = len(LINE_END_RE.split(err.object[: err.start].decode("utf-8")))
         bad = err.object[err.start]
         raise ParseError(f"invalid UTF-8 byte 0x{bad:02x} in {path}", line=line) from None
     return parse_program(text)
@@ -60,26 +61,8 @@ def _cmd_mop(args: argparse.Namespace) -> int:
     # the running path meet only descends, so the last row is the meet of all
     values = rows[args.max_len]
     stabilized = args.max_len >= 1 and states_equal(rows[args.max_len - 1], rows[args.max_len])
-    points = point_entries(values, args.full)
-    if args.format == "json":
-        sys.stdout.write(
-            render_json(
-                {
-                    "solver": "mop",
-                    "max_len": args.max_len,
-                    "stabilized": stabilized,
-                    "points": points,
-                }
-            )
-        )
-    else:
-        lines = [
-            "solver: mop",
-            f"max_len: {args.max_len}",
-            f"stabilized: {'yes' if stabilized else 'no'}",
-        ]
-        lines.extend(render_points_text(points))
-        sys.stdout.write("\n".join(lines) + "\n")
+    head = {"solver": "mop", "max_len": args.max_len, "stabilized": stabilized}
+    sys.stdout.write(render_points(head, values, args.format, args.full))
     return 0
 
 

@@ -12,10 +12,10 @@ A well-formed congruence additionally satisfies three axioms:
   C3  a class containing a constant contains, besides that constant, only
       variables.
 
-``Partition`` itself admits arbitrary partitions; ``congruence_violations``
-checks the axioms diagnostically. A partition hashes its labels once, at
-construction. The lattice adds an artificial greatest element ``TOP`` so
-that the meet of an empty collection is defined.
+``Partition`` itself admits arbitrary partitions; the transfers and the
+meet preserve the axioms, and the tests check them. A partition hashes its
+labels once, at construction. The lattice adds an artificial greatest
+element ``TOP`` so that the meet of an empty collection is defined.
 
 The meet is the product of the two partitions (Kildall, POPL 1973). When the
 left operand already refines the right one that product is the left operand
@@ -226,69 +226,3 @@ def get_class(t: Term, p: Partition) -> set[Term]:
     """All universe terms sharing the class of ``t``."""
     lab = p.class_of(t)
     return {s for s, l in zip(p.universe.terms, p.labels) if l == lab}
-
-
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    witness: tuple[Term, ...]
-    detail: str
-
-
-def congruence_violations(p: Partition) -> list[Violation]:
-    """Check axioms C1, C2, C3 over the whole universe; empty means valid."""
-    u = p.universe
-    m = len(u.atoms)
-    out: list[Violation] = []
-
-    # C1: a class may hold at most one constant.
-    const_in_class: dict[int, Term] = {}
-    for i, atom in enumerate(u.atoms):
-        if not atom.is_constant():
-            continue
-        t = u.terms[i]
-        other = const_in_class.setdefault(p.labels[i], t)
-        if other is not t:
-            out.append(Violation("C1", (other, t), "distinct constants share a class"))
-
-    # C2 forward: equal operand classes force equal compound classes.
-    # C2 backward: a compound class determines its operand class pattern.
-    by_key: dict[tuple[int, int], tuple[Term, int]] = {}
-    by_label: dict[int, tuple[Term, tuple[int, int]]] = {}
-    for pos in range(m, len(u.terms)):
-        i, j = u.pair_operands(pos)
-        key = (p.labels[i], p.labels[j])
-        t = u.terms[pos]
-        lab = p.labels[pos]
-        prev = by_key.setdefault(key, (t, lab))
-        if prev[1] != lab:
-            out.append(
-                Violation(
-                    "C2",
-                    (prev[0], t),
-                    "operand classes match but compounds are in distinct classes",
-                )
-            )
-        prev_l = by_label.setdefault(lab, (t, key))
-        if prev_l[1] != key:
-            out.append(
-                Violation(
-                    "C2",
-                    (prev_l[0], t),
-                    "compounds share a class but operand classes differ",
-                )
-            )
-
-    # C3: besides the constant itself, only variables may join a constant's class.
-    const_labels = {p.labels[i]: u.terms[i] for i, a in enumerate(u.atoms) if a.is_constant()}
-    for pos in range(m, len(u.terms)):
-        c = const_labels.get(p.labels[pos])
-        if c is not None:
-            out.append(
-                Violation("C3", (c, u.terms[pos]), "compound term congruent to a constant")
-            )
-    return out
-
-
-def is_congruence(p: Partition) -> bool:
-    return not congruence_violations(p)

@@ -1,7 +1,10 @@
 """Parser for the ``.dfg`` program format.
 
 A program is a sequence of declaration and node lines; ``#`` starts a
-comment. Declarations may appear anywhere and accumulate:
+comment. Lines end at LF, CR LF or CR, and only ASCII blanks and tabs
+separate tokens; any other character outside a comment, a Unicode space or
+line separator included, is a parse error. Declarations may appear
+anywhere and accumulate:
 
     vars x y
     consts a
@@ -28,6 +31,9 @@ from .terms import IDENT_RE, AtomRef, Sum, Term, TermUniverse, VARIABLE, build_u
 from .transfer import Assign, NonDet
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+")
+# the line ends of universal newlines, as the command line reads a file;
+# str.splitlines would also break at "\f", "\v", U+2028 and more
+LINE_END_RE = re.compile(r"\r\n?|\n")
 
 
 @dataclass
@@ -53,7 +59,7 @@ def _tokenize(text: str, line_no: int) -> list[str]:
     tokens: list[str] = []
     pos = 0
     while pos < len(text):
-        if text[pos].isspace():
+        if text[pos] in " \t":
             pos += 1
             continue
         m = _TOKEN_RE.match(text, pos)
@@ -104,7 +110,7 @@ class _Cursor:
 
 def _scan(text: str) -> ProgramSource:
     src = ProgramSource()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(LINE_END_RE.split(text), start=1):
         body = raw.split("#", 1)[0]
         tokens = _tokenize(body, line_no)
         if not tokens:

@@ -5,72 +5,178 @@ sorted again across classes; re-running an analysis reproduces the output
 byte for byte. By default singleton classes and terms mentioning a reserved
 constant are hidden; ``full=True`` shows everything. Filtering affects
 visibility only, never membership.
+
+One render call does each piece of work once:
+
+* a *layout* per universe holds the visible grid positions (all of them
+  with ``full``; otherwise the atoms below the reserved constants and the
+  pairs of such atoms) and the name of each, formatted once (``a``,
+  ``a+b``);
+* a memo from value to class rows, so nodes and ``--trace`` iterates that
+  share a value render it once. Rows are picked in C-level passes: one
+  ``itemgetter`` gathers the visible labels, a ``Counter`` marks the labels
+  that occur more than once, ``compress`` keeps their members and one sort
+  of (label, name) pairs groups them;
+* a writer for the fixed shape of a points list, in text or in the JSON
+  layout of ``json.dumps(indent=2)`` with strings escaped by its encoder,
+  ``encode_basestring_ascii``. It renders each distinct value's entry once
+  per indentation.
+
+Nothing is kept from one call to the next.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import chain
+from collections import Counter
+from itertools import chain, compress, groupby
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable
 
 from .congruence import LatticeElem, Partition, is_top
-from .terms import format_term
+from .terms import TermUniverse
+
+_label = itemgetter(0)
+_name = itemgetter(1)
+
+
+class _Layout:
+    """The visible positions of one universe's grid and their names."""
+
+    def __init__(self, universe: TermUniverse, full: bool) -> None:
+        names = [atom.name for atom in universe.atoms]
+        m = len(names)
+        self.gather = None
+        if not full:
+            k = m - len(universe.reserved)
+            names = names[:k]
+            pair_rows = (range(m + i * m, m + i * m + k) for i in range(k))
+            positions = [*range(k), *chain.from_iterable(pair_rows)]
+            # k + k*k positions: none, or at least two, so that itemgetter
+            # returns a tuple
+            self.gather = itemgetter(*positions) if positions else lambda labels: ()
+        self.names = names + [f"{a}+{b}" for a in names for b in names]
+
+    def rows(self, labels: tuple[int, ...]) -> list[list[str]]:
+        names: Iterable[str] = self.names
+        if self.gather is not None:
+            labels = self.gather(labels)
+            counts = Counter(labels)
+            shared = list(map((1).__lt__, map(counts.__getitem__, labels)))
+            labels, names = compress(labels, shared), compress(names, shared)
+        members = sorted(zip(labels, names))
+        return sorted([list(map(_name, group)) for _, group in groupby(members, _label)])
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array of rendered items, closed at ``indent``."""
+    if not items:
+        return "[]"
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+class _Render:
+    """One render call: a layout per universe, rows and entries per value."""
+
+    def __init__(self, full: bool) -> None:
+        self.full = full
+        self.layouts: dict[TermUniverse, _Layout] = {}
+        self.memo: dict[LatticeElem, list[list[str]] | None] = {}
+        # one format per call, so the indentation tells the entry tables apart
+        self.entries: dict[str, dict[LatticeElem, str]] = {}
+
+    def rows(self, elem: LatticeElem) -> list[list[str]] | None:
+        if elem in self.memo:
+            return self.memo[elem]
+        rows = None
+        if not is_top(elem):
+            assert isinstance(elem, Partition)
+            layout = self.layouts.get(elem.universe)
+            if layout is None:
+                layout = self.layouts[elem.universe] = _Layout(elem.universe, self.full)
+            rows = layout.rows(elem.labels)
+        self.memo[elem] = rows
+        return rows
+
+    def text_points(self, state: Iterable[LatticeElem], indent: str = "") -> list[str]:
+        entries = self.entries.setdefault(indent, {})
+        lines = []
+        for node_id, elem in enumerate(state, start=1):
+            entry = entries.get(elem)
+            if entry is None:
+                rows = self.rows(elem)
+                if rows is None:
+                    entry = "top"
+                else:
+                    entry = "partition" + "".join(f"\n{indent}  [" + ", ".join(row) + "]" for row in rows)
+                entries[elem] = entry
+            lines.append(f"{indent}node {node_id}: {entry}")
+        return lines
+
+    def json_points(self, state: Iterable[LatticeElem], indent: str) -> str:
+        """The points array of ``state``, closed at ``indent``."""
+        item = indent + "  "
+        field = item + "  "
+        entries = self.entries.setdefault(indent, {})
+        points = []
+        for node_id, elem in enumerate(state, start=1):
+            entry = entries.get(elem)
+            if entry is None:
+                rows = self.rows(elem)
+                if rows is None:
+                    entry = f'{field}"status": "top"\n{item}}}'
+                else:
+                    classes = [_json_array(list(map(encode_basestring_ascii, row)), field + "  ") for row in rows]
+                    entry = f'{field}"status": "partition",\n{field}"classes": {_json_array(classes, field)}\n{item}}}'
+                entries[elem] = entry
+            points.append(f'{{\n{field}"id": {node_id},\n{entry}')
+        return _json_array(points, indent)
 
 
 def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
-    """Class lists for one node, or ``None`` for a ``TOP`` node.
-
-    The reserved constants are the last atoms of the universe, so unless
-    ``full`` is set only the atoms below index ``k`` and the pairs of such
-    atoms are visible; only the kept classes are formatted.
-    """
-    if is_top(elem):
-        return None
-    assert isinstance(elem, Partition)
-    universe = elem.universe
-    labels = elem.labels
-    if full:
-        positions: Iterable[int] = range(len(labels))
-    else:
-        m = len(universe.atoms)
-        k = m - len(universe.reserved)
-        pair_rows = (range(m + i * m, m + i * m + k) for i in range(k))
-        positions = chain(range(k), *pair_rows)
-    members: dict[int, list[int]] = {}
-    for pos in positions:
-        members.setdefault(labels[pos], []).append(pos)
-    terms = universe.terms
-    rows = [
-        sorted(format_term(terms[pos]) for pos in group)
-        for group in members.values()
-        if full or len(group) > 1
-    ]
-    rows.sort()
-    return rows
-
-
-def point_entries(state: Iterable[LatticeElem], full: bool = False) -> list[dict]:
-    points = []
-    for node_id, elem in enumerate(state, start=1):
-        rows = visible_classes(elem, full)
-        if rows is None:
-            points.append({"id": node_id, "status": "top"})
-        else:
-            points.append({"id": node_id, "status": "partition", "classes": rows})
-    return points
+    """Class lists for one node, or ``None`` for a ``TOP`` node."""
+    return _Render(full).rows(elem)
 
 
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_points_text(points: list[dict], indent: str = "") -> list[str]:
-    lines = []
-    for point in points:
-        lines.append(f"{indent}node {point['id']}: {point['status']}")
-        for row in point.get("classes", ()):
-            lines.append(f"{indent}  [" + ", ".join(row) + "]")
-    return lines
+def render_points(
+    head: dict,
+    state: Iterable[LatticeElem],
+    fmt: str = "text",
+    full: bool = False,
+    trace: list[tuple[LatticeElem, ...]] | None = None,
+) -> str:
+    """A report: the ``head`` fields, the points of ``state``, then ``trace``.
+
+    ``head`` maps field names to strings, integers or booleans; text shows a
+    boolean as ``yes`` or ``no``.
+    """
+    render = _Render(full)
+    if fmt == "json":
+        fields = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in head.items()]
+        fields.append(f'  "points": {render.json_points(state, "  ")}')
+        if trace is not None:
+            iterates = [
+                f'{{\n      "iteration": {l},\n      "points": {render.json_points(row, "      ")}\n    }}'
+                for l, row in enumerate(trace)
+            ]
+            fields.append(f'  "trace": {_json_array(iterates, "  ")}')
+        return "{\n" + ",\n".join(fields) + "\n}\n"
+    lines = [
+        f"{key}: {'yes' if value is True else 'no' if value is False else value}"
+        for key, value in head.items()
+    ]
+    lines.extend(render.text_points(state))
+    if trace is not None:
+        for l, row in enumerate(trace):
+            lines.append(f"iterate {l}:")
+            lines.extend(render.text_points(row, "  "))
+    return "\n".join(lines) + "\n"
 
 
 def emit_report(
@@ -81,19 +187,4 @@ def emit_report(
     trace: list[tuple[LatticeElem, ...]] | None = None,
 ) -> str:
     """Render an analysis state; ``fmt`` is ``text`` or ``json``."""
-    points = point_entries(state, full)
-    if fmt == "json":
-        payload: dict = {"solver": "jacobi", "iterations": iterations, "points": points}
-        if trace is not None:
-            payload["trace"] = [
-                {"iteration": l, "points": point_entries(row, full)}
-                for l, row in enumerate(trace)
-            ]
-        return render_json(payload)
-    lines = ["solver: jacobi", f"iterations: {iterations}"]
-    lines.extend(render_points_text(points))
-    if trace is not None:
-        for l, row in enumerate(trace):
-            lines.append(f"iterate {l}:")
-            lines.extend(render_points_text(point_entries(row, full), indent="  "))
-    return "\n".join(lines) + "\n"
+    return render_points({"solver": "jacobi", "iterations": iterations}, state, fmt, full, trace)

@@ -1,5 +1,5 @@
-"""Term algebra: atoms, ordered sums, substitution, and the finite universe
-of depth-limited expressions the analysis operates on.
+"""Term algebra: atoms, ordered sums, and the finite universe of
+depth-limited expressions the analysis operates on.
 
 Terms are built from declared variables and constants with a single binary
 operator ``+`` treated as uninterpreted (no commutativity, no arithmetic).
@@ -60,25 +60,6 @@ def occurs(t: Term, x: Atom) -> bool:
         return t.atom == x
     assert isinstance(t, Sum)
     return occurs(t.left, x) or occurs(t.right, x)
-
-
-def substitute(t: Term, x: Atom, alpha: Term) -> Term:
-    """Replace every occurrence of the variable ``x`` in ``t`` by ``alpha``."""
-    if x.kind != VARIABLE:
-        raise ValueError(f"substitution target {x.name!r} is not a variable")
-    if isinstance(t, AtomRef):
-        return alpha if t.atom == x else t
-    assert isinstance(t, Sum)
-    if not occurs(t, x):
-        return t
-    return Sum(substitute(t.left, x, alpha), substitute(t.right, x, alpha))
-
-
-def depth(t: Term) -> int:
-    if isinstance(t, AtomRef):
-        return 0
-    assert isinstance(t, Sum)
-    return 1 + max(depth(t.left), depth(t.right))
 
 
 @dataclass(frozen=True, eq=False)

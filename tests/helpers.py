@@ -1,11 +1,16 @@
 """Shared fixtures-in-code: program loading, hand-built partitions, the
-term-level, lattice, fixpoint and path-level reference oracles, and the
-seeded random generators used by property and acceptance tests."""
+term-level, congruence-axiom, lattice, fixpoint, path-level and report
+reference oracles, and the seeded random generators used by property and
+acceptance tests."""
 
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
+from typing import Iterable
 
 from herbrand import (
     Assign,
@@ -38,11 +43,11 @@ from herbrand import (
     parse_term,
     partitions_equal,
     states_equal,
-    substitute,
     term_value,
 )
 from herbrand.dataflow import default_iteration_limit
 from herbrand.mop import DEFAULT_PATH_CAP
+from herbrand.terms import VARIABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS_DIR = ROOT / "programs"
@@ -86,6 +91,25 @@ def cls(p: Partition, text: str) -> set[str]:
 # ---------------------------------------------------------------------------
 # term-level reference semantics (test oracles for the index-level transfers)
 # ---------------------------------------------------------------------------
+
+
+def substitute(t: Term, x: Atom, alpha: Term) -> Term:
+    """Replace every occurrence of the variable ``x`` in ``t`` by ``alpha``."""
+    if x.kind != VARIABLE:
+        raise ValueError(f"substitution target {x.name!r} is not a variable")
+    if isinstance(t, AtomRef):
+        return alpha if t.atom == x else t
+    assert isinstance(t, Sum)
+    if not occurs(t, x):
+        return t
+    return Sum(substitute(t.left, x, alpha), substitute(t.right, x, alpha))
+
+
+def depth(t: Term) -> int:
+    if isinstance(t, AtomRef):
+        return 0
+    assert isinstance(t, Sum)
+    return 1 + max(depth(t.left), depth(t.right))
 
 
 def reference_assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
@@ -136,6 +160,77 @@ def nondet_definitional(elem: LatticeElem, y: Atom, betas) -> LatticeElem:
 def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
     """Universe terms in which ``y`` does not occur."""
     return [t for t in universe.terms if not occurs(t, y)]
+
+
+# ---------------------------------------------------------------------------
+# congruence axioms (the diagnostic checker for C1, C2 and C3)
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Violation:
+    axiom: str
+    witness: tuple[Term, ...]
+    detail: str
+
+
+def congruence_violations(p: Partition) -> list[Violation]:
+    """Check axioms C1, C2, C3 over the whole universe; empty means valid."""
+    u = p.universe
+    m = len(u.atoms)
+    out: list[Violation] = []
+
+    # C1: a class may hold at most one constant.
+    const_in_class: dict[int, Term] = {}
+    for i, atom in enumerate(u.atoms):
+        if not atom.is_constant():
+            continue
+        t = u.terms[i]
+        other = const_in_class.setdefault(p.labels[i], t)
+        if other is not t:
+            out.append(Violation("C1", (other, t), "distinct constants share a class"))
+
+    # C2 forward: equal operand classes force equal compound classes.
+    # C2 backward: a compound class determines its operand class pattern.
+    by_key: dict[tuple[int, int], tuple[Term, int]] = {}
+    by_label: dict[int, tuple[Term, tuple[int, int]]] = {}
+    for pos in range(m, len(u.terms)):
+        i, j = u.pair_operands(pos)
+        key = (p.labels[i], p.labels[j])
+        t = u.terms[pos]
+        lab = p.labels[pos]
+        prev = by_key.setdefault(key, (t, lab))
+        if prev[1] != lab:
+            out.append(
+                Violation(
+                    "C2",
+                    (prev[0], t),
+                    "operand classes match but compounds are in distinct classes",
+                )
+            )
+        prev_l = by_label.setdefault(lab, (t, key))
+        if prev_l[1] != key:
+            out.append(
+                Violation(
+                    "C2",
+                    (prev_l[0], t),
+                    "compounds share a class but operand classes differ",
+                )
+            )
+
+    # C3: besides the constant itself, only variables may join a constant's class.
+    const_labels = {p.labels[i]: u.terms[i] for i, a in enumerate(u.atoms) if a.is_constant()}
+    for pos in range(m, len(u.terms)):
+        c = const_labels.get(p.labels[pos])
+        if c is not None:
+            out.append(
+                Violation("C3", (c, u.terms[pos]), "compound term congruent to a constant")
+            )
+    return out
+
+
+def is_congruence(p: Partition) -> bool:
+    return not congruence_violations(p)
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +377,109 @@ def mop(
     value = meet_all(row[k - 1] for row in rows)
     stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
     return value, stabilized
+
+
+# ---------------------------------------------------------------------------
+# report reference (test oracle for the renderer: one dict per node, grouped
+# position by position, encoded by ``json.dumps``)
+# ---------------------------------------------------------------------------
+
+
+def reference_visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
+    """Class lists for one node, or ``None`` for a ``TOP`` node.
+
+    The reserved constants are the last atoms of the universe, so unless
+    ``full`` is set only the atoms below index ``k`` and the pairs of such
+    atoms are visible; only the kept classes are formatted.
+    """
+    if is_top(elem):
+        return None
+    assert isinstance(elem, Partition)
+    universe = elem.universe
+    labels = elem.labels
+    if full:
+        positions: Iterable[int] = range(len(labels))
+    else:
+        m = len(universe.atoms)
+        k = m - len(universe.reserved)
+        pair_rows = (range(m + i * m, m + i * m + k) for i in range(k))
+        positions = chain(range(k), *pair_rows)
+    members: dict[int, list[int]] = {}
+    for pos in positions:
+        members.setdefault(labels[pos], []).append(pos)
+    terms = universe.terms
+    rows = [
+        sorted(format_term(terms[pos]) for pos in group)
+        for group in members.values()
+        if full or len(group) > 1
+    ]
+    rows.sort()
+    return rows
+
+
+def reference_point_entries(state: Iterable[LatticeElem], full: bool = False) -> list[dict]:
+    points = []
+    for node_id, elem in enumerate(state, start=1):
+        rows = reference_visible_classes(elem, full)
+        if rows is None:
+            points.append({"id": node_id, "status": "top"})
+        else:
+            points.append({"id": node_id, "status": "partition", "classes": rows})
+    return points
+
+
+def reference_points_text(points: list[dict], indent: str = "") -> list[str]:
+    lines = []
+    for point in points:
+        lines.append(f"{indent}node {point['id']}: {point['status']}")
+        for row in point.get("classes", ()):
+            lines.append(f"{indent}  [" + ", ".join(row) + "]")
+    return lines
+
+
+def reference_emit_report(
+    state: Iterable[LatticeElem],
+    iterations: int,
+    fmt: str = "text",
+    full: bool = False,
+    trace: list[tuple[LatticeElem, ...]] | None = None,
+) -> str:
+    """The ``analyze`` report."""
+    points = reference_point_entries(state, full)
+    if fmt == "json":
+        payload: dict = {"solver": "jacobi", "iterations": iterations, "points": points}
+        if trace is not None:
+            payload["trace"] = [
+                {"iteration": l, "points": reference_point_entries(row, full)}
+                for l, row in enumerate(trace)
+            ]
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["solver: jacobi", f"iterations: {iterations}"]
+    lines.extend(reference_points_text(points))
+    if trace is not None:
+        for l, row in enumerate(trace):
+            lines.append(f"iterate {l}:")
+            lines.extend(reference_points_text(reference_point_entries(row, full), indent="  "))
+    return "\n".join(lines) + "\n"
+
+
+def reference_mop_report(
+    graph: FlowGraph,
+    universe: TermUniverse,
+    max_len: int,
+    fmt: str = "text",
+    full: bool = False,
+) -> str:
+    """The ``mop`` report."""
+    rows = mop_table(graph, universe, max_len)
+    stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
+    points = reference_point_entries(rows[max_len], full)
+    if fmt == "json":
+        payload = {"solver": "mop", "max_len": max_len, "stabilized": stabilized, "points": points}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = ["solver: mop", f"max_len: {max_len}", f"stabilized: {'yes' if stabilized else 'no'}"]
+    lines.extend(reference_points_text(points))
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,6 @@ from herbrand import (
     apply_statement,
     assign_transfer,
     bottom,
-    congruence_violations,
-    is_congruence,
     meet,
     meet_all,
     nondet_transfer,
@@ -33,7 +31,9 @@ from helpers import (
     GOLDEN_DIR,
     PROGRAMS_DIR,
     cls,
+    congruence_violations,
     full_corpus,
+    is_congruence,
     nondet_definitional,
     rand_partition,
     rand_statement,
@@ -219,4 +219,13 @@ def test_criterion_7_canonical_examples(corpus, capsys):
         golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
         assert out == golden, f"{name} report drifted from its golden file"
         json.loads(out)
+        code = main(["analyze", str(PROGRAMS_DIR / f"{name}.dfg")])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out == (GOLDEN_DIR / f"{name}.txt").read_text(encoding="utf-8"), name
+    # text with every class, every iterate and TOP points
+    code = main(["analyze", str(PROGRAMS_DIR / "loop.dfg"), "--full", "--trace"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN_DIR / "loop_full_trace.txt").read_text(encoding="utf-8")
     _report(7, "hand-derived classes and golden reports for the three canonical programs")

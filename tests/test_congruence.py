@@ -12,10 +12,8 @@ from herbrand import (
     UniverseMismatchError,
     bottom,
     build_universe,
-    congruence_violations,
     equivalent,
     get_class,
-    is_congruence,
     is_top,
     meet,
     meet_all,
@@ -25,18 +23,20 @@ from herbrand import (
     partitions_equal,
     refines,
     solve,
-    substitute,
     term_value,
     assign_transfer,
 )
 from helpers import (
     cls,
+    congruence_violations,
     full_corpus,
+    is_congruence,
     make_partition,
     rand_partition,
     rand_universe,
     reference_meet,
     reference_refines,
+    substitute,
 )
 
 

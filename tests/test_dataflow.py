@@ -16,7 +16,6 @@ from herbrand import (
     bottom,
     build_universe,
     composite_step,
-    is_congruence,
     is_top,
     partitions_equal,
     refines,
@@ -24,7 +23,14 @@ from herbrand import (
     states_equal,
     validate_graph,
 )
-from helpers import cls, full_corpus, load_program, rand_program_text, reference_round_robin
+from helpers import (
+    cls,
+    full_corpus,
+    is_congruence,
+    load_program,
+    rand_program_text,
+    reference_round_robin,
+)
 from herbrand import parse_program
 
 

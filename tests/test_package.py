@@ -14,7 +14,18 @@ def test_all_names_exist_and_are_unique():
 
 
 def test_term_level_oracles_are_not_exported():
-    for name in ("nondet_definitional", "y_free_universe_terms", "enum_paths", "path_congruence", "m_l"):
+    for name in (
+        "nondet_definitional",
+        "y_free_universe_terms",
+        "enum_paths",
+        "path_congruence",
+        "m_l",
+        "congruence_violations",
+        "is_congruence",
+        "Violation",
+        "substitute",
+        "depth",
+    ):
         assert name not in herbrand.__all__
         assert not hasattr(herbrand, name)
 

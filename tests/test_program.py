@@ -288,6 +288,15 @@ def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
         assert err.startswith("error[E_PARSE]: line 3: invalid UTF-8 byte 0xe9")
 
 
+@pytest.mark.parametrize("line_end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_cli_non_utf8_input_names_the_physical_line(line_end, tmp_path, capsys):
+    bad = tmp_path / "latin1.dfg"
+    bad.write_bytes(line_end.join([b"vars x", b"consts a", b"node 1 entry # caf\xe9", b""]))
+    code, out, err = _run(capsys, "check", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error[E_PARSE]: line 3: invalid UTF-8 byte 0xe9")
+
+
 def test_cli_non_ascii_digit_in_node_id_exits_2(tmp_path, capsys):
     # U+0661 ARABIC-INDIC DIGIT ONE is a Unicode decimal digit, not an id
     bad = tmp_path / "arabic_digit.dfg"
@@ -296,6 +305,44 @@ def test_cli_non_ascii_digit_in_node_id_exits_2(tmp_path, capsys):
         code, out, err = _run(capsys, command, str(bad))
         assert code == 2 and out == ""
         assert err.startswith("error[E_PARSE]: line 3: unexpected character '\u0661'")
+
+
+@pytest.mark.parametrize(
+    "text, line, char",
+    [
+        # U+00A0 NO-BREAK SPACE between tokens
+        ("vars x\nconsts a\nnode\u00a01 entry\n", 3, "\\xa0"),
+        # U+2003 EM SPACE between tokens
+        ("vars x\nconsts a\nnode 1 entry\nnode 2 assign x\u2003:= a pred 1\n", 4, "\\u2003"),
+        # U+2028 LINE SEPARATOR inside one physical line
+        ("vars x\nconsts a\nnode 1 entry\u2028node 2 assign x := a pred 1\n", 3, "\\u2028"),
+        # a form feed on line 1; the bad pred on line 3 is never reached
+        ("vars x\fconsts a\nnode 1 entry\nnode 2 assign x := a pred 9\n", 1, "\\x0c"),
+    ],
+    ids=["nbsp", "em_space", "line_separator", "form_feed"],
+)
+def test_cli_unicode_whitespace_exits_2_on_its_physical_line(text, line, char, tmp_path, capsys):
+    bad = tmp_path / "unicode_space.dfg"
+    bad.write_text(text, encoding="utf-8")
+    for command in ("check", "analyze", "verify"):
+        code, out, err = _run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error[E_PARSE]: line {line}: unexpected character '{char}'\n"
+
+
+@pytest.mark.parametrize("line_end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_text_parse_like_lf_text(line_end):
+    text = program_text("nested_loop.dfg")
+    u_lf, g_lf = parse_program(text)
+    u_other, g_other = parse_program(text.replace("\n", line_end))
+    assert [a.name for a in u_other.atoms] == [a.name for a in u_lf.atoms]
+    assert g_other.kinds == g_lf.kinds and g_other.preds == g_lf.preds
+
+
+def test_crlf_diagnostics_keep_physical_line_numbers():
+    with pytest.raises(DeclarationError) as exc:
+        parse_program("vars x\r\nconsts a\r\nnode 1 entry\r\nnode 2 assign x := b pred 1\r\n")
+    assert exc.value.line == 4
 
 
 @pytest.mark.parametrize("command", ["mop", "verify"])

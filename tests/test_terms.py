@@ -8,12 +8,11 @@ from herbrand import (
     ParseError,
     Sum,
     build_universe,
-    depth,
     format_term,
     occurs,
     parse_term,
-    substitute,
 )
+from helpers import depth, substitute
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from herbrand import (
     assign_transfer,
     bottom,
     build_universe,
-    is_congruence,
     is_top,
     meet,
     meet_all,
@@ -29,6 +28,7 @@ from herbrand import (
 from helpers import (
     cls,
     full_corpus,
+    is_congruence,
     make_partition,
     nondet_definitional,
     rand_partition,
