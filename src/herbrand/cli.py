@@ -12,9 +12,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .dataflow import solve, states_equal
+from .dataflow import solve
 from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
-from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
+from .mop import DEFAULT_PATH_CAP, mop_table, stabilized, verify_mop_mfp
 from .program import LINE_END_RE, parse_program
 from .report import emit_report, render_json, render_points
 
@@ -58,11 +58,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 def _cmd_mop(args: argparse.Namespace) -> int:
     universe, graph = _load(args.program)
     rows = mop_table(graph, universe, args.max_len, cap=args.path_cap)
-    # the running path meet only descends, so the last row is the meet of all
-    values = rows[args.max_len]
-    stabilized = args.max_len >= 1 and states_equal(rows[args.max_len - 1], rows[args.max_len])
-    head = {"solver": "mop", "max_len": args.max_len, "stabilized": stabilized}
-    sys.stdout.write(render_points(head, values, args.format, args.full))
+    head = {"solver": "mop", "max_len": args.max_len, "stabilized": stabilized(rows)}
+    sys.stdout.write(render_points(head, rows[-1], args.format, args.full))
     return 0
 
 

@@ -71,6 +71,12 @@ def mop_table(
     return rows
 
 
+def stabilized(rows: list[tuple[LatticeElem, ...]]) -> bool:
+    """Whether the last two rows of ``mop_table`` are equal; the running
+    path meet only descends, so then the last row is the meet of all."""
+    return len(rows) >= 2 and states_equal(rows[-2], rows[-1])
+
+
 @dataclass
 class VerifyReport:
     node_count: int
@@ -109,7 +115,7 @@ def verify_mop_mfp(
     report = VerifyReport(
         node_count=graph.n,
         max_len=max_len,
-        stabilized=max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len]),
+        stabilized=stabilized(rows),
     )
     for l in range(max_len + 1):
         for k in range(1, graph.n + 1):

@@ -23,36 +23,18 @@ where one applies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .dataflow import Confluence, Entry, FlowGraph, Function, NodeKind, validate_graph
-from .errors import DeclarationError, GraphError, ParseError, SelfReferenceError
-from .terms import IDENT_RE, AtomRef, Sum, Term, TermUniverse, VARIABLE, build_universe, occurs
+from .errors import AnalysisError, DeclarationError, GraphError, ParseError
+from .terms import IDENT_RE, AtomRef, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+")
 # the line ends of universal newlines, as the command line reads a file;
 # str.splitlines would also break at "\f", "\v", U+2028 and more
 LINE_END_RE = re.compile(r"\r\n?|\n")
-
-
-@dataclass
-class _NodeLine:
-    node_id: int
-    form: str
-    names: list[str]
-    preds: list[int]
-    line: int
-
-
-@dataclass
-class ProgramSource:
-    """Scanned but not yet resolved program text."""
-
-    variables: list[str] = field(default_factory=list)
-    constants: list[str] = field(default_factory=list)
-    nodes: dict[int, _NodeLine] = field(default_factory=dict)
-    decl_lines: dict[str, int] = field(default_factory=dict)
+# the number of predecessors each node kind takes
+_PREDS = {"entry": 0, "assign": 1, "nondet": 1, "confluence": 2}
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
@@ -101,15 +83,24 @@ class _Cursor:
         tok = self.take("integer")
         if not (tok.isascii() and tok.isdigit()):
             raise ParseError(f"expected integer, got {tok!r}", line=self.line)
-        return int(tok)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on digits per integer
+            raise ParseError(f"integer of {len(tok)} digits is too long", line=self.line) from None
 
     def finish(self) -> None:
         if not self.done():
             raise ParseError(f"trailing input {' '.join(self.tokens[self.pos:])!r}", line=self.line)
 
 
-def _scan(text: str) -> ProgramSource:
-    src = ProgramSource()
+def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, list[str], list[int]]]]:
+    """Split the text into declared names and node lines, without resolving
+    names; each node id maps to ``(line, kind, names, preds)``, where
+    ``names`` holds an assignment's target and right-hand side atoms."""
+    variables: list[str] = []
+    constants: list[str] = []
+    decl_lines: dict[str, int] = {}
+    nodes: dict[int, tuple[int, str, list[str], list[int]]] = {}
     for line_no, raw in enumerate(LINE_END_RE.split(text), start=1):
         body = raw.split("#", 1)[0]
         tokens = _tokenize(body, line_no)
@@ -124,104 +115,71 @@ def _scan(text: str) -> ProgramSource:
             if not names:
                 raise ParseError(f"{head!r} needs at least one name", line=line_no)
             for name in names:
-                if name in src.decl_lines:
+                if name in decl_lines:
                     raise DeclarationError(
-                        f"{name!r} already declared on line {src.decl_lines[name]}",
-                        line=line_no,
+                        f"{name!r} already declared on line {decl_lines[name]}", line=line_no
                     )
-                src.decl_lines[name] = line_no
-            (src.variables if head == "vars" else src.constants).extend(names)
+                decl_lines[name] = line_no
+            (variables if head == "vars" else constants).extend(names)
         elif head == "node":
             node_id = cur.integer()
-            if node_id in src.nodes:
+            if node_id in nodes:
                 raise ParseError(
-                    f"node {node_id} already defined on line {src.nodes[node_id].line}",
-                    line=line_no,
+                    f"node {node_id} already defined on line {nodes[node_id][0]}", line=line_no
                 )
             form = cur.take("node kind")
-            if form == "entry":
-                entry = _NodeLine(node_id, "entry", [], [], line_no)
-            elif form == "assign":
-                target = cur.ident()
-                cur.expect(":=")
-                names = [target, cur.ident()]
-                if not cur.done() and cur.tokens[cur.pos] == "+":
-                    cur.expect("+")
-                    names.append(cur.ident())
-                cur.expect("pred")
-                entry = _NodeLine(node_id, "assign", names, [cur.integer()], line_no)
-            elif form == "nondet":
-                target = cur.ident()
-                cur.expect("pred")
-                entry = _NodeLine(node_id, "nondet", [target], [cur.integer()], line_no)
-            elif form == "confluence":
-                cur.expect("pred")
-                entry = _NodeLine(
-                    node_id, "confluence", [], [cur.integer(), cur.integer()], line_no
-                )
-            else:
+            if form not in _PREDS:
                 raise ParseError(
                     f"unknown node kind {form!r} (expected entry, assign, nondet or confluence)",
                     line=line_no,
                 )
+            names = [cur.ident()] if form in ("assign", "nondet") else []
+            if form == "assign":
+                cur.expect(":=")
+                names.append(cur.ident())
+                if not cur.done() and cur.tokens[cur.pos] == "+":
+                    cur.expect("+")
+                    names.append(cur.ident())
+            if _PREDS[form]:
+                cur.expect("pred")
+            preds = [cur.integer() for _ in range(_PREDS[form])]
             cur.finish()
-            src.nodes[node_id] = entry
+            nodes[node_id] = (line_no, form, names, preds)
         else:
             raise ParseError(f"unexpected {head!r} at start of line", line=line_no)
-    return src
+    return variables, constants, nodes
 
 
-def _resolve_variable(universe: TermUniverse, name: str, line: int):
-    atom = universe.by_name.get(name)
-    if atom is None:
-        raise DeclarationError(f"undeclared variable {name!r}", line=line)
-    if atom.kind != VARIABLE:
-        raise DeclarationError(f"{name!r} is a constant, not a variable", line=line)
-    return atom
-
-
-def _resolve_rhs(universe: TermUniverse, names: list[str], line: int) -> Term:
-    refs = []
-    for name in names:
-        atom = universe.by_name.get(name)
-        if atom is None:
-            raise DeclarationError(f"undeclared name {name!r}", line=line)
-        refs.append(AtomRef(atom))
-    return refs[0] if len(refs) == 1 else Sum(refs[0], refs[1])
+def _kind(universe: TermUniverse, form: str, names: list[str]) -> NodeKind:
+    if form == "entry":
+        return Entry()
+    if form == "confluence":
+        return Confluence()
+    target = universe.by_name.get(names[0])
+    if target is None:
+        raise DeclarationError(f"undeclared variable {names[0]!r}")
+    if target.kind != VARIABLE:
+        raise DeclarationError(f"{names[0]!r} is a constant, not a variable")
+    if form == "nondet":
+        return Function(NonDet(target))
+    rhs = [AtomRef(universe.resolve(name)) for name in names[1:]]
+    return Function(Assign(target, rhs[0] if len(rhs) == 1 else Sum(*rhs)))
 
 
 def parse_program(text: str) -> tuple[TermUniverse, FlowGraph]:
     """Parse and validate a program, returning its universe and flow graph."""
-    src = _scan(text)
-    universe = build_universe(src.variables, src.constants)
-
+    variables, constants, nodes = _scan(text)
+    universe = build_universe(variables, constants)
     kinds: dict[int, NodeKind] = {}
-    preds: dict[int, list[int]] = {}
-    lines: dict[int, int] = {}
-    for node_id, nl in src.nodes.items():
-        lines[node_id] = nl.line
-        preds[node_id] = nl.preds
-        if nl.form == "entry":
-            kinds[node_id] = Entry()
-        elif nl.form == "assign":
-            target = _resolve_variable(universe, nl.names[0], nl.line)
-            rhs = _resolve_rhs(universe, nl.names[1:], nl.line)
-            if occurs(rhs, target):
-                raise SelfReferenceError(
-                    f"{target.name!r} appears in its own right-hand side", line=nl.line
-                )
-            kinds[node_id] = Function(Assign(target, rhs))
-        elif nl.form == "nondet":
-            target = _resolve_variable(universe, nl.names[0], nl.line)
-            kinds[node_id] = Function(NonDet(target))
-        else:
-            kinds[node_id] = Confluence()
-
+    for node_id, (line, form, names, _) in nodes.items():
+        try:
+            kinds[node_id] = _kind(universe, form, names)
+        except AnalysisError as err:
+            raise type(err)(str(err), line=line) from None
     try:
-        graph = validate_graph(kinds, preds)
+        graph = validate_graph(kinds, {node_id: node[3] for node_id, node in nodes.items()})
     except GraphError as err:
-        line = lines.get(err.node) if err.node is not None else None
-        if line is not None and err.line is None:
-            raise GraphError(str(err), line=line, node=err.node) from None
-        raise
+        if err.node is None or err.line is not None:
+            raise
+        raise GraphError(str(err), line=nodes[err.node][0], node=err.node) from None
     return universe, graph

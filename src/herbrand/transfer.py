@@ -20,16 +20,18 @@ from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
 from .terms import Atom, AtomRef, Term, TermUniverse, VARIABLE, occurs
 
 
+def _check_not_self_referential(y: Atom, beta: Term) -> None:
+    if occurs(beta, y):
+        raise SelfReferenceError(f"{y.name!r} appears in its own right-hand side")
+
+
 @dataclass(frozen=True)
 class Assign:
     target: Atom
     rhs: Term
 
     def __post_init__(self) -> None:
-        if occurs(self.rhs, self.target):
-            raise SelfReferenceError(
-                f"right-hand side of {self.target.name!r} assignment mentions the target"
-            )
+        _check_not_self_referential(self.target, self.rhs)
 
 
 @dataclass(frozen=True)
@@ -69,8 +71,7 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     universe = elem.universe
     _check_target(universe, y)
     _check_rhs(universe, beta)
-    if occurs(beta, y):
-        raise SelfReferenceError(f"{y.name!r} occurs in its own right-hand side")
+    _check_not_self_referential(y, beta)
     labels = elem.labels
     m = len(universe.atoms)
     yi = universe.index[AtomRef(y)]

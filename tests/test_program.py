@@ -2,8 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from herbrand import (
+    AnalysisError,
     AtomRef,
     Confluence,
     DeclarationError,
@@ -128,6 +130,42 @@ def test_graph_errors_carry_the_node_line():
 def test_missing_entry_rejected():
     with pytest.raises(GraphError):
         parse_program("vars x\nconsts a\nnode 1 assign x := a pred 1\n")
+
+
+# Lines assembled from the grammar's tokens. Digit runs of 4,290 to 4,400
+# digits straddle CPython's default limit of 4,300 digits per int() call.
+_WORDS = ["vars", "consts", "node", "entry", "assign", "nondet", "confluence", "pred"]
+_WORDS += [":=", "+", "x", "y", "a", "b", "q", "#", "?", "\u00a0"]
+_DIGITS = st.one_of(
+    st.integers(0, 6).map(str),
+    st.integers(4290, 4400).map(lambda n: "7" * n),
+)
+_NODE_LINES = st.one_of(
+    st.builds("node {} entry".format, _DIGITS),
+    st.builds("node {} nondet {} pred {}".format, _DIGITS, st.sampled_from("xyaq"), _DIGITS),
+    st.builds(
+        "node {} assign {} := {} pred {}".format,
+        _DIGITS,
+        st.sampled_from("xya"),
+        st.sampled_from(["y", "a", "x", "y + a", "a + x", "q"]),
+        _DIGITS,
+    ),
+    st.builds("node {} confluence pred {} {}".format, _DIGITS, _DIGITS, _DIGITS),
+)
+_LINES = st.one_of(
+    st.sampled_from(["vars x y", "consts a", "vars b", "node 1 entry"]),
+    _NODE_LINES,
+    st.lists(st.one_of(st.sampled_from(_WORDS), _DIGITS), max_size=7).map(" ".join),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parser_raises_only_analysis_errors(lines, line_end):
+    try:
+        parse_program(line_end.join(lines))
+    except AnalysisError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +315,76 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     assert "E_GRAPH" in err and out == ""
     code, _, err = _run(capsys, "check", str(tmp_path / "missing.dfg"))
     assert code == 2
+
+
+_HEAD = "vars x y\nconsts a\nnode 1 entry\n"
+# name: (program text, the whole of stderr)
+_DIAGNOSTICS = {
+    "undeclared_target": (
+        _HEAD + "node 2 assign q := a pred 1\n",
+        "error[E_UNDECLARED]: line 4: undeclared variable 'q'\n",
+    ),
+    "constant_target": (
+        _HEAD + "node 2 assign a := x pred 1\n",
+        "error[E_UNDECLARED]: line 4: 'a' is a constant, not a variable\n",
+    ),
+    "undeclared_rhs_name": (
+        _HEAD + "node 2 assign x := y + b pred 1\n",
+        "error[E_UNDECLARED]: line 4: undeclared name 'b'\n",
+    ),
+    "self_reference": (
+        _HEAD + "node 2 assign x := y + x pred 1\n",
+        "error[E_SELF_REF]: line 4: 'x' appears in its own right-hand side\n",
+    ),
+    "duplicate_declaration": (
+        "vars x y\nconsts a x\nnode 1 entry\n",
+        "error[E_UNDECLARED]: line 2: 'x' already declared on line 1\n",
+    ),
+    "duplicate_node_id": (
+        _HEAD + "node 2 nondet x pred 1\nnode 2 nondet y pred 1\n",
+        "error[E_PARSE]: line 5: node 2 already defined on line 4\n",
+    ),
+    "unknown_node_kind": (
+        _HEAD + "node 2 branch x pred 1\n",
+        "error[E_PARSE]: line 4: unknown node kind 'branch'"
+        " (expected entry, assign, nondet or confluence)\n",
+    ),
+    "graph_error_line": (
+        _HEAD + "node 2 assign x := a pred 1\nnode 3 confluence pred 2 4\n",
+        "error[E_GRAPH]: line 5: node 3 references missing predecessor 4\n",
+    ),
+    "unreachable_node": (
+        _HEAD + "node 2 nondet x pred 3\nnode 3 nondet y pred 2\n",
+        "error[E_GRAPH]: line 4: node 2 is not reachable from the entry\n",
+    ),
+    "missing_entry": (
+        "vars x\nconsts a\n\nnode 1 nondet x pred 1\n",
+        "error[E_GRAPH]: line 4: node 1 must be the entry point\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_DIAGNOSTICS))
+def test_cli_check_diagnostics_are_exact(name, tmp_path, capsys):
+    text, err = _DIAGNOSTICS[name]
+    bad = tmp_path / "bad.dfg"
+    bad.write_text(text, encoding="utf-8")
+    assert _run(capsys, "check", str(bad)) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "line, digits",
+    [("node " + "9" * 5000 + " entry", 5000), ("node 2 nondet x pred " + "7" * 4400, 4400)],
+    ids=["node_id", "predecessor"],
+)
+def test_cli_integers_past_the_digit_limit_exit_2(line, digits, tmp_path, capsys):
+    bad = tmp_path / "huge.dfg"
+    bad.write_text(_HEAD + line + "\n", encoding="utf-8")
+    assert _run(capsys, "check", str(bad)) == (
+        2,
+        "",
+        f"error[E_PARSE]: line 4: integer of {digits} digits is too long\n",
+    )
 
 
 def test_cli_non_utf8_input_exits_2(tmp_path, capsys):
