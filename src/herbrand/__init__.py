@@ -25,11 +25,9 @@ from .congruence import (
     term_value,
 )
 from .dataflow import (
-    AnalysisState,
     Confluence,
     Entry,
     FlowGraph,
-    Function,
     NodeKind,
     SolveResult,
     composite_step,
@@ -76,7 +74,7 @@ __all__ = [
     "bottom", "equivalent", "get_class", "is_top", "meet", "meet_all",
     "partitions_equal", "refines", "term_value",
     # dataflow
-    "AnalysisState", "Confluence", "Entry", "FlowGraph", "Function", "NodeKind",
+    "Confluence", "Entry", "FlowGraph", "NodeKind",
     "SolveResult", "composite_step", "solve", "states_equal", "validate_graph",
     # errors
     "AnalysisError", "DeclarationError", "GraphError", "IterationLimitError",

@@ -1,12 +1,12 @@
 """Control flow graphs and the fixpoint solver.
 
 A graph has node 1 as the unique entry (no predecessors); every other node
-is reachable from the entry and is either a function point (one predecessor,
-carries a statement) or a confluence point (exactly two predecessors, merges
-with the lattice meet). One synchronous step recomputes every node from the
-previous state vector: the entry is pinned to the finest partition, function
-points apply their statement to the predecessor value, confluences meet
-their two predecessor values.
+is reachable from the entry and is either a function point, an ``Assign`` or
+``NonDet`` statement with one predecessor, or a ``Confluence`` point with two
+predecessors. One synchronous step recomputes every node from the previous
+state vector: the entry is pinned to the finest partition, function points
+apply their statement to the predecessor value, confluences meet their two
+predecessor values.
 
 The solver computes the greatest fixpoint of that step by synchronous
 (Jacobi) iteration from the all-``TOP`` vector, and can retain its full
@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .congruence import LatticeElem, TOP, bottom, is_top, meet, partitions_equal
 from .errors import GraphError, IterationLimitError
 from .terms import TermUniverse
-from .transfer import Statement, apply_statement
+from .transfer import Assign, NonDet, apply_statement
 
 
 @dataclass(frozen=True)
@@ -37,16 +37,13 @@ class Entry:
 
 
 @dataclass(frozen=True)
-class Function:
-    stmt: Statement
-
-
-@dataclass(frozen=True)
 class Confluence:
     pass
 
 
-NodeKind = Union[Entry, Function, Confluence]
+NodeKind = Union[Entry, Assign, NonDet, Confluence]
+# the number of predecessors each node kind takes
+ARITY = {Entry: 0, Assign: 1, NonDet: 1, Confluence: 2}
 
 
 @dataclass(frozen=True)
@@ -86,26 +83,22 @@ def validate_graph(
 
     if not isinstance(kinds[1], Entry):
         raise GraphError("node 1 must be the entry point", node=1)
-    if preds.get(1):
-        raise GraphError("entry node 1 must have no predecessors", node=1)
 
-    pred_tuples: list[tuple[int, ...]] = [()]
-    for k in range(2, n + 1):
+    pred_tuples: list[tuple[int, ...]] = []
+    for k in range(1, n + 1):
         kind = kinds[k]
         ps = tuple(preds.get(k, ()))
+        arity = ARITY.get(type(kind))
+        if arity is None:
+            raise GraphError(f"node {k} has unknown kind {kind!r}", node=k)
         for p in ps:
             if not 1 <= p <= n:
                 raise GraphError(f"node {k} references missing predecessor {p}", node=k)
-        if isinstance(kind, Entry):
+        if k > 1 and isinstance(kind, Entry):
             raise GraphError(f"node {k} declared entry; only node 1 may be", node=k)
-        if isinstance(kind, Function) and len(ps) != 1:
+        if len(ps) != arity:
             raise GraphError(
-                f"node {k} is a function point and needs exactly one predecessor, got {len(ps)}",
-                node=k,
-            )
-        if isinstance(kind, Confluence) and len(ps) != 2:
-            raise GraphError(
-                f"node {k} is a confluence point and needs exactly two predecessors, got {len(ps)}",
+                f"{type(kind).__name__} node {k} needs {arity} predecessor(s), got {len(ps)}",
                 node=k,
             )
         pred_tuples.append(ps)
@@ -128,9 +121,6 @@ def validate_graph(
     return graph
 
 
-AnalysisState = tuple[LatticeElem, ...]
-
-
 def composite_step(
     state: tuple[LatticeElem, ...],
     graph: FlowGraph,
@@ -147,12 +137,12 @@ def composite_step(
         kind = graph.kind(k)
         if isinstance(kind, Entry):
             out[k - 1] = bottom(universe)
-        elif isinstance(kind, Function):
-            (j,) = graph.pred(k)
-            out[k - 1] = apply_statement(state[j - 1], kind.stmt)
-        else:
+        elif isinstance(kind, Confluence):
             i, j = graph.pred(k)
             out[k - 1] = meet(state[i - 1], state[j - 1])
+        else:
+            (j,) = graph.pred(k)
+            out[k - 1] = apply_statement(state[j - 1], kind)
     return tuple(out)
 
 
@@ -190,13 +180,12 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
     limit = default_iteration_limit(graph, universe)
     state: tuple[LatticeElem, ...] = (TOP,) * graph.n
     iterates = [state] if trace else None
-    nodes: list[int] | None = None
+    nodes: Sequence[int] = range(1, graph.n + 1)
     for step in range(1, limit + 1):
         nxt = composite_step(state, graph, universe, nodes)
         if iterates is not None:
             iterates.append(nxt)
-        recomputed = range(1, graph.n + 1) if nodes is None else nodes
-        changed = [k for k in recomputed if not partitions_equal(nxt[k - 1], state[k - 1])]
+        changed = [k for k in nodes if not partitions_equal(nxt[k - 1], state[k - 1])]
         if not changed:
             assert not any(is_top(v) for v in nxt)
             return SolveResult(state=nxt, iterations=step - 1, trace=iterates)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .congruence import LatticeElem, Partition, TOP, bottom, meet, partitions_equal
-from .dataflow import FlowGraph, Function, solve, states_equal
+from .congruence import LatticeElem, TOP, bottom, meet, partitions_equal
+from .dataflow import Confluence, FlowGraph, solve, states_equal
 from .errors import PathLimitError
 from .terms import TermUniverse
 from .transfer import apply_statement
@@ -40,35 +40,39 @@ def mop_table(
     cap: int = DEFAULT_PATH_CAP,
 ) -> list[tuple[LatticeElem, ...]]:
     """Bounded path meets for every node: ``table[l][k - 1]`` covers paths
-    of length below ``l``, for every ``l`` up to ``max_len``."""
+    of length below ``l``. The table stops one row after the paths run out,
+    as every later row would repeat that row, so ``table[-1]`` is the row
+    for ``max_len`` and stands for every row past the end."""
     n = graph.n
     cum: list[LatticeElem] = [TOP] * n
     rows: list[tuple[LatticeElem, ...]] = [tuple(cum)]
-    frontier: list[tuple[int, Partition]] = [(1, bottom(universe))]
-    step_memo: dict[tuple[int, Partition], Partition] = {}
+    frontier: list[tuple[int, LatticeElem]] = [(1, bottom(universe))]
+    step_memo: dict[tuple[int, LatticeElem], LatticeElem] = {}
     for _ in range(max_len):
         for end, value in frontier:
             cum[end - 1] = meet(cum[end - 1], value)
         rows.append(tuple(cum))
-        nxt: list[tuple[int, Partition]] = []
+        if not frontier:
+            break
+        nxt: list[tuple[int, LatticeElem]] = []
         for end, value in frontier:
             for s in graph.succ(end):
                 key = (s, value)
                 out = step_memo.get(key)
                 if out is None:
                     kind = graph.kind(s)
-                    if isinstance(kind, Function):
-                        applied = apply_statement(value, kind.stmt)
-                        assert isinstance(applied, Partition)
-                        out = applied
-                    else:
-                        out = value
+                    out = value if isinstance(kind, Confluence) else apply_statement(value, kind)
                     step_memo[key] = out
                 nxt.append((s, out))
         if len(nxt) > cap:
             raise PathLimitError(f"more than {cap} paths of one length")
         frontier = nxt
     return rows
+
+
+def _row(rows: list[tuple[LatticeElem, ...]], l: int) -> tuple[LatticeElem, ...]:
+    # the path table and the solver's trace stop once their rows repeat
+    return rows[l] if l < len(rows) else rows[-1]
 
 
 def stabilized(rows: list[tuple[LatticeElem, ...]]) -> bool:
@@ -107,23 +111,19 @@ def verify_mop_mfp(
     solved = solve(graph, universe, trace=True)
     trace = solved.trace
     assert trace is not None
-
-    def iterate(l: int) -> tuple[LatticeElem, ...]:
-        # past stabilization every further iterate equals the fixpoint
-        return trace[l] if l < len(trace) else trace[-1]
-
     report = VerifyReport(
         node_count=graph.n,
         max_len=max_len,
         stabilized=stabilized(rows),
     )
     for l in range(max_len + 1):
+        row, iterate = _row(rows, l), _row(trace, l)
         for k in range(1, graph.n + 1):
             report.checks += 1
-            if not partitions_equal(rows[l][k - 1], iterate(l)[k - 1]):
+            if not partitions_equal(row[k - 1], iterate[k - 1]):
                 report.iterate_mismatches.append((k, l))
     if report.stabilized:
         for k in range(1, graph.n + 1):
-            if not partitions_equal(rows[max_len][k - 1], solved.state[k - 1]):
+            if not partitions_equal(rows[-1][k - 1], solved.state[k - 1]):
                 report.fixpoint_mismatches.append(k)
     return report

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 
-from .dataflow import Confluence, Entry, FlowGraph, Function, NodeKind, validate_graph
+from .dataflow import ARITY, Confluence, Entry, FlowGraph, NodeKind, validate_graph
 from .errors import AnalysisError, DeclarationError, GraphError, ParseError
 from .terms import IDENT_RE, AtomRef, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
@@ -33,8 +33,7 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+")
 # the line ends of universal newlines, as the command line reads a file;
 # str.splitlines would also break at "\f", "\v", U+2028 and more
 LINE_END_RE = re.compile(r"\r\n?|\n")
-# the number of predecessors each node kind takes
-_PREDS = {"entry": 0, "assign": 1, "nondet": 1, "confluence": 2}
+_KINDS = {"entry": Entry, "assign": Assign, "nondet": NonDet, "confluence": Confluence}
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
@@ -128,7 +127,7 @@ def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, li
                     f"node {node_id} already defined on line {nodes[node_id][0]}", line=line_no
                 )
             form = cur.take("node kind")
-            if form not in _PREDS:
+            if form not in _KINDS:
                 raise ParseError(
                     f"unknown node kind {form!r} (expected entry, assign, nondet or confluence)",
                     line=line_no,
@@ -140,9 +139,10 @@ def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, li
                 if not cur.done() and cur.tokens[cur.pos] == "+":
                     cur.expect("+")
                     names.append(cur.ident())
-            if _PREDS[form]:
+            arity = ARITY[_KINDS[form]]
+            if arity:
                 cur.expect("pred")
-            preds = [cur.integer() for _ in range(_PREDS[form])]
+            preds = [cur.integer() for _ in range(arity)]
             cur.finish()
             nodes[node_id] = (line_no, form, names, preds)
         else:
@@ -151,19 +151,17 @@ def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, li
 
 
 def _kind(universe: TermUniverse, form: str, names: list[str]) -> NodeKind:
-    if form == "entry":
-        return Entry()
-    if form == "confluence":
-        return Confluence()
+    if not names:  # entry and confluence points
+        return _KINDS[form]()
     target = universe.by_name.get(names[0])
     if target is None:
         raise DeclarationError(f"undeclared variable {names[0]!r}")
     if target.kind != VARIABLE:
         raise DeclarationError(f"{names[0]!r} is a constant, not a variable")
     if form == "nondet":
-        return Function(NonDet(target))
+        return NonDet(target)
     rhs = [AtomRef(universe.resolve(name)) for name in names[1:]]
-    return Function(Assign(target, rhs[0] if len(rhs) == 1 else Sum(*rhs)))
+    return Assign(target, rhs[0] if len(rhs) == 1 else Sum(*rhs))
 
 
 def parse_program(text: str) -> tuple[TermUniverse, FlowGraph]:

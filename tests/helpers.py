@@ -5,8 +5,11 @@ acceptance tests."""
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import random
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -18,7 +21,6 @@ from herbrand import (
     AtomRef,
     Base,
     FlowGraph,
-    Function,
     LatticeElem,
     NonDet,
     Partition,
@@ -45,6 +47,7 @@ from herbrand import (
     states_equal,
     term_value,
 )
+from herbrand.cli import main as cli_main
 from herbrand.dataflow import default_iteration_limit
 from herbrand.mop import DEFAULT_PATH_CAP
 from herbrand.terms import VARIABLE
@@ -52,6 +55,7 @@ from herbrand.terms import VARIABLE
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS_DIR = ROOT / "programs"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+CLI_DIGESTS = GOLDEN_DIR / "cli_digests.json"
 
 CORPUS_FILES = [
     "straight_line.dfg",
@@ -288,9 +292,9 @@ def reference_round_robin(graph: FlowGraph, universe: TermUniverse) -> SolveResu
         changed = False
         for k in range(2, graph.n + 1):
             kind = graph.kind(k)
-            if isinstance(kind, Function):
+            if isinstance(kind, (Assign, NonDet)):
                 (j,) = graph.pred(k)
-                new = apply_statement(state[j - 1], kind.stmt)
+                new = apply_statement(state[j - 1], kind)
             else:
                 i, j = graph.pred(k)
                 new = meet(state[i - 1], state[j - 1])
@@ -346,8 +350,8 @@ def path_congruence(path: Path, graph: FlowGraph, universe: TermUniverse) -> Par
     elem: LatticeElem = bottom(universe)
     for v in path[1:]:
         kind = graph.kind(v)
-        if isinstance(kind, Function):
-            elem = apply_statement(elem, kind.stmt)
+        if isinstance(kind, (Assign, NonDet)):
+            elem = apply_statement(elem, kind)
     assert isinstance(elem, Partition)
     return elem
 
@@ -375,7 +379,7 @@ def mop(
     table already stabilized (in which case the value is exact)."""
     rows = mop_table(graph, universe, max_len, cap)
     value = meet_all(row[k - 1] for row in rows)
-    stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
+    stabilized = max_len >= 1 and states_equal(rows[-2], rows[-1])
     return value, stabilized
 
 
@@ -472,14 +476,51 @@ def reference_mop_report(
 ) -> str:
     """The ``mop`` report."""
     rows = mop_table(graph, universe, max_len)
-    stabilized = max_len >= 1 and states_equal(rows[max_len - 1], rows[max_len])
-    points = reference_point_entries(rows[max_len], full)
+    stabilized = max_len >= 1 and states_equal(rows[-2], rows[-1])
+    points = reference_point_entries(rows[-1], full)
     if fmt == "json":
         payload = {"solver": "mop", "max_len": max_len, "stabilized": stabilized, "points": points}
         return json.dumps(payload, indent=2) + "\n"
     lines = ["solver: mop", f"max_len: {max_len}", f"stabilized: {'yes' if stabilized else 'no'}"]
     lines.extend(reference_points_text(points))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# command line digests (the recorded bytes of every corpus program under
+# every subcommand; ``golden/record_cli_digests.py`` rewrites the table)
+# ---------------------------------------------------------------------------
+
+
+def cli_commands() -> list[list[str]]:
+    """Every command of the digest table, naming the program by file name."""
+    commands = []
+    for name in CORPUS_FILES:
+        commands.append(["check", name])
+        for fmt in ("text", "json"):
+            for flags in ([], ["--full"], ["--trace"], ["--full", "--trace"]):
+                commands.append(["analyze", name, "--format", fmt, *flags])
+            for max_len in ("0", "1", "5", "12"):
+                for flags in ([], ["--full"]):
+                    commands.append(["mop", name, "--max-len", max_len, "--format", fmt, *flags])
+            commands.append(["verify", name, "--max-len", "10", "--format", fmt])
+    return commands
+
+
+def cli_digest_table() -> dict[str, dict]:
+    """Run every command through ``cli.main`` in-process; each command line
+    maps to the SHA-256 of its stdout and stderr and to its exit code."""
+    table = {}
+    for command, name, *rest in cli_commands():
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main([command, str(PROGRAMS_DIR / name), *rest])
+        table[" ".join([command, name, *rest])] = {
+            "stdout": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode("utf-8")).hexdigest(),
+            "exit": code,
+        }
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ from herbrand import (
     AtomRef,
     Confluence,
     Entry,
-    Function,
     GraphError,
     IterationLimitError,
+    NonDet,
     TOP,
     assign_transfer,
     bottom,
@@ -48,14 +48,39 @@ def test_function_point_needs_exactly_one_predecessor():
     u = build_universe(["x"], ["a"])
     stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
     with pytest.raises(GraphError):
-        validate_graph({1: Entry(), 2: Function(stmt)}, {2: []})
+        validate_graph({1: Entry(), 2: stmt}, {2: []})
     with pytest.raises(GraphError):
-        validate_graph({1: Entry(), 2: Function(stmt)}, {2: [1, 1]})
+        validate_graph({1: Entry(), 2: stmt}, {2: [1, 1]})
 
 
 def test_confluence_needs_exactly_two_predecessors():
     with pytest.raises(GraphError):
         validate_graph({1: Entry(), 2: Confluence()}, {2: [1]})
+
+
+_U = build_universe(["x"], ["a"])
+_ASSIGN = Assign(_U.resolve("x"), AtomRef(_U.resolve("a")))
+_NONDET = NonDet(_U.resolve("x"))
+
+
+@pytest.mark.parametrize(
+    "kinds, preds",
+    [
+        pytest.param({1: Entry()}, {1: [1]}, id="entry-too-many"),
+        pytest.param({1: Entry(), 2: _ASSIGN}, {2: []}, id="assign-too-few"),
+        pytest.param({1: Entry(), 2: _ASSIGN}, {2: [1, 1]}, id="assign-too-many"),
+        pytest.param({1: Entry(), 2: _NONDET}, {2: []}, id="nondet-too-few"),
+        pytest.param({1: Entry(), 2: _NONDET}, {2: [1, 1]}, id="nondet-too-many"),
+        pytest.param({1: Entry(), 2: Confluence()}, {2: [1]}, id="confluence-too-few"),
+        pytest.param({1: Entry(), 2: Confluence()}, {2: [1, 1, 1]}, id="confluence-too-many"),
+        pytest.param({1: Entry(), 2: "assign"}, {2: [1]}, id="unknown-kind-string"),
+        pytest.param({1: Entry(), 2: object()}, {2: [1]}, id="unknown-kind-object"),
+    ],
+)
+def test_every_kind_is_checked_against_its_arity(kinds, preds):
+    with pytest.raises(GraphError) as info:
+        validate_graph(kinds, preds)
+    assert info.value.node == max(kinds)
 
 
 def test_confluence_may_repeat_a_predecessor():
@@ -67,7 +92,7 @@ def test_dangling_predecessor_rejected():
     u = build_universe(["x"], ["a"])
     stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
     with pytest.raises(GraphError):
-        validate_graph({1: Entry(), 2: Function(stmt)}, {2: [5]})
+        validate_graph({1: Entry(), 2: stmt}, {2: [5]})
 
 
 def test_unreachable_node_rejected():
@@ -75,7 +100,7 @@ def test_unreachable_node_rejected():
     stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
     with pytest.raises(GraphError):
         validate_graph(
-            {1: Entry(), 2: Function(stmt), 3: Function(stmt)}, {2: [1], 3: [3]}
+            {1: Entry(), 2: stmt, 3: stmt}, {2: [1], 3: [3]}
         )
 
 
@@ -88,7 +113,7 @@ def test_node_ids_must_be_contiguous():
     u = build_universe(["x"], ["a"])
     stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
     with pytest.raises(GraphError):
-        validate_graph({1: Entry(), 3: Function(stmt)}, {3: [1]})
+        validate_graph({1: Entry(), 3: stmt}, {3: [1]})
     with pytest.raises(GraphError):
         validate_graph({}, {})
 

@@ -1,8 +1,9 @@
 import pytest
 
 from herbrand import (
+    Assign,
     Confluence,
-    Function,
+    NonDet,
     PathLimitError,
     TOP,
     apply_statement,
@@ -16,7 +17,17 @@ from herbrand import (
     states_equal,
     verify_mop_mfp,
 )
-from helpers import cls, enum_paths, full_corpus, load_program, m_l, mop, path_congruence
+from herbrand.cli import main
+from helpers import (
+    PROGRAMS_DIR,
+    cls,
+    enum_paths,
+    full_corpus,
+    load_program,
+    m_l,
+    mop,
+    path_congruence,
+)
 
 
 def test_no_paths_below_length_zero():
@@ -70,8 +81,8 @@ def test_path_congruence_examples():
     assert partitions_equal(path_congruence((1,), graph, universe), bottom(universe))
     one_step = path_congruence((1, 2), graph, universe)
     kind = graph.kind(2)
-    assert isinstance(kind, Function)
-    assert partitions_equal(one_step, apply_statement(bottom(universe), kind.stmt))
+    assert isinstance(kind, Assign)
+    assert partitions_equal(one_step, apply_statement(bottom(universe), kind))
     via_join = path_congruence((1, 2, 3, 5), graph, universe)
     before_join = path_congruence((1, 2, 3), graph, universe)
     assert partitions_equal(via_join, before_join)
@@ -93,9 +104,9 @@ def test_bounded_meets_satisfy_one_step_recurrences():
             assert partitions_equal(m_l(graph, universe, 1, length), bottom(universe))
             for k in range(2, graph.n + 1):
                 kind = graph.kind(k)
-                if isinstance(kind, Function):
+                if isinstance(kind, (Assign, NonDet)):
                     (j,) = graph.pred(k)
-                    expected = apply_statement(m_l(graph, universe, j, length - 1), kind.stmt)
+                    expected = apply_statement(m_l(graph, universe, j, length - 1), kind)
                 else:
                     assert isinstance(kind, Confluence)
                     i, j = graph.pred(k)
@@ -121,7 +132,8 @@ def test_table_matches_literal_path_enumeration():
         for length in range(7):
             for k in range(1, graph.n + 1):
                 literal = m_l(graph, universe, k, length)
-                assert partitions_equal(rows[length][k - 1], literal), (name, k, length)
+                row = rows[min(length, len(rows) - 1)]
+                assert partitions_equal(row[k - 1], literal), (name, k, length)
 
 
 def test_mop_on_straight_line():
@@ -163,6 +175,25 @@ def test_verify_checks_every_length_even_without_stabilization():
     # stabilization is a whole-vector condition
     rows = mop_table(graph, universe, 4)
     assert report.stabilized == states_equal(rows[3], rows[4])
+
+
+def test_table_stops_one_row_after_the_paths_run_out():
+    # straight_line.dfg has paths of 1 to 3 nodes: rows 0 to 3, then one
+    # repeated row, however large the bound
+    universe, graph = load_program("straight_line.dfg")
+    rows = mop_table(graph, universe, 10**6)
+    assert len(rows) == 5
+    assert states_equal(rows[-2], rows[-1]) and not states_equal(rows[-3], rows[-2])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_mop_output_does_not_depend_on_a_bound_past_the_paths(fmt, capsys):
+    def run(max_len):
+        path = str(PROGRAMS_DIR / "straight_line.dfg")
+        assert main(["mop", path, "--max-len", str(max_len), "--format", fmt]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if "max_len" not in line]
+
+    assert run(10**6) == run(100)
 
 
 @pytest.mark.parametrize("name", ["diamond.dfg", "nested_loop.dfg"])

@@ -1,6 +1,7 @@
 import types
 
 import herbrand
+from helpers import PROGRAMS_DIR
 
 
 def test_all_lists_no_module_objects():
@@ -36,6 +37,15 @@ def test_mop_submodule_is_not_shadowed():
     assert "mop" not in herbrand.__all__
     assert isinstance(mop_module, types.ModuleType)
     assert isinstance(herbrand.mop, types.ModuleType)
+
+
+def test_node_kinds_are_the_four_classes():
+    for name in ("Function", "AnalysisState"):
+        assert name not in herbrand.__all__
+        assert not hasattr(herbrand, name)
+    node_kinds = (herbrand.Entry, herbrand.Assign, herbrand.NonDet, herbrand.Confluence)
+    _, graph = herbrand.parse_program((PROGRAMS_DIR / "diamond.dfg").read_text(encoding="utf-8"))
+    assert {type(kind) for kind in graph.kinds} <= set(node_kinds)
 
 
 def test_one_solver_is_exported():

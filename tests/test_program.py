@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from herbrand import (
     AnalysisError,
+    Assign,
     AtomRef,
     Confluence,
     DeclarationError,
     Entry,
-    Function,
     GraphError,
     ParseError,
     SelfReferenceError,
@@ -49,7 +49,7 @@ def test_minimal_program_parses():
     )
     assert graph.n == 2
     assert isinstance(graph.kind(1), Entry)
-    assert isinstance(graph.kind(2), Function)
+    assert isinstance(graph.kind(2), Assign)
     assert [a.name for a in universe.atoms] == ["x", "a", "$nd1", "$nd2"]
 
 
