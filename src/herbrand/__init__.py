@@ -20,7 +20,6 @@ from .congruence import (
     is_top,
     meet,
     meet_all,
-    partitions_equal,
     refines,
     term_value,
 )
@@ -32,7 +31,6 @@ from .dataflow import (
     SolveResult,
     composite_step,
     solve,
-    states_equal,
     validate_graph,
 )
 from .errors import (
@@ -72,10 +70,10 @@ __all__ = [
     # congruence
     "Base", "ExtendedValue", "LatticeElem", "Pair", "Partition", "TOP", "Top",
     "bottom", "equivalent", "get_class", "is_top", "meet", "meet_all",
-    "partitions_equal", "refines", "term_value",
+    "refines", "term_value",
     # dataflow
     "Confluence", "Entry", "FlowGraph", "NodeKind",
-    "SolveResult", "composite_step", "solve", "states_equal", "validate_graph",
+    "SolveResult", "composite_step", "solve", "validate_graph",
     # errors
     "AnalysisError", "DeclarationError", "GraphError", "IterationLimitError",
     "ParseError", "PathLimitError", "SelfReferenceError", "UniverseMismatchError",

@@ -13,9 +13,11 @@ A well-formed congruence additionally satisfies three axioms:
       variables.
 
 ``Partition`` itself admits arbitrary partitions; the transfers and the
-meet preserve the axioms, and the tests check them. A partition hashes its
-labels once, at construction. The lattice adds an artificial greatest
-element ``TOP`` so that the meet of an empty collection is defined.
+meet preserve the axioms, and the tests check them. The lattice adds an
+artificial greatest element ``TOP`` so that the meet of an empty collection
+is defined. Lattice values compare with ``==``: two partitions are equal
+when they share the universe object and the canonical labels, and equal
+values hash equal (a partition hashes its labels once, at construction).
 
 The meet is the product of the two partitions (Kildall, POPL 1973). When the
 left operand already refines the right one that product is the left operand
@@ -170,11 +172,6 @@ def equivalent(t1: Term, t2: Term, p: Partition) -> bool:
     return term_value(t1, p) == term_value(t2, p)
 
 
-def _require_same_universe(a: Partition, b: Partition) -> None:
-    if a.universe is not b.universe:
-        raise UniverseMismatchError("partitions built over different universes")
-
-
 def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     """Greatest lower bound: pairwise nonempty class intersections.
 
@@ -205,21 +202,13 @@ def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
     if is_top(l1):
         return False
     assert isinstance(l1, Partition) and isinstance(l2, Partition)
-    _require_same_universe(l1, l2)
+    if l1.universe is not l2.universe:
+        raise UniverseMismatchError("partitions built over different universes")
     a, b = l1.labels, l2.labels
     # map each class of l1 to a class of l2 it meets; l1 refines l2 exactly
     # when that map sends every position to its own l2 label
     image = dict(zip(a, b))
     return tuple(map(image.__getitem__, a)) == b
-
-
-def partitions_equal(l1: LatticeElem, l2: LatticeElem) -> bool:
-    """Label-independent equality (labels are already canonical)."""
-    if is_top(l1) or is_top(l2):
-        return is_top(l1) and is_top(l2)
-    assert isinstance(l1, Partition) and isinstance(l2, Partition)
-    _require_same_universe(l1, l2)
-    return l1.labels == l2.labels
 
 
 def get_class(t: Term, p: Partition) -> set[Term]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
-from .congruence import LatticeElem, TOP, bottom, is_top, meet, partitions_equal
+from .congruence import LatticeElem, TOP, bottom, is_top, meet
 from .errors import GraphError, IterationLimitError
 from .terms import TermUniverse
 from .transfer import Assign, NonDet, apply_statement
@@ -80,6 +80,9 @@ def validate_graph(
         raise GraphError("empty graph: node 1 (entry) is required")
     if ids != list(range(1, n + 1)):
         raise GraphError(f"node ids must be 1..{n} without gaps, got {ids}")
+    for k in preds:
+        if k not in kinds:
+            raise GraphError(f"predecessors given for unknown node {k!r}")
 
     if not isinstance(kinds[1], Entry):
         raise GraphError("node 1 must be the entry point", node=1)
@@ -92,8 +95,8 @@ def validate_graph(
         if arity is None:
             raise GraphError(f"node {k} has unknown kind {kind!r}", node=k)
         for p in ps:
-            if not 1 <= p <= n:
-                raise GraphError(f"node {k} references missing predecessor {p}", node=k)
+            if not isinstance(p, int) or not 1 <= p <= n:
+                raise GraphError(f"node {k} references missing predecessor {p!r}", node=k)
         if k > 1 and isinstance(kind, Entry):
             raise GraphError(f"node {k} declared entry; only node 1 may be", node=k)
         if len(ps) != arity:
@@ -146,10 +149,6 @@ def composite_step(
     return tuple(out)
 
 
-def states_equal(a: tuple[LatticeElem, ...], b: tuple[LatticeElem, ...]) -> bool:
-    return len(a) == len(b) and all(partitions_equal(x, y) for x, y in zip(a, b))
-
-
 @dataclass
 class SolveResult:
     state: tuple[LatticeElem, ...]
@@ -185,7 +184,7 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
         nxt = composite_step(state, graph, universe, nodes)
         if iterates is not None:
             iterates.append(nxt)
-        changed = [k for k in nodes if not partitions_equal(nxt[k - 1], state[k - 1])]
+        changed = [k for k in nodes if nxt[k - 1] != state[k - 1]]
         if not changed:
             assert not any(is_top(v) for v in nxt)
             return SolveResult(state=nxt, iterations=step - 1, trace=iterates)

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .congruence import LatticeElem, TOP, bottom, meet, partitions_equal
-from .dataflow import Confluence, FlowGraph, solve, states_equal
+from .congruence import LatticeElem, TOP, bottom, meet
+from .dataflow import Confluence, FlowGraph, solve
 from .errors import PathLimitError
 from .terms import TermUniverse
 from .transfer import apply_statement
@@ -78,7 +78,7 @@ def _row(rows: list[tuple[LatticeElem, ...]], l: int) -> tuple[LatticeElem, ...]
 def stabilized(rows: list[tuple[LatticeElem, ...]]) -> bool:
     """Whether the last two rows of ``mop_table`` are equal; the running
     path meet only descends, so then the last row is the meet of all."""
-    return len(rows) >= 2 and states_equal(rows[-2], rows[-1])
+    return len(rows) >= 2 and rows[-2] == rows[-1]
 
 
 @dataclass
@@ -120,10 +120,10 @@ def verify_mop_mfp(
         row, iterate = _row(rows, l), _row(trace, l)
         for k in range(1, graph.n + 1):
             report.checks += 1
-            if not partitions_equal(row[k - 1], iterate[k - 1]):
+            if row[k - 1] != iterate[k - 1]:
                 report.iterate_mismatches.append((k, l))
     if report.stabilized:
         for k in range(1, graph.n + 1):
-            if not partitions_equal(rows[-1][k - 1], solved.state[k - 1]):
+            if rows[-1][k - 1] != solved.state[k - 1]:
                 report.fixpoint_mismatches.append(k)
     return report

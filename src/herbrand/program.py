@@ -29,7 +29,9 @@ from .errors import AnalysisError, DeclarationError, GraphError, ParseError
 from .terms import IDENT_RE, AtomRef, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
 
-_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+")
+# a token, or in the second group the first character that starts none;
+# blanks and tabs before either are skipped
+_TOKEN_RE = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+)|([^ \t]))")
 # the line ends of universal newlines, as the command line reads a file;
 # str.splitlines would also break at "\f", "\v", U+2028 and more
 LINE_END_RE = re.compile(r"\r\n?|\n")
@@ -37,17 +39,11 @@ _KINDS = {"entry": Entry, "assign": Assign, "nondet": NonDet, "confluence": Conf
 
 
 def _tokenize(text: str, line_no: int) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        if text[pos] in " \t":
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", line=line_no)
-        tokens.append(m.group())
-        pos = m.end()
+    tokens = []
+    for token, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", line=line_no)
+        tokens.append(token)
     return tokens
 
 

@@ -17,7 +17,7 @@ from typing import Union
 
 from .congruence import LatticeElem, Partition, is_top, meet_all
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, AtomRef, Term, TermUniverse, VARIABLE, occurs
+from .terms import Atom, AtomRef, Term, VARIABLE, occurs
 
 
 def _check_not_self_referential(y: Atom, beta: Term) -> None:
@@ -42,19 +42,6 @@ class NonDet:
 Statement = Union[Assign, NonDet]
 
 
-def _check_target(universe: TermUniverse, y: Atom) -> None:
-    if universe.by_name.get(y.name) != y or y.kind != VARIABLE:
-        raise DeclarationError(f"{y.name!r} is not a declared variable")
-
-
-def _check_rhs(universe: TermUniverse, beta: Term) -> None:
-    if beta in universe.index:
-        return
-    if isinstance(beta, AtomRef):
-        raise DeclarationError(f"undeclared atom {beta.atom.name!r}")
-    raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
-
-
 def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     """Semantics of ``y := beta``; requires ``y`` not to occur in ``beta``.
 
@@ -69,13 +56,17 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
         return elem
     assert isinstance(elem, Partition)
     universe = elem.universe
-    _check_target(universe, y)
-    _check_rhs(universe, beta)
+    yi = universe.index.get(AtomRef(y))
+    if yi is None or y.kind != VARIABLE:
+        raise DeclarationError(f"{y.name!r} is not a declared variable")
+    bpos = universe.index.get(beta)
+    if bpos is None:
+        if isinstance(beta, AtomRef):
+            raise DeclarationError(f"undeclared atom {beta.atom.name!r}")
+        raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
     _check_not_self_referential(y, beta)
     labels = elem.labels
     m = len(universe.atoms)
-    yi = universe.index[AtomRef(y)]
-    bpos = universe.index[beta]
     row = m + yi * m
     keys: list[object] = list(labels)
     if bpos < m:
@@ -98,11 +89,11 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
 
 
 def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
-    """Semantics of ``y := *`` via the two reserved constants."""
+    """Semantics of ``y := *`` via the two reserved constants; the first
+    ``assign_transfer`` checks that ``y`` is a declared variable."""
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
-    _check_target(elem.universe, y)
     c1, c2 = elem.universe.reserved
     return meet_all(
         [

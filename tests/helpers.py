@@ -43,8 +43,6 @@ from herbrand import (
     occurs,
     parse_program,
     parse_term,
-    partitions_equal,
-    states_equal,
     term_value,
 )
 from herbrand.cli import main as cli_main
@@ -298,7 +296,7 @@ def reference_round_robin(graph: FlowGraph, universe: TermUniverse) -> SolveResu
             else:
                 i, j = graph.pred(k)
                 new = meet(state[i - 1], state[j - 1])
-            if not partitions_equal(state[k - 1], new):
+            if state[k - 1] != new:
                 changed = True
             state[k - 1] = new
         if not changed:
@@ -379,7 +377,7 @@ def mop(
     table already stabilized (in which case the value is exact)."""
     rows = mop_table(graph, universe, max_len, cap)
     value = meet_all(row[k - 1] for row in rows)
-    stabilized = max_len >= 1 and states_equal(rows[-2], rows[-1])
+    stabilized = max_len >= 1 and rows[-2] == rows[-1]
     return value, stabilized
 
 
@@ -476,7 +474,7 @@ def reference_mop_report(
 ) -> str:
     """The ``mop`` report."""
     rows = mop_table(graph, universe, max_len)
-    stabilized = max_len >= 1 and states_equal(rows[-2], rows[-1])
+    stabilized = max_len >= 1 and rows[-2] == rows[-1]
     points = reference_point_entries(rows[-1], full)
     if fmt == "json":
         payload = {"solver": "mop", "max_len": max_len, "stabilized": stabilized, "points": points}

@@ -21,9 +21,7 @@ from herbrand import (
     meet_all,
     nondet_transfer,
     parse_program,
-    partitions_equal,
     solve,
-    states_equal,
     verify_mop_mfp,
 )
 from herbrand.cli import main
@@ -135,13 +133,13 @@ def test_criterion_4_two_constant_characterization():
         y = rng.choice(universe.variables)
         via_reserved = nondet_transfer(p, y)
         via_all_betas = nondet_definitional(p, y, y_free_universe_terms(universe, y))
-        assert partitions_equal(via_reserved, via_all_betas)
+        assert via_reserved == via_all_betas
         if len(universe.constants) >= 2:
             c1, c2 = (AtomRef(c) for c in universe.constants[:2])
             via_user = meet_all(
                 [p, assign_transfer(p, y, c1), assign_transfer(p, y, c2)]
             )
-            assert partitions_equal(via_user, via_reserved)
+            assert via_user == via_reserved
             user_pair_checked += 1
     assert user_pair_checked >= 50
     _report(
@@ -165,16 +163,14 @@ def test_criterion_5_lattice_laws():
         assert reference_refines(r, p) and reference_refines(r, q) and reference_refines(r, m)
 
         extras = [rand_partition(universe, rng) for _ in range(rng.randrange(0, 3))]
-        assert partitions_equal(
-            meet_all([p, q] + extras), meet(meet_all([p, q]), meet_all(extras))
-        )
+        assert meet_all([p, q] + extras) == meet(meet_all([p, q]), meet_all(extras))
 
         stmt = rand_statement(universe, rng)
         if isinstance(stmt, Assign):
             f = lambda elem: assign_transfer(elem, stmt.target, stmt.rhs)
         else:
             f = lambda elem: nondet_transfer(elem, stmt.target)
-        assert partitions_equal(f(m), meet(f(p), f(q)))
+        assert f(m) == meet(f(p), f(q))
         fine = meet(p, q)
         assert reference_refines(f(fine), f(p))
     _report(5, f"{trials} pairs: meet is the GLB, union rule holds, transfers distribute and are monotone")
@@ -184,7 +180,7 @@ def test_criterion_6_solver_agreement_and_termination(corpus):
     for name, universe, graph in corpus:
         jac = solve(graph, universe, trace=True)
         wl = reference_round_robin(graph, universe)
-        assert states_equal(jac.state, wl.state), name
+        assert jac.state == wl.state, name
         bound = graph.n * (len(universe.terms) + 1) + 1
         assert jac.iterations <= bound, name
         assert wl.iterations <= bound, name

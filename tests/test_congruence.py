@@ -9,6 +9,7 @@ from herbrand import (
     Partition,
     Sum,
     TOP,
+    Top,
     UniverseMismatchError,
     bottom,
     build_universe,
@@ -20,7 +21,6 @@ from herbrand import (
     occurs,
     parse_program,
     parse_term,
-    partitions_equal,
     refines,
     solve,
     term_value,
@@ -96,18 +96,18 @@ def test_meet_top_absorbs(u):
     p = rand_partition(u, random.Random(5))
     assert meet(TOP, p) is p
     assert meet(p, TOP) is p
-    assert partitions_equal(meet(TOP, TOP), TOP)
+    assert meet(TOP, TOP) == TOP
 
 
 def test_meet_with_bottom_is_bottom(u):
     p = rand_partition(u, random.Random(6))
-    assert partitions_equal(meet(bottom(u), p), bottom(u))
+    assert meet(bottom(u), p) == bottom(u)
 
 
 def test_meet_of_disagreeing_merges_is_bottom(u):
     p1 = assign_transfer(bottom(u), u.resolve("y"), AtomRef(u.resolve("a")))
     p2 = assign_transfer(bottom(u), u.resolve("y"), AtomRef(u.resolve("b")))
-    assert partitions_equal(meet(p1, p2), bottom(u))
+    assert meet(p1, p2) == bottom(u)
 
 
 def test_meet_rejects_mixed_universes(u):
@@ -116,8 +116,7 @@ def test_meet_rejects_mixed_universes(u):
         meet(bottom(u), bottom(other))
     with pytest.raises(UniverseMismatchError):
         refines(bottom(u), bottom(other))
-    with pytest.raises(UniverseMismatchError):
-        partitions_equal(bottom(u), bottom(other))
+    assert bottom(u) != bottom(other)
 
 
 def test_degenerate_universe_without_variables():
@@ -125,7 +124,7 @@ def test_degenerate_universe_without_variables():
     bot = bottom(empty)
     assert bot.num_classes == 6
     assert is_congruence(bot)
-    assert partitions_equal(meet(bot, bot), bot)
+    assert meet(bot, bot) == bot
 
 
 def test_meet_keeps_equalities_common_to_both_branches():
@@ -139,28 +138,28 @@ def test_meet_keeps_equalities_common_to_both_branches():
 
 
 def test_meet_all_of_nothing_is_top(u):
-    assert partitions_equal(meet_all([]), TOP)
+    assert meet_all([]) == TOP
 
 
 def test_meet_all_single(u):
     p = rand_partition(u, random.Random(8))
-    assert partitions_equal(meet_all([p]), p)
+    assert meet_all([p]) == p
 
 
 def test_meet_is_associative_commutative_idempotent(u):
     rng = random.Random(9)
     for _ in range(20):
         p1, p2, p3 = (rand_partition(u, rng) for _ in range(3))
-        assert partitions_equal(meet(p1, meet(p2, p3)), meet(meet(p1, p2), p3))
-        assert partitions_equal(meet(p1, p2), meet(p2, p1))
-        assert partitions_equal(meet(p1, p1), p1)
+        assert meet(p1, meet(p2, p3)) == meet(meet(p1, p2), p3)
+        assert meet(p1, p2) == meet(p2, p1)
+        assert meet(p1, p1) == p1
 
 
 def test_meet_all_order_independent(u):
     rng = random.Random(10)
     ps = [rand_partition(u, rng) for _ in range(4)]
     shuffled = ps[::-1]
-    assert partitions_equal(meet_all(ps), meet_all(shuffled))
+    assert meet_all(ps) == meet_all(shuffled)
 
 
 def test_refines_bottom_below_everything(u):
@@ -267,7 +266,7 @@ def test_meet_all_over_union_rule(u):
     for _ in range(20):
         l1 = [rand_partition(u, rng) for _ in range(rng.randrange(0, 3))]
         l2 = [rand_partition(u, rng) for _ in range(rng.randrange(0, 3))]
-        assert partitions_equal(meet_all(l1 + l2), meet(meet_all(l1), meet_all(l2)))
+        assert meet_all(l1 + l2) == meet(meet_all(l1), meet_all(l2))
 
 
 def test_substitution_property_for_equivalent_atoms(u):
@@ -373,31 +372,36 @@ def test_violation_scan_matches_brute_force(u):
 def test_partitions_equal_ignores_label_names(u):
     p = make_partition(u, [["x", "a"]])
     relabeled = Partition(u, tuple(label + 17 for label in p.labels))
-    assert partitions_equal(p, relabeled)
+    assert p == relabeled and hash(p) == hash(relabeled)
     permuted = Partition(u, tuple(-label for label in p.labels))
-    assert partitions_equal(p, permuted)
+    assert p == permuted and hash(p) == hash(permuted)
 
 
 def test_partitions_equal_top_vs_partition(u):
-    assert not partitions_equal(TOP, bottom(u))
-    assert not partitions_equal(bottom(u), TOP)
-    assert partitions_equal(TOP, TOP)
+    assert TOP != bottom(u)
+    assert bottom(u) != TOP
+    assert TOP == Top() and hash(TOP) == hash(Top())
 
 
 def test_partitions_equal_distinguishes_real_differences(u):
-    assert not partitions_equal(bottom(u), make_partition(u, [["x", "a"]]))
+    assert bottom(u) != make_partition(u, [["x", "a"]])
+    assert not bottom(u) == make_partition(u, [["x", "a"]])
 
 
 def test_partitions_equal_is_an_equivalence(u):
     rng = random.Random(17)
     ps = [rand_partition(u, rng) for _ in range(6)]
+    # equal copies that are distinct objects, so equality is not identity
+    ps += [TOP, Top()] + [Partition(u, p.labels) for p in ps[:3]]
     for p in ps:
-        assert partitions_equal(p, p)
+        assert p == p
         for q in ps:
-            assert partitions_equal(p, q) == partitions_equal(q, p)
+            assert (p == q) == (q == p) != (p != q)
+            if p == q:
+                assert hash(p) == hash(q)
             for r in ps:
-                if partitions_equal(p, q) and partitions_equal(q, r):
-                    assert partitions_equal(p, r)
+                if p == q and q == r:
+                    assert p == r
 
 
 def test_get_class(u):

@@ -17,10 +17,8 @@ from herbrand import (
     build_universe,
     composite_step,
     is_top,
-    partitions_equal,
     refines,
     solve,
-    states_equal,
     validate_graph,
 )
 from helpers import (
@@ -91,8 +89,27 @@ def test_confluence_may_repeat_a_predecessor():
 def test_dangling_predecessor_rejected():
     u = build_universe(["x"], ["a"])
     stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
-    with pytest.raises(GraphError):
-        validate_graph({1: Entry(), 2: stmt}, {2: [5]})
+    # a predecessor that is not an int is a missing one, not a TypeError
+    for pred in (5, 0, 1.0, "1", None, (1,)):
+        with pytest.raises(GraphError) as info:
+            validate_graph({1: Entry(), 2: stmt}, {2: [pred]})
+        assert str(info.value) == f"node 2 references missing predecessor {pred!r}"
+        assert info.value.node == 2
+
+
+@pytest.mark.parametrize(
+    "preds, message",
+    [
+        ({7: [1]}, "predecessors given for unknown node 7"),
+        ({"x": [3]}, "predecessors given for unknown node 'x'"),
+        ({2: [1], 0: []}, "predecessors given for unknown node 0"),
+    ],
+    ids=["past-the-end", "not-an-int", "zero"],
+)
+def test_predecessors_of_unknown_nodes_rejected(preds, message):
+    with pytest.raises(GraphError) as info:
+        validate_graph({1: Entry(), 2: _NONDET}, preds)
+    assert str(info.value) == message and info.value.node is None
 
 
 def test_unreachable_node_rejected():
@@ -121,7 +138,7 @@ def test_node_ids_must_be_contiguous():
 def test_first_step_pins_only_the_entry():
     universe, graph = load_program("diamond.dfg")
     state = composite_step((TOP,) * graph.n, graph, universe)
-    assert partitions_equal(state[0], bottom(universe))
+    assert state[0] == bottom(universe)
     assert all(is_top(v) for v in state[1:])
 
 
@@ -132,20 +149,20 @@ def test_second_step_applies_the_first_assignment():
     expected = assign_transfer(
         bottom(universe), universe.resolve("x"), AtomRef(universe.resolve("a"))
     )
-    assert partitions_equal(s2[1], expected)
+    assert s2[1] == expected
 
 
 def test_fixpoint_is_a_fixed_point_of_the_step():
     universe, graph = load_program("loop.dfg")
     result = solve(graph, universe)
-    assert states_equal(composite_step(result.state, graph, universe), result.state)
+    assert composite_step(result.state, graph, universe) == result.state
 
 
 def test_single_node_program_solves_in_one_iteration():
     universe, graph = parse_program("node 1 entry\n")
     result = solve(graph, universe)
     assert result.iterations == 1
-    assert partitions_equal(result.state[0], bottom(universe))
+    assert result.state[0] == bottom(universe)
 
 
 def test_straight_line_merges_copy_chain():
@@ -164,7 +181,7 @@ def test_entry_stays_pinned_to_bottom():
     for name in ["straight_line.dfg", "diamond.dfg", "loop.dfg"]:
         universe, graph = load_program(name)
         result = solve(graph, universe)
-        assert partitions_equal(result.state[0], bottom(universe))
+        assert result.state[0] == bottom(universe)
 
 
 def test_every_fixpoint_component_is_a_congruence():
@@ -181,7 +198,7 @@ def test_worklist_agrees_with_jacobi_on_corpus():
         universe, graph = parse_program(text)
         jac = solve(graph, universe)
         wl = reference_round_robin(graph, universe)
-        assert states_equal(jac.state, wl.state), name
+        assert jac.state == wl.state, name
 
 
 def test_worklist_on_straight_line_needs_two_sweeps():
@@ -219,7 +236,7 @@ def _full_step_iterates(graph, universe):
     states = [(TOP,) * graph.n]
     while True:
         states.append(composite_step(states[-1], graph, universe))
-        if states_equal(states[-1], states[-2]):
+        if states[-1] == states[-2]:
             return states
 
 
@@ -245,7 +262,7 @@ def test_composite_step_on_a_node_subset_copies_the_rest():
     s1 = composite_step((TOP,) * graph.n, graph, universe)
     full = composite_step(s1, graph, universe)
     part = composite_step(s1, graph, universe, [2])
-    assert partitions_equal(part[1], full[1])
+    assert part[1] == full[1]
     assert all(part[k] is s1[k] for k in range(graph.n) if k != 1)
 
 
@@ -257,7 +274,7 @@ def test_incremental_jacobi_matches_full_steps_iterate_by_iterate():
         assert len(result.trace) == len(expected), name
         assert result.iterations == len(expected) - 2, name
         for l, (got, want) in enumerate(zip(result.trace, expected)):
-            assert states_equal(got, want), (name, l)
+            assert got == want, (name, l)
 
 
 def test_nodes_with_unchanged_predecessors_keep_their_value_object():
@@ -290,6 +307,6 @@ def test_jacobi_on_a_chain_makes_linearly_many_transfers(monkeypatch):
     monkeypatch.setattr(herbrand.dataflow, "apply_statement", counting)
     result = solve(graph, universe)
     assert result.iterations == len(expected) - 2 == n + 1
-    assert states_equal(result.state, expected[-1])
+    assert result.state == expected[-1]
     # full steps would make n transfers in each of the n + 2 steps
     assert calls <= 2 * n

@@ -12,9 +12,7 @@ from herbrand import (
     meet,
     mop_table,
     parse_program,
-    partitions_equal,
     refines,
-    states_equal,
     verify_mop_mfp,
 )
 from herbrand.cli import main
@@ -78,21 +76,21 @@ def test_prefixes_of_bounded_paths_are_bounded_paths_to_predecessors():
 
 def test_path_congruence_examples():
     universe, graph = load_program("diamond.dfg")
-    assert partitions_equal(path_congruence((1,), graph, universe), bottom(universe))
+    assert path_congruence((1,), graph, universe) == bottom(universe)
     one_step = path_congruence((1, 2), graph, universe)
     kind = graph.kind(2)
     assert isinstance(kind, Assign)
-    assert partitions_equal(one_step, apply_statement(bottom(universe), kind))
+    assert one_step == apply_statement(bottom(universe), kind)
     via_join = path_congruence((1, 2, 3, 5), graph, universe)
     before_join = path_congruence((1, 2, 3), graph, universe)
-    assert partitions_equal(via_join, before_join)
+    assert via_join == before_join
 
 
 def test_bounded_meet_base_cases():
     universe, graph = load_program("diamond.dfg")
     for k in range(1, graph.n + 1):
         assert is_top(m_l(graph, universe, k, 0))
-    assert partitions_equal(m_l(graph, universe, 1, 1), bottom(universe))
+    assert m_l(graph, universe, 1, 1) == bottom(universe)
     for k in range(2, graph.n + 1):
         assert is_top(m_l(graph, universe, k, 1))
 
@@ -101,7 +99,7 @@ def test_bounded_meets_satisfy_one_step_recurrences():
     for name in ["diamond.dfg", "loop.dfg", "nondet_branch.dfg"]:
         universe, graph = load_program(name)
         for length in range(1, 7):
-            assert partitions_equal(m_l(graph, universe, 1, length), bottom(universe))
+            assert m_l(graph, universe, 1, length) == bottom(universe)
             for k in range(2, graph.n + 1):
                 kind = graph.kind(k)
                 if isinstance(kind, (Assign, NonDet)):
@@ -114,7 +112,7 @@ def test_bounded_meets_satisfy_one_step_recurrences():
                         m_l(graph, universe, i, length - 1),
                         m_l(graph, universe, j, length - 1),
                     )
-                assert partitions_equal(m_l(graph, universe, k, length), expected)
+                assert m_l(graph, universe, k, length) == expected
 
 
 def test_bounded_meets_descend_with_length():
@@ -133,7 +131,7 @@ def test_table_matches_literal_path_enumeration():
             for k in range(1, graph.n + 1):
                 literal = m_l(graph, universe, k, length)
                 row = rows[min(length, len(rows) - 1)]
-                assert partitions_equal(row[k - 1], literal), (name, k, length)
+                assert row[k - 1] == literal, (name, k, length)
 
 
 def test_mop_on_straight_line():
@@ -155,7 +153,7 @@ def test_mop_at_join_is_meet_of_branch_paths():
     assert stabilized
     left = path_congruence((1, 2, 3, 5), graph, universe)
     right = path_congruence((1, 2, 4, 5), graph, universe)
-    assert partitions_equal(value, meet(left, right))
+    assert value == meet(left, right)
 
 
 def test_verify_passes_on_checked_in_programs():
@@ -174,7 +172,7 @@ def test_verify_checks_every_length_even_without_stabilization():
     assert report.checks == 5 * graph.n
     # stabilization is a whole-vector condition
     rows = mop_table(graph, universe, 4)
-    assert report.stabilized == states_equal(rows[3], rows[4])
+    assert report.stabilized == (rows[3] == rows[4])
 
 
 def test_table_stops_one_row_after_the_paths_run_out():
@@ -183,7 +181,7 @@ def test_table_stops_one_row_after_the_paths_run_out():
     universe, graph = load_program("straight_line.dfg")
     rows = mop_table(graph, universe, 10**6)
     assert len(rows) == 5
-    assert states_equal(rows[-2], rows[-1]) and not states_equal(rows[-3], rows[-2])
+    assert rows[-2] == rows[-1] and rows[-3] != rows[-2]
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -48,6 +48,12 @@ def test_node_kinds_are_the_four_classes():
     assert {type(kind) for kind in graph.kinds} <= set(node_kinds)
 
 
+def test_lattice_values_have_one_equality():
+    for name in ("partitions_equal", "states_equal"):
+        assert name not in herbrand.__all__
+        assert not hasattr(herbrand, name)
+
+
 def test_one_solver_is_exported():
     assert "solve" in herbrand.__all__
     for name in ("SolverConfig", "solve_jacobi", "solve_worklist"):

@@ -64,8 +64,14 @@ def test_declarations_accumulate_and_may_follow_nodes():
 def test_comments_and_blank_lines_are_ignored():
     universe, graph = parse_program(
         "# heading\n\nvars x  # trailing\nconsts a\nnode 1 entry  # entry\n"
+        "\t \t\n"
+        "node\t2 \tassign\tx\t:=\ta\t+\ta pred\t1\t# tab before the comment\n"
+        "\tnode 3 nondet x pred 2 \t\n"
     )
-    assert graph.n == 1
+    assert [a.name for a in universe.variables] == ["x"]
+    assert graph.n == 3 and graph.preds == ((), (1,), (2,))
+    a = AtomRef(universe.resolve("a"))
+    assert graph.kind(2) == Assign(universe.resolve("x"), Sum(a, a))
 
 
 def test_self_referential_assignment_is_positioned():
@@ -426,8 +432,10 @@ def test_cli_non_ascii_digit_in_node_id_exits_2(tmp_path, capsys):
         ("vars x\nconsts a\nnode 1 entry\u2028node 2 assign x := a pred 1\n", 3, "\\u2028"),
         # a form feed on line 1; the bad pred on line 3 is never reached
         ("vars x\fconsts a\nnode 1 entry\nnode 2 assign x := a pred 9\n", 1, "\\x0c"),
+        # a vertical tab after a token on line 2
+        ("vars x\nconsts a\x0b\nnode 1 entry\n", 2, "\\x0b"),
     ],
-    ids=["nbsp", "em_space", "line_separator", "form_feed"],
+    ids=["nbsp", "em_space", "line_separator", "form_feed", "vertical_tab"],
 )
 def test_cli_unicode_whitespace_exits_2_on_its_physical_line(text, line, char, tmp_path, capsys):
     bad = tmp_path / "unicode_space.dfg"

@@ -21,7 +21,6 @@ from herbrand import (
     nondet_transfer,
     parse_program,
     parse_term,
-    partitions_equal,
     refines,
     solve,
 )
@@ -96,8 +95,41 @@ def test_assignment_rejects_bad_operands(u):
         assign_transfer(bottom(u), u.resolve("y"), deep)
 
 
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+def test_transfer_diagnostics_keep_their_types_messages_and_order(u):
+    other = build_universe(["q"], [])
+    y, q, a = u.resolve("y"), other.resolve("q"), u.resolve("a")
+    atom_a, atom_q = AtomRef(a), AtomRef(q)
+    deep = Sum(parse_term("a+b", u), atom_a)
+    self_deep = Sum(parse_term("y+b", u), atom_a)
+    not_declared = lambda name: (DeclarationError, f"{name!r} is not a declared variable")
+    bad_rhs = (UniverseMismatchError, "right-hand side must be an atom or a sum of two atoms")
+    p = bottom(u)
+    for args, want in [
+        ((p, q, atom_a), not_declared("q")),
+        ((p, a, atom_a), not_declared("a")),
+        ((p, u.reserved[0], atom_a), not_declared("$nd1")),
+        ((p, y, atom_q), (DeclarationError, "undeclared atom 'q'")),
+        ((p, y, deep), bad_rhs),
+        ((p, y, parse_term("y+a", u)), (SelfReferenceError, "'y' appears in its own right-hand side")),
+        # the target is checked first, then the right-hand side, then self-reference
+        ((p, q, atom_q), not_declared("q")),
+        ((p, a, deep), not_declared("a")),
+        ((p, y, self_deep), bad_rhs),
+    ]:
+        assert _raised(assign_transfer, *args) == want, args
+    assert _raised(nondet_transfer, p, q) == not_declared("q")
+    assert _raised(nondet_transfer, p, a) == not_declared("a")
+    assert _raised(nondet_transfer, p, u.reserved[1]) == not_declared("$nd2")
+
+
 def test_nondet_on_bottom_is_bottom(u):
-    assert partitions_equal(nondet_transfer(bottom(u), u.resolve("y")), bottom(u))
+    assert nondet_transfer(bottom(u), u.resolve("y")) == bottom(u)
 
 
 def test_nondet_clobbers_copy_relation(u):
@@ -123,7 +155,7 @@ def test_nondet_refines_its_input(u):
 def test_nondet_definitional_with_no_samples_is_identity(u):
     rng = random.Random(22)
     p = rand_partition(u, rng)
-    assert partitions_equal(nondet_definitional(p, u.resolve("y"), []), p)
+    assert nondet_definitional(p, u.resolve("y"), []) == p
 
 
 def test_nondet_definitional_with_reserved_pair_matches_transfer(u):
@@ -132,10 +164,7 @@ def test_nondet_definitional_with_reserved_pair_matches_transfer(u):
     c1, c2 = (AtomRef(c) for c in u.reserved)
     for _ in range(20):
         p = rand_partition(u, rng)
-        assert partitions_equal(
-            nondet_definitional(p, y, [c1, c2]),
-            nondet_transfer(p, y),
-        )
+        assert nondet_definitional(p, y, [c1, c2]) == nondet_transfer(p, y)
 
 
 def test_nondet_definitional_sample_sensitivity(u):
@@ -159,7 +188,7 @@ def test_nondet_matches_full_definitional_oracle(u):
     betas = y_free_universe_terms(u, y)
     for _ in range(20):
         p = rand_partition(u, rng)
-        assert partitions_equal(nondet_transfer(p, y), nondet_definitional(p, y, betas))
+        assert nondet_transfer(p, y) == nondet_definitional(p, y, betas)
 
 
 def test_user_constant_pair_gives_same_nondet_result(u):
@@ -169,7 +198,7 @@ def test_user_constant_pair_gives_same_nondet_result(u):
     for _ in range(20):
         p = rand_partition(u, rng)
         via_user = meet_all([p, assign_transfer(p, y, a), assign_transfer(p, y, b)])
-        assert partitions_equal(via_user, nondet_transfer(p, y))
+        assert via_user == nondet_transfer(p, y)
 
 
 def test_transfers_are_distributive_over_meet(u):
@@ -186,7 +215,7 @@ def test_transfers_are_distributive_over_meet(u):
         else:
             lhs = nondet_transfer(meet(p, q), stmt.target)
             rhs = meet(nondet_transfer(p, stmt.target), nondet_transfer(q, stmt.target))
-        assert partitions_equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_transfers_are_monotone(u):
