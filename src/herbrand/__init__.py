@@ -7,10 +7,8 @@ fixpoint result against an explicit meet-over-all-paths computation.
 """
 
 from .congruence import (
-    Base,
     ExtendedValue,
     LatticeElem,
-    Pair,
     Partition,
     TOP,
     Top,
@@ -48,7 +46,6 @@ from .program import parse_program
 from .report import emit_report, visible_classes
 from .terms import (
     Atom,
-    AtomRef,
     Sum,
     Term,
     TermUniverse,
@@ -68,9 +65,9 @@ from .transfer import (
 
 __all__ = [
     # congruence
-    "Base", "ExtendedValue", "LatticeElem", "Pair", "Partition", "TOP", "Top",
-    "bottom", "equivalent", "get_class", "is_top", "meet", "meet_all",
-    "refines", "term_value",
+    "ExtendedValue", "LatticeElem", "Partition", "TOP", "Top", "bottom",
+    "equivalent", "get_class", "is_top", "meet", "meet_all", "refines",
+    "term_value",
     # dataflow
     "Confluence", "Entry", "FlowGraph", "NodeKind",
     "SolveResult", "composite_step", "solve", "validate_graph",
@@ -84,8 +81,8 @@ __all__ = [
     # report
     "emit_report", "visible_classes",
     # terms
-    "Atom", "AtomRef", "Sum", "Term", "TermUniverse", "build_universe",
-    "format_term", "occurs", "parse_term",
+    "Atom", "Sum", "Term", "TermUniverse", "build_universe", "format_term",
+    "occurs", "parse_term",
     # transfer
     "Assign", "NonDet", "Statement", "apply_statement", "assign_transfer",
     "nondet_transfer",

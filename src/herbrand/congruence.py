@@ -24,11 +24,12 @@ left operand already refines the right one that product is the left operand
 itself, so ``meet`` returns it unchanged and builds no new partition; the
 running path meet of ``mop_table`` almost always takes this route.
 
+Terms are ``Atom | Sum``, so ``p.class_of(atom)`` takes an atom directly.
 Queries about terms deeper than the universe go through ``term_value``: the
-class structure of a deep term is folded bottom-up, collapsing any operand
-pair that matches the class pattern of some universe compound (well defined
-by C2). Two terms of any depth are equivalent exactly when their values
-coincide.
+class structure of a deep term is folded bottom-up into an ``int`` class
+label or a pair (tuple) of operand values, collapsing any operand pair that
+matches the class pattern of some universe compound (well defined by C2).
+Two terms of any depth are equivalent exactly when their values coincide.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from itertools import count, product
 from typing import Iterable, Union
 
 from .errors import DeclarationError, UniverseMismatchError
-from .terms import AtomRef, Sum, Term, TermUniverse
+from .terms import Atom, Sum, Term, TermUniverse
 
 
 class Top:
@@ -128,18 +129,9 @@ def bottom(universe: TermUniverse) -> Partition:
     return Partition(universe, tuple(range(len(universe.terms))))
 
 
-@dataclass(frozen=True)
-class Base:
-    cls: int
-
-
-@dataclass(frozen=True)
-class Pair:
-    left: "ExtendedValue"
-    right: "ExtendedValue"
-
-
-ExtendedValue = Union[Base, Pair]
+# an int class label, or the pair of the operand values of a sum that no
+# universe pair matches
+ExtendedValue = Union[int, tuple["ExtendedValue", "ExtendedValue"]]
 
 
 def term_value(t: Term, p: Partition) -> ExtendedValue:
@@ -151,19 +143,14 @@ def term_value(t: Term, p: Partition) -> ExtendedValue:
         nonlocal pair_classes
         pos = index.get(t)
         if pos is not None:
-            return Base(p.labels[pos])
-        if isinstance(t, AtomRef):
-            raise DeclarationError(f"undeclared atom {t.atom.name!r}")
+            return p.labels[pos]
+        if isinstance(t, Atom):
+            raise DeclarationError(f"undeclared atom {t.name!r}")
         assert isinstance(t, Sum)
-        v1 = value(t.left)
-        v2 = value(t.right)
-        if isinstance(v1, Base) and isinstance(v2, Base):
-            if pair_classes is None:
-                pair_classes = p.pair_classes()
-            cls = pair_classes.get((v1.cls, v2.cls))
-            if cls is not None:
-                return Base(cls)
-        return Pair(v1, v2)
+        pair = (value(t.left), value(t.right))
+        if pair_classes is None:
+            pair_classes = p.pair_classes()
+        return pair_classes.get(pair, pair)
 
     return value(t)
 

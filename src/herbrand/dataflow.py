@@ -21,9 +21,10 @@ exactly the full synchronous step's iterate.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Union
 
 from .congruence import LatticeElem, TOP, bottom, is_top, meet
 from .errors import GraphError, IterationLimitError
@@ -73,7 +74,14 @@ class FlowGraph:
 def validate_graph(
     kinds: Mapping[int, NodeKind], preds: Mapping[int, Sequence[int]]
 ) -> FlowGraph:
-    """Check the structural rules and return an immutable graph."""
+    """Check the structural rules and return an immutable graph.
+
+    Node ids and predecessors are plain ``int``s (a ``bool`` is not one), and
+    each predecessor list is a sequence; anything else raises ``GraphError``.
+    """
+    for k in kinds:
+        if type(k) is not int:
+            raise GraphError(f"node id {k!r} is not an int")
     ids = sorted(kinds)
     n = len(ids)
     if n == 0:
@@ -81,7 +89,7 @@ def validate_graph(
     if ids != list(range(1, n + 1)):
         raise GraphError(f"node ids must be 1..{n} without gaps, got {ids}")
     for k in preds:
-        if k not in kinds:
+        if type(k) is not int or k not in kinds:
             raise GraphError(f"predecessors given for unknown node {k!r}")
 
     if not isinstance(kinds[1], Entry):
@@ -90,12 +98,14 @@ def validate_graph(
     pred_tuples: list[tuple[int, ...]] = []
     for k in range(1, n + 1):
         kind = kinds[k]
-        ps = tuple(preds.get(k, ()))
+        ps = preds.get(k, ())
+        if not isinstance(ps, Sequence):
+            raise GraphError(f"node {k} has predecessors {ps!r}, not a sequence", node=k)
         arity = ARITY.get(type(kind))
         if arity is None:
             raise GraphError(f"node {k} has unknown kind {kind!r}", node=k)
         for p in ps:
-            if not isinstance(p, int) or not 1 <= p <= n:
+            if type(p) is not int or not 1 <= p <= n:
                 raise GraphError(f"node {k} references missing predecessor {p!r}", node=k)
         if k > 1 and isinstance(kind, Entry):
             raise GraphError(f"node {k} declared entry; only node 1 may be", node=k)
@@ -104,7 +114,7 @@ def validate_graph(
                 f"{type(kind).__name__} node {k} needs {arity} predecessor(s), got {len(ps)}",
                 node=k,
             )
-        pred_tuples.append(ps)
+        pred_tuples.append(tuple(ps))
 
     graph = FlowGraph(n=n, kinds=tuple(kinds[k] for k in range(1, n + 1)), preds=tuple(pred_tuples))
 

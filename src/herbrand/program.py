@@ -26,7 +26,7 @@ import re
 
 from .dataflow import ARITY, Confluence, Entry, FlowGraph, NodeKind, validate_graph
 from .errors import AnalysisError, DeclarationError, GraphError, ParseError
-from .terms import IDENT_RE, AtomRef, Sum, TermUniverse, VARIABLE, build_universe
+from .terms import IDENT_RE, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
 
 # a token, or in the second group the first character that starts none;
@@ -156,7 +156,7 @@ def _kind(universe: TermUniverse, form: str, names: list[str]) -> NodeKind:
         raise DeclarationError(f"{names[0]!r} is a constant, not a variable")
     if form == "nondet":
         return NonDet(target)
-    rhs = [AtomRef(universe.resolve(name)) for name in names[1:]]
+    rhs = [universe.resolve(name) for name in names[1:]]
     return Assign(target, rhs[0] if len(rhs) == 1 else Sum(*rhs))
 
 

@@ -3,15 +3,19 @@ depth-limited expressions the analysis operates on.
 
 Terms are built from declared variables and constants with a single binary
 operator ``+`` treated as uninterpreted (no commutativity, no arithmetic).
-The universe of a program consists of every atom plus every ordered pair of
-atoms under ``+``; deeper expressions exist as ``Term`` trees but are not
-universe members.
+An atom is itself a term, so ``Term = Atom | Sum``: a variable, a constant
+or a sum of two terms. The universe of a program consists of every atom plus
+every ordered pair of atoms under ``+``, each pair one ``Sum`` over the
+universe's own atom objects; deeper sums exist as ``Term`` trees but are not
+universe members. A class query takes an atom as it is: ``p.class_of(atom)``,
+and ``congruence.term_value`` gives an ``int`` class label or a pair.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Union
 
 from .errors import DeclarationError, ParseError
 
@@ -39,25 +43,18 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class Term:
-    """Base class for term nodes; instances are ``AtomRef`` or ``Sum``."""
-
-
-@dataclass(frozen=True)
-class AtomRef(Term):
-    atom: Atom
-
-
-@dataclass(frozen=True)
-class Sum(Term):
+class Sum:
     left: Term
     right: Term
 
 
+Term = Union[Atom, Sum]
+
+
 def occurs(t: Term, x: Atom) -> bool:
     """True iff the atom ``x`` appears anywhere in ``t``."""
-    if isinstance(t, AtomRef):
-        return t.atom == x
+    if isinstance(t, Atom):
+        return t == x
     assert isinstance(t, Sum)
     return occurs(t.left, x) or occurs(t.right, x)
 
@@ -66,7 +63,7 @@ def occurs(t: Term, x: Atom) -> bool:
 class TermUniverse:
     """The finite expression universe: all atoms and all atom pairs.
 
-    ``terms`` holds every atom reference followed by every ordered pair in
+    ``terms`` holds every atom followed by every ordered pair of atoms in
     row-major atom order, so ``len(terms) == len(atoms) + len(atoms) ** 2``.
     ``index`` maps each universe term to its dense position. Universes
     compare by identity; one analysis run shares a single universe.
@@ -109,10 +106,7 @@ def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:
     reserved = (Atom(RESERVED, RESERVED_NAMES[0]), Atom(RESERVED, RESERVED_NAMES[1]))
     atoms = var_atoms + const_atoms + reserved
 
-    terms: list[Term] = [AtomRef(a) for a in atoms]
-    for a in atoms:
-        for b in atoms:
-            terms.append(Sum(AtomRef(a), AtomRef(b)))
+    terms: list[Term] = [*atoms, *[Sum(a, b) for a in atoms for b in atoms]]
 
     return TermUniverse(
         variables=var_atoms,
@@ -136,16 +130,14 @@ def parse_term(text: str, universe: TermUniverse) -> Term:
     for n in names:
         if not IDENT_RE.match(n):
             raise ParseError(f"invalid atom {n!r}")
-    refs = [AtomRef(universe.resolve(n)) for n in names]
-    if len(refs) == 1:
-        return refs[0]
-    return Sum(refs[0], refs[1])
+    atoms = [universe.resolve(n) for n in names]
+    return atoms[0] if len(atoms) == 1 else Sum(*atoms)
 
 
 def format_term(t: Term) -> str:
     """Render a term; nested sums are fully parenthesized."""
-    if isinstance(t, AtomRef):
-        return t.atom.name
+    if isinstance(t, Atom):
+        return t.name
     assert isinstance(t, Sum)
 
     def wrap(s: Term) -> str:

@@ -17,7 +17,7 @@ from typing import Union
 
 from .congruence import LatticeElem, Partition, is_top, meet_all
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, AtomRef, Term, VARIABLE, occurs
+from .terms import Atom, Term, VARIABLE, occurs
 
 
 def _check_not_self_referential(y: Atom, beta: Term) -> None:
@@ -56,13 +56,13 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
         return elem
     assert isinstance(elem, Partition)
     universe = elem.universe
-    yi = universe.index.get(AtomRef(y))
+    yi = universe.index.get(y)
     if yi is None or y.kind != VARIABLE:
         raise DeclarationError(f"{y.name!r} is not a declared variable")
     bpos = universe.index.get(beta)
     if bpos is None:
-        if isinstance(beta, AtomRef):
-            raise DeclarationError(f"undeclared atom {beta.atom.name!r}")
+        if isinstance(beta, Atom):
+            raise DeclarationError(f"undeclared atom {beta.name!r}")
         raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
     _check_not_self_referential(y, beta)
     labels = elem.labels
@@ -95,13 +95,7 @@ def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
         return elem
     assert isinstance(elem, Partition)
     c1, c2 = elem.universe.reserved
-    return meet_all(
-        [
-            elem,
-            assign_transfer(elem, y, AtomRef(c1)),
-            assign_transfer(elem, y, AtomRef(c2)),
-        ]
-    )
+    return meet_all([elem, assign_transfer(elem, y, c1), assign_transfer(elem, y, c2)])
 
 
 def apply_statement(elem: LatticeElem, stmt: Statement) -> LatticeElem:

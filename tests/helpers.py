@@ -18,8 +18,6 @@ from typing import Iterable
 from herbrand import (
     Assign,
     Atom,
-    AtomRef,
-    Base,
     FlowGraph,
     LatticeElem,
     NonDet,
@@ -99,8 +97,8 @@ def substitute(t: Term, x: Atom, alpha: Term) -> Term:
     """Replace every occurrence of the variable ``x`` in ``t`` by ``alpha``."""
     if x.kind != VARIABLE:
         raise ValueError(f"substitution target {x.name!r} is not a variable")
-    if isinstance(t, AtomRef):
-        return alpha if t.atom == x else t
+    if isinstance(t, Atom):
+        return alpha if t == x else t
     assert isinstance(t, Sum)
     if not occurs(t, x):
         return t
@@ -108,7 +106,7 @@ def substitute(t: Term, x: Atom, alpha: Term) -> Term:
 
 
 def depth(t: Term) -> int:
-    if isinstance(t, AtomRef):
+    if isinstance(t, Atom):
         return 0
     assert isinstance(t, Sum)
     return 1 + max(depth(t.left), depth(t.right))
@@ -131,7 +129,7 @@ def reference_assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> Lattice
         if occurs(t, y):
             keys.append(term_value(substitute(t, y, beta), elem))
         else:
-            keys.append(Base(elem.labels[pos]))
+            keys.append(elem.labels[pos])
     return Partition(elem.universe, tuple(keys))
 
 
@@ -545,8 +543,8 @@ def rand_rhs(universe: TermUniverse, rng: random.Random, avoid: Atom):
     if not pool:
         return None
     if rng.random() < 0.5:
-        return AtomRef(rng.choice(pool))
-    return Sum(AtomRef(rng.choice(pool)), AtomRef(rng.choice(pool)))
+        return rng.choice(pool)
+    return Sum(rng.choice(pool), rng.choice(pool))
 
 
 def rand_statement(universe: TermUniverse, rng: random.Random):

@@ -12,7 +12,6 @@ import pytest
 
 from herbrand import (
     Assign,
-    AtomRef,
     NonDet,
     apply_statement,
     assign_transfer,
@@ -135,7 +134,7 @@ def test_criterion_4_two_constant_characterization():
         via_all_betas = nondet_definitional(p, y, y_free_universe_terms(universe, y))
         assert via_reserved == via_all_betas
         if len(universe.constants) >= 2:
-            c1, c2 = (AtomRef(c) for c in universe.constants[:2])
+            c1, c2 = universe.constants[:2]
             via_user = meet_all(
                 [p, assign_transfer(p, y, c1), assign_transfer(p, y, c2)]
             )

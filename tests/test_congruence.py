@@ -3,9 +3,7 @@ import random
 import pytest
 
 from herbrand import (
-    AtomRef,
-    Base,
-    Pair,
+    Atom,
     Partition,
     Sum,
     TOP,
@@ -55,7 +53,11 @@ def test_bottom_is_all_singletons(u):
 def test_term_value_of_universe_terms_is_their_class(u):
     bot = bottom(u)
     x = parse_term("x", u)
-    assert term_value(x, bot) == Base(bot.class_of(x))
+    assert term_value(x, bot) == bot.class_of(x)
+    p = make_partition(u, [["x", "a"]])
+    for t in u.terms:
+        value = term_value(t, p)
+        assert type(value) is int and value == p.class_of(t)
 
 
 def test_term_value_collapses_through_a_variable_bound_to_a_compound(u):
@@ -63,14 +65,19 @@ def test_term_value_collapses_through_a_variable_bound_to_a_compound(u):
     p = make_partition(u, [["x", "a+b"]])
     assert is_congruence(p)
     deep = Sum(parse_term("a+b", u), parse_term("y", u))
-    assert term_value(deep, p) == Base(p.class_of(parse_term("x+y", u)))
+    assert term_value(deep, p) == p.class_of(parse_term("x+y", u))
 
 
 def test_term_value_keeps_unmatched_structure(u):
     bot = bottom(u)
     deep = Sum(parse_term("x+y", u), parse_term("a", u))
     value = term_value(deep, bot)
-    assert value == Pair(term_value(parse_term("x+y", u), bot), Base(bot.class_of(parse_term("a", u))))
+    assert value == (term_value(parse_term("x+y", u), bot), bot.class_of(parse_term("a", u)))
+    # a deeper unmatched sum nests its operand values as tuples
+    x = u.resolve("x")
+    xy, a, cx = (bot.class_of(parse_term(text, u)) for text in ("x+y", "a", "x"))
+    assert term_value(Sum(deep, x), bot) == ((xy, a), cx)
+    assert term_value(Sum(x, Sum(deep, deep)), bot) == (cx, ((xy, a), (xy, a)))
 
 
 def test_equivalent_is_reflexive(u):
@@ -80,7 +87,7 @@ def test_equivalent_is_reflexive(u):
 
 
 def test_equivalence_respects_operator_classes(u):
-    p = assign_transfer(bottom(u), u.resolve("x"), AtomRef(u.resolve("a")))
+    p = assign_transfer(bottom(u), u.resolve("x"), u.resolve("a"))
     assert equivalent(parse_term("x+b", u), parse_term("a+b", u), p)
 
 
@@ -105,8 +112,8 @@ def test_meet_with_bottom_is_bottom(u):
 
 
 def test_meet_of_disagreeing_merges_is_bottom(u):
-    p1 = assign_transfer(bottom(u), u.resolve("y"), AtomRef(u.resolve("a")))
-    p2 = assign_transfer(bottom(u), u.resolve("y"), AtomRef(u.resolve("b")))
+    p1 = assign_transfer(bottom(u), u.resolve("y"), u.resolve("a"))
+    p2 = assign_transfer(bottom(u), u.resolve("y"), u.resolve("b"))
     assert meet(p1, p2) == bottom(u)
 
 
@@ -173,7 +180,7 @@ def test_refines_bottom_below_everything(u):
 
 
 def test_refines_detects_proper_coarsening(u):
-    p = assign_transfer(bottom(u), u.resolve("x"), AtomRef(u.resolve("a")))
+    p = assign_transfer(bottom(u), u.resolve("x"), u.resolve("a"))
     assert not refines(p, bottom(u))
     assert refines(bottom(u), p)
 
@@ -270,7 +277,7 @@ def test_meet_all_over_union_rule(u):
 
 
 def test_substitution_property_for_equivalent_atoms(u):
-    p = assign_transfer(bottom(u), u.resolve("x"), AtomRef(u.resolve("a")))
+    p = assign_transfer(bottom(u), u.resolve("x"), u.resolve("a"))
     alpha, beta = parse_term("x", u), parse_term("a", u)
     assert equivalent(alpha, beta, p)
     for var in u.variables:
@@ -283,13 +290,11 @@ def test_substitution_property_for_equivalent_atoms(u):
 def test_constant_never_equivalent_to_larger_substituted_term(u):
     rng = random.Random(14)
     y = u.resolve("y")
-    y_ref = AtomRef(y)
     for _ in range(15):
         p = rand_partition(u, rng)
-        for const in u.constants + u.reserved:
-            c = AtomRef(const)
+        for c in u.constants + u.reserved:
             for t in u.terms:
-                if t == y_ref or not occurs(t, y):
+                if t == y or not occurs(t, y):
                     continue
                 assert not equivalent(c, substitute(t, y, c), p)
 
@@ -297,7 +302,7 @@ def test_constant_never_equivalent_to_larger_substituted_term(u):
 def test_two_constant_substitutions_stay_apart(u):
     rng = random.Random(15)
     y = u.resolve("y")
-    c1, c2 = AtomRef(u.resolve("a")), AtomRef(u.resolve("b"))
+    c1, c2 = u.resolve("a"), u.resolve("b")
     for _ in range(15):
         p = rand_partition(u, rng)
         for t in u.terms:
@@ -334,7 +339,7 @@ def test_congruence_violation_c3(u):
 
 def _brute_force_is_congruence(p: Partition) -> bool:
     u = p.universe
-    consts = [AtomRef(a) for a in u.atoms if a.is_constant()]
+    consts = [a for a in u.atoms if a.is_constant()]
     for i, c in enumerate(consts):
         for c2 in consts[i + 1 :]:
             if p.class_of(c) == p.class_of(c2):
@@ -352,7 +357,7 @@ def _brute_force_is_congruence(p: Partition) -> bool:
     for c in consts:
         for t in u.terms:
             if p.class_of(t) == p.class_of(c) and t != c:
-                if not (isinstance(t, AtomRef) and not t.atom.is_constant()):
+                if not (isinstance(t, Atom) and not t.is_constant()):
                     return False
     return True
 
@@ -407,7 +412,7 @@ def test_partitions_equal_is_an_equivalence(u):
 def test_get_class(u):
     bot = bottom(u)
     assert cls(bot, "x") == {"x"}
-    p = assign_transfer(bot, u.resolve("x"), AtomRef(u.resolve("a")))
+    p = assign_transfer(bot, u.resolve("x"), u.resolve("a"))
     assert cls(p, "a") == {"x", "a"}
     assert cls(p, "x+b") == {"x+b", "a+b"}
 

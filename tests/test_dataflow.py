@@ -5,7 +5,6 @@ import pytest
 import herbrand.dataflow
 from herbrand import (
     Assign,
-    AtomRef,
     Confluence,
     Entry,
     GraphError,
@@ -44,7 +43,7 @@ def test_entry_must_not_have_predecessors():
 
 def test_function_point_needs_exactly_one_predecessor():
     u = build_universe(["x"], ["a"])
-    stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
+    stmt = Assign(u.resolve("x"), u.resolve("a"))
     with pytest.raises(GraphError):
         validate_graph({1: Entry(), 2: stmt}, {2: []})
     with pytest.raises(GraphError):
@@ -57,7 +56,7 @@ def test_confluence_needs_exactly_two_predecessors():
 
 
 _U = build_universe(["x"], ["a"])
-_ASSIGN = Assign(_U.resolve("x"), AtomRef(_U.resolve("a")))
+_ASSIGN = Assign(_U.resolve("x"), _U.resolve("a"))
 _NONDET = NonDet(_U.resolve("x"))
 
 
@@ -81,6 +80,36 @@ def test_every_kind_is_checked_against_its_arity(kinds, preds):
     assert info.value.node == max(kinds)
 
 
+@pytest.mark.parametrize(
+    "kinds, preds, message, node",
+    [
+        pytest.param({1: Entry(), "x": Entry()}, {}, "node id 'x' is not an int", None, id="id-str"),
+        pytest.param({True: Entry()}, {}, "node id True is not an int", None, id="id-bool"),
+        pytest.param({1: Entry(), 2.0: _NONDET}, {2: [1]}, "node id 2.0 is not an int", None, id="id-float"),
+        pytest.param(
+            {1: Entry(), 2: _NONDET}, {2: 1}, "node 2 has predecessors 1, not a sequence", 2,
+            id="preds-int",
+        ),
+        pytest.param(
+            {1: Entry(), 2: _NONDET}, {2: {1}}, "node 2 has predecessors {1}, not a sequence", 2,
+            id="preds-set",
+        ),
+        pytest.param(
+            {1: Entry(), 2: _NONDET}, {2: [True]}, "node 2 references missing predecessor True", 2,
+            id="pred-bool",
+        ),
+        pytest.param(
+            {1: Entry(), 2: _NONDET}, {2: [1], True: []}, "predecessors given for unknown node True",
+            None, id="preds-key-bool",
+        ),
+    ],
+)
+def test_malformed_ids_and_predecessor_lists_rejected(kinds, preds, message, node):
+    with pytest.raises(GraphError) as info:
+        validate_graph(kinds, preds)
+    assert str(info.value) == message and info.value.node == node
+
+
 def test_confluence_may_repeat_a_predecessor():
     g = validate_graph({1: Entry(), 2: Confluence()}, {2: [1, 1]})
     assert g.pred(2) == (1, 1)
@@ -88,7 +117,7 @@ def test_confluence_may_repeat_a_predecessor():
 
 def test_dangling_predecessor_rejected():
     u = build_universe(["x"], ["a"])
-    stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
+    stmt = Assign(u.resolve("x"), u.resolve("a"))
     # a predecessor that is not an int is a missing one, not a TypeError
     for pred in (5, 0, 1.0, "1", None, (1,)):
         with pytest.raises(GraphError) as info:
@@ -114,7 +143,7 @@ def test_predecessors_of_unknown_nodes_rejected(preds, message):
 
 def test_unreachable_node_rejected():
     u = build_universe(["x"], ["a"])
-    stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
+    stmt = Assign(u.resolve("x"), u.resolve("a"))
     with pytest.raises(GraphError):
         validate_graph(
             {1: Entry(), 2: stmt, 3: stmt}, {2: [1], 3: [3]}
@@ -128,7 +157,7 @@ def test_entry_kind_only_at_node_one():
 
 def test_node_ids_must_be_contiguous():
     u = build_universe(["x"], ["a"])
-    stmt = Assign(u.resolve("x"), AtomRef(u.resolve("a")))
+    stmt = Assign(u.resolve("x"), u.resolve("a"))
     with pytest.raises(GraphError):
         validate_graph({1: Entry(), 3: stmt}, {3: [1]})
     with pytest.raises(GraphError):
@@ -147,7 +176,7 @@ def test_second_step_applies_the_first_assignment():
     s1 = composite_step((TOP,) * graph.n, graph, universe)
     s2 = composite_step(s1, graph, universe)
     expected = assign_transfer(
-        bottom(universe), universe.resolve("x"), AtomRef(universe.resolve("a"))
+        bottom(universe), universe.resolve("x"), universe.resolve("a")
     )
     assert s2[1] == expected
 

@@ -1,7 +1,8 @@
+import re
 import types
 
 import herbrand
-from helpers import PROGRAMS_DIR
+from helpers import PROGRAMS_DIR, ROOT
 
 
 def test_all_lists_no_module_objects():
@@ -59,3 +60,19 @@ def test_one_solver_is_exported():
     for name in ("SolverConfig", "solve_jacobi", "solve_worklist"):
         assert name not in herbrand.__all__
         assert not hasattr(herbrand, name)
+
+
+def test_atoms_are_terms_and_values_are_ints_or_pairs():
+    for name in ("AtomRef", "Base", "Pair"):
+        assert name not in herbrand.__all__
+        assert not hasattr(herbrand, name)
+
+
+def test_readme_library_example_prints_a_class(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(ROOT)
+    exec(code, {})
+    printed = eval(capsys.readouterr().out, {"Atom": herbrand.Atom, "Sum": herbrand.Sum})
+    assert isinstance(printed, set)
+    assert {herbrand.format_term(t) for t in printed} == {"x", "y", "a"}

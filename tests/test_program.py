@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from herbrand import (
     AnalysisError,
     Assign,
-    AtomRef,
+    Atom,
     Confluence,
     DeclarationError,
     Entry,
@@ -26,8 +26,8 @@ from helpers import GOLDEN_DIR, PROGRAMS_DIR, program_text, rand_partition
 
 
 def _mentions_reserved(t) -> bool:
-    if isinstance(t, AtomRef):
-        return t.atom.kind == RESERVED
+    if isinstance(t, Atom):
+        return t.kind == RESERVED
     assert isinstance(t, Sum)
     return _mentions_reserved(t.left) or _mentions_reserved(t.right)
 
@@ -70,7 +70,7 @@ def test_comments_and_blank_lines_are_ignored():
     )
     assert [a.name for a in universe.variables] == ["x"]
     assert graph.n == 3 and graph.preds == ((), (1,), (2,))
-    a = AtomRef(universe.resolve("a"))
+    a = universe.resolve("a")
     assert graph.kind(2) == Assign(universe.resolve("x"), Sum(a, a))
 
 

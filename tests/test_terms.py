@@ -3,7 +3,6 @@ import random
 import pytest
 
 from herbrand import (
-    AtomRef,
     DeclarationError,
     ParseError,
     Sum,
@@ -23,12 +22,12 @@ def universe():
 def test_substitute_replaces_the_variable_itself(universe):
     y = universe.resolve("y")
     ab = parse_term("a+b", universe)
-    assert substitute(AtomRef(y), y, ab) == ab
+    assert substitute(y, y, ab) == ab
 
 
 def test_substitute_recurses_into_sums(universe):
     y = universe.resolve("y")
-    assert substitute(parse_term("x+y", universe), y, AtomRef(universe.resolve("a"))) == parse_term(
+    assert substitute(parse_term("x+y", universe), y, universe.resolve("a")) == parse_term(
         "x+a", universe
     )
 
@@ -36,7 +35,7 @@ def test_substitute_recurses_into_sums(universe):
 def test_substitute_ignores_terms_without_the_variable(universe):
     y = universe.resolve("y")
     b = parse_term("b", universe)
-    assert substitute(b, y, AtomRef(universe.resolve("a"))) == b
+    assert substitute(b, y, universe.resolve("a")) == b
 
 
 def test_substitute_rejects_constant_targets(universe):
@@ -49,12 +48,12 @@ def test_occurs(universe):
     y = universe.resolve("y")
     assert occurs(parse_term("x+y", universe), x)
     assert not occurs(parse_term("a+b", universe), x)
-    assert occurs(AtomRef(y), y)
+    assert occurs(y, y)
 
 
 def _rand_term(universe, rng, max_depth):
     if max_depth == 0 or rng.random() < 0.4:
-        return AtomRef(rng.choice(universe.atoms[:4]))
+        return rng.choice(universe.atoms[:4])
     return Sum(_rand_term(universe, rng, max_depth - 1), _rand_term(universe, rng, max_depth - 1))
 
 
@@ -111,10 +110,21 @@ def test_universe_rejects_bad_identifiers():
 
 def test_parse_term_accepts_atoms_and_flat_sums(universe):
     assert parse_term("x+a", universe) == Sum(
-        AtomRef(universe.resolve("x")), AtomRef(universe.resolve("a"))
+        universe.resolve("x"), universe.resolve("a")
     )
     assert parse_term(" x + a ", universe) == parse_term("x+a", universe)
-    assert parse_term("b", universe) == AtomRef(universe.resolve("b"))
+    assert parse_term("b", universe) == universe.resolve("b")
+
+
+def test_universe_terms_are_its_own_atoms_and_sums_of_them(universe):
+    m = len(universe.atoms)
+    for i, atom in enumerate(universe.atoms):
+        assert universe.terms[i] is atom
+    for pos in range(m, len(universe.terms)):
+        i, j = universe.pair_operands(pos)
+        pair = universe.terms[pos]
+        assert pair.left is universe.atoms[i] and pair.right is universe.atoms[j]
+    assert parse_term("x", universe) == universe.resolve("x")
 
 
 def test_parse_term_errors(universe):
@@ -129,9 +139,9 @@ def test_parse_term_errors(universe):
 
 
 def test_format_parenthesizes_nested_sums(universe):
-    a = AtomRef(universe.resolve("a"))
-    b = AtomRef(universe.resolve("b"))
-    c = AtomRef(universe.resolve("x"))
+    a = universe.resolve("a")
+    b = universe.resolve("b")
+    c = universe.resolve("x")
     assert format_term(Sum(Sum(a, b), c)) == "(a+b)+x"
     assert format_term(Sum(a, Sum(b, c))) == "a+(b+x)"
 

@@ -4,7 +4,6 @@ import pytest
 
 from herbrand import (
     Assign,
-    AtomRef,
     DeclarationError,
     NonDet,
     Partition,
@@ -45,14 +44,14 @@ def u():
 
 def test_transfers_map_top_to_top(u):
     y = u.resolve("y")
-    assert is_top(assign_transfer(TOP, y, AtomRef(u.resolve("a"))))
+    assert is_top(assign_transfer(TOP, y, u.resolve("a")))
     assert is_top(nondet_transfer(TOP, y))
     assert is_top(nondet_definitional(TOP, y, []))
 
 
 def test_assignment_from_bottom(u):
     x = u.resolve("x")
-    q = assign_transfer(bottom(u), x, AtomRef(u.resolve("a")))
+    q = assign_transfer(bottom(u), x, u.resolve("a"))
     assert cls(q, "x") == {"x", "a"}
     assert cls(q, "x+y") == {"x+y", "a+y"}
     assert cls(q, "x+x") == {"x+x", "x+a", "a+x", "a+a"}
@@ -62,8 +61,8 @@ def test_assignment_from_bottom(u):
 
 def test_assignment_chains_through_existing_classes(u):
     x, y = u.resolve("x"), u.resolve("y")
-    p = assign_transfer(bottom(u), x, AtomRef(u.resolve("a")))
-    q = assign_transfer(p, y, AtomRef(x))
+    p = assign_transfer(bottom(u), x, u.resolve("a"))
+    q = assign_transfer(p, y, x)
     assert cls(q, "y") == {"x", "y", "a"}
     assert cls(q, "y+b") == {"x+b", "y+b", "a+b"}
     assert is_congruence(q)
@@ -81,16 +80,16 @@ def test_assignment_rejects_self_reference(u):
     with pytest.raises(SelfReferenceError):
         assign_transfer(bottom(u), y, parse_term("y+a", u))
     with pytest.raises(SelfReferenceError):
-        Assign(y, Sum(AtomRef(y), AtomRef(u.resolve("a"))))
+        Assign(y, Sum(y, u.resolve("a")))
 
 
 def test_assignment_rejects_bad_operands(u):
     other = build_universe(["q"], [])
     with pytest.raises(DeclarationError):
-        assign_transfer(bottom(u), u.resolve("y"), AtomRef(other.resolve("q")))
+        assign_transfer(bottom(u), u.resolve("y"), other.resolve("q"))
     with pytest.raises(DeclarationError):
-        assign_transfer(bottom(u), other.resolve("q"), AtomRef(u.resolve("a")))
-    deep = Sum(parse_term("a+b", u), AtomRef(u.resolve("a")))
+        assign_transfer(bottom(u), other.resolve("q"), u.resolve("a"))
+    deep = Sum(parse_term("a+b", u), u.resolve("a"))
     with pytest.raises(UniverseMismatchError):
         assign_transfer(bottom(u), u.resolve("y"), deep)
 
@@ -104,21 +103,20 @@ def _raised(call, *args):
 def test_transfer_diagnostics_keep_their_types_messages_and_order(u):
     other = build_universe(["q"], [])
     y, q, a = u.resolve("y"), other.resolve("q"), u.resolve("a")
-    atom_a, atom_q = AtomRef(a), AtomRef(q)
-    deep = Sum(parse_term("a+b", u), atom_a)
-    self_deep = Sum(parse_term("y+b", u), atom_a)
+    deep = Sum(parse_term("a+b", u), a)
+    self_deep = Sum(parse_term("y+b", u), a)
     not_declared = lambda name: (DeclarationError, f"{name!r} is not a declared variable")
     bad_rhs = (UniverseMismatchError, "right-hand side must be an atom or a sum of two atoms")
     p = bottom(u)
     for args, want in [
-        ((p, q, atom_a), not_declared("q")),
-        ((p, a, atom_a), not_declared("a")),
-        ((p, u.reserved[0], atom_a), not_declared("$nd1")),
-        ((p, y, atom_q), (DeclarationError, "undeclared atom 'q'")),
+        ((p, q, a), not_declared("q")),
+        ((p, a, a), not_declared("a")),
+        ((p, u.reserved[0], a), not_declared("$nd1")),
+        ((p, y, q), (DeclarationError, "undeclared atom 'q'")),
         ((p, y, deep), bad_rhs),
         ((p, y, parse_term("y+a", u)), (SelfReferenceError, "'y' appears in its own right-hand side")),
         # the target is checked first, then the right-hand side, then self-reference
-        ((p, q, atom_q), not_declared("q")),
+        ((p, q, q), not_declared("q")),
         ((p, a, deep), not_declared("a")),
         ((p, y, self_deep), bad_rhs),
     ]:
@@ -134,7 +132,7 @@ def test_nondet_on_bottom_is_bottom(u):
 
 def test_nondet_clobbers_copy_relation(u):
     x, y = u.resolve("x"), u.resolve("y")
-    p = assign_transfer(bottom(u), y, AtomRef(x))
+    p = assign_transfer(bottom(u), y, x)
     assert cls(p, "y") == {"x", "y"}
     q = nondet_transfer(p, y)
     # every class involving y collapses back to a singleton
@@ -161,7 +159,7 @@ def test_nondet_definitional_with_no_samples_is_identity(u):
 def test_nondet_definitional_with_reserved_pair_matches_transfer(u):
     rng = random.Random(23)
     y = u.resolve("y")
-    c1, c2 = (AtomRef(c) for c in u.reserved)
+    c1, c2 = u.reserved
     for _ in range(20):
         p = rand_partition(u, rng)
         assert nondet_definitional(p, y, [c1, c2]) == nondet_transfer(p, y)
@@ -169,11 +167,11 @@ def test_nondet_definitional_with_reserved_pair_matches_transfer(u):
 
 def test_nondet_definitional_sample_sensitivity(u):
     x, y = u.resolve("x"), u.resolve("y")
-    p = assign_transfer(bottom(u), y, AtomRef(x))
-    keeps = nondet_definitional(p, y, [AtomRef(x)])
+    p = assign_transfer(bottom(u), y, x)
+    keeps = nondet_definitional(p, y, [x])
     assert cls(keeps, "y") == {"x", "y"}
-    c1, c2 = (AtomRef(c) for c in u.reserved)
-    breaks = nondet_definitional(p, y, [AtomRef(x), c1, c2])
+    c1, c2 = u.reserved
+    breaks = nondet_definitional(p, y, [x, c1, c2])
     assert cls(breaks, "y") == {"y"}
 
 
@@ -194,7 +192,7 @@ def test_nondet_matches_full_definitional_oracle(u):
 def test_user_constant_pair_gives_same_nondet_result(u):
     rng = random.Random(25)
     y = u.resolve("y")
-    a, b = AtomRef(u.resolve("a")), AtomRef(u.resolve("b"))
+    a, b = u.resolve("a"), u.resolve("b")
     for _ in range(20):
         p = rand_partition(u, rng)
         via_user = meet_all([p, assign_transfer(p, y, a), assign_transfer(p, y, b)])
@@ -293,5 +291,5 @@ def test_assign_kernel_matches_reference_on_non_congruences(u):
 def test_pair_classes_keep_last_writer(u):
     # x ~ y, but x+x and y+y sit apart: (class x, class x) names the later one
     p = make_partition(u, [["x", "y"]])
-    x, y = AtomRef(u.resolve("x")), AtomRef(u.resolve("y"))
+    x, y = u.resolve("x"), u.resolve("y")
     assert p.pair_classes()[(p.class_of(x), p.class_of(x))] == p.class_of(Sum(y, y))
