@@ -7,7 +7,6 @@ fixpoint result against an explicit meet-over-all-paths computation.
 """
 
 from .congruence import (
-    ExtendedValue,
     LatticeElem,
     Partition,
     TOP,
@@ -17,7 +16,6 @@ from .congruence import (
     get_class,
     is_top,
     meet,
-    meet_all,
     refines,
     term_value,
 )
@@ -65,9 +63,8 @@ from .transfer import (
 
 __all__ = [
     # congruence
-    "ExtendedValue", "LatticeElem", "Partition", "TOP", "Top", "bottom",
-    "equivalent", "get_class", "is_top", "meet", "meet_all", "refines",
-    "term_value",
+    "LatticeElem", "Partition", "TOP", "Top", "bottom", "equivalent",
+    "get_class", "is_top", "meet", "refines", "term_value",
     # dataflow
     "Confluence", "Entry", "FlowGraph", "NodeKind",
     "SolveResult", "composite_step", "solve", "validate_graph",

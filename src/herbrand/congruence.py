@@ -1,9 +1,6 @@
-"""Congruence partitions over a term universe and their meet semilattice.
+"""Herbrand congruences over a term universe and their meet semilattice.
 
-A ``Partition`` assigns every universe term a dense class label. Labels are
-canonicalized to first-occurrence order at construction, so structurally
-equal partitions compare equal no matter how their classes were numbered.
-A well-formed congruence additionally satisfies three axioms:
+A congruence on the universe (atoms plus ordered atom pairs) satisfies:
 
   C1  distinct constants (including the reserved pair) lie in distinct
       classes;
@@ -12,31 +9,33 @@ A well-formed congruence additionally satisfies three axioms:
   C3  a class containing a constant contains, besides that constant, only
       variables.
 
-``Partition`` itself admits arbitrary partitions; the transfers and the
-meet preserve the axioms, and the tests check them. The lattice adds an
-artificial greatest element ``TOP`` so that the meet of an empty collection
-is defined. Lattice values compare with ``==``: two partitions are equal
-when they share the universe object and the canonical labels, and equal
-values hash equal (a partition hashes its labels once, at construction).
+By C2 a pair's class is a function of its operands' classes. So a
+``Partition`` holds m atom labels and, per atom class, at most one
+definition: the operand class pair whose pairs lie in that class (the
+strong equivalence DAG of Gulwani and Necula, SAS 2004, cut to depth 1).
+Every undefined operand class pair is a class of pairs only. Queries number
+the classes as first occurrence over the universe would: the k atom classes
+0..k-1, then the undefined pair classes (l, r) in lexicographic order.
 
-The meet is the product of the two partitions (Kildall, POPL 1973). When the
-left operand already refines the right one that product is the left operand
-itself, so ``meet`` returns it unchanged and builds no new partition; the
-running path meet of ``mop_table`` almost always takes this route.
+``TOP`` is an artificial greatest element, so that the meet of an empty
+collection is defined. Lattice values compare with ``==``, and equal values
+hash equal. The meet is the product of the two partitions (Kildall, POPL
+1973); when that is the left operand, ``meet`` returns the left operand
+itself, as the running path meet of ``mop_table`` almost always does.
 
-Terms are ``Atom | Sum``, so ``p.class_of(atom)`` takes an atom directly.
-Queries about terms deeper than the universe go through ``term_value``: the
-class structure of a deep term is folded bottom-up into an ``int`` class
-label or a pair (tuple) of operand values, collapsing any operand pair that
-matches the class pattern of some universe compound (well defined by C2).
-Two terms of any depth are equivalent exactly when their values coincide.
+``term_value`` folds a term of any depth bottom-up into an ``int`` class
+label or a pair (tuple) of operand values, collapsing each operand pair of
+atom classes into its pair class. Two terms of any depth are equivalent
+exactly when their values coincide.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import count, product
-from typing import Iterable, Union
+from itertools import chain, count, product, starmap
+from typing import Union
 
 from .errors import DeclarationError, UniverseMismatchError
 from .terms import Atom, Sum, Term, TermUniverse
@@ -60,61 +59,75 @@ TOP = Top()
 
 @dataclass(frozen=True)
 class Partition:
-    """A partition of the universe terms, canonically labeled.
+    """A congruence of the universe terms, canonically labeled.
 
-    ``labels[i]`` is the class of ``universe.terms[i]``. The constructor
-    accepts any hashable grouping keys and renumbers them densely in first
-    occurrence order, so callers may pass raw keys produced by a transfer
-    or a meet. The hash of the canonical labels is computed once, here.
+    ``atoms[i]`` is the class of ``universe.atoms[i]``, and ``defs[c]`` is
+    ``None`` or the operand class pair ``(l, r)`` of the pairs in atom class
+    ``c``. The constructor accepts any hashable keys for the atoms and a
+    mapping from key to a pair of keys for the definitions. It renumbers the
+    keys densely in first-occurrence order and drops a definition whose class
+    or operand key no atom has, since no universe pair can then reach it.
+    Two classes with one definition would be one class, so they raise
+    ``ValueError``. The hash is computed once, here.
     """
 
     universe: TermUniverse
-    labels: tuple[int, ...]
+    atoms: tuple[int, ...]
+    defs: tuple[tuple[int, int] | None, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.universe.terms):
-            raise ValueError(
-                f"expected {len(self.universe.terms)} labels, got {len(self.labels)}"
-            )
-        ids = dict(zip(dict.fromkeys(self.labels), count()))
-        # via a list: tuple() of a map grows by repeated reallocation, which
-        # raised the peak RSS of a large analysis
-        dense = list(map(ids.__getitem__, self.labels))
-        object.__setattr__(self, "labels", tuple(dense))
-        object.__setattr__(self, "_hash", hash(self.labels))
+        keys = tuple(self.atoms)
+        if len(keys) != len(self.universe.atoms):
+            raise ValueError(f"expected {len(self.universe.atoms)} atom labels, got {len(keys)}")
+        ids = dict(zip(dict.fromkeys(keys), count()))
+        defs: list[tuple[int, int] | None] = [None] * len(ids)
+        for key, pair in self.defs.items():
+            c = ids.get(key)
+            if c is not None and pair is not None:
+                left, right = ids.get(pair[0]), ids.get(pair[1])
+                if left is not None and right is not None:
+                    defs[c] = (left, right)
+        defined = [pair for pair in defs if pair is not None]
+        if len(set(defined)) != len(defined):
+            raise ValueError("two atom classes share a definition")
+        object.__setattr__(self, "atoms", tuple(map(ids.__getitem__, keys)))
+        object.__setattr__(self, "defs", tuple(defs))
+        object.__setattr__(self, "_hash", hash((self.atoms, self.defs)))
 
     def __hash__(self) -> int:
-        # equal partitions have equal labels; the generated __eq__ still
-        # tells partitions over different universes apart
+        # equal partitions have equal labels and definitions; the generated
+        # __eq__ still tells partitions over different universes apart
         return self._hash
 
     @property
     def num_classes(self) -> int:
-        return max(self.labels, default=-1) + 1
+        k = len(self.defs)
+        return k + k * k - (k - self.defs.count(None))
+
+    def _pair_class(self) -> Callable[[int, int], int]:
+        """Maps operand atom classes ``(l, r)`` to the label of their pair class."""
+        k = len(self.defs)
+        defined = {pair: c for c, pair in enumerate(self.defs) if pair is not None}
+        below = sorted(defined)
+
+        def label(left: int, right: int) -> int:
+            c = defined.get((left, right))
+            return k + left * k + right - bisect_left(below, (left, right)) if c is None else c
+
+        return label
 
     def class_of(self, t: Term) -> int:
-        pos = self.universe.index.get(t)
-        if pos is None:
+        if t not in self.universe.index:
             raise DeclarationError(f"term not in universe: {t}")
-        return self.labels[pos]
+        return term_value(t, self)
 
     def classes(self) -> list[list[Term]]:
         """Class member lists, ordered by class label, members in term order."""
         out: list[list[Term]] = [[] for _ in range(self.num_classes)]
-        for t, lab in zip(self.universe.terms, self.labels):
-            out[lab].append(t)
+        pair_labels = starmap(self._pair_class(), product(self.atoms, repeat=2))
+        for t, c in zip(self.universe.terms, chain(self.atoms, pair_labels)):
+            out[c].append(t)
         return out
-
-    def pair_classes(self) -> dict[tuple[int, int], int]:
-        """``(class(l), class(r)) -> class(l+r)`` over the universe pairs.
-
-        Functional by C2; otherwise the last pair in row-major order wins.
-        Built on each call and not cached, so a long-lived partition does not
-        keep an up-to-m² dict alive.
-        """
-        m = len(self.universe.atoms)
-        atom_labels = self.labels[:m]
-        return dict(zip(product(atom_labels, atom_labels), self.labels[m:]))
 
 
 LatticeElem = Union[Top, Partition]
@@ -126,31 +139,27 @@ def is_top(elem: LatticeElem) -> bool:
 
 def bottom(universe: TermUniverse) -> Partition:
     """The finest partition: every universe term in its own class."""
-    return Partition(universe, tuple(range(len(universe.terms))))
+    return Partition(universe, range(len(universe.atoms)), {})
 
 
-# an int class label, or the pair of the operand values of a sum that no
-# universe pair matches
-ExtendedValue = Union[int, tuple["ExtendedValue", "ExtendedValue"]]
+def term_value(t: Term, p: Partition) -> int | tuple:
+    """Canonical class value of a term of arbitrary depth under ``p``: an
+    ``int`` class label, or the pair of the operand values of a sum whose
+    operands are not both atom classes."""
+    index, k = p.universe.index, len(p.defs)
+    label = p._pair_class()
 
-
-def term_value(t: Term, p: Partition) -> ExtendedValue:
-    """Canonical class value of a term of arbitrary depth under ``p``."""
-    index = p.universe.index
-    pair_classes: dict[tuple[int, int], int] | None = None  # built on first need
-
-    def value(t: Term) -> ExtendedValue:
-        nonlocal pair_classes
-        pos = index.get(t)
-        if pos is not None:
-            return p.labels[pos]
+    def value(t: Term) -> int | tuple:
         if isinstance(t, Atom):
-            raise DeclarationError(f"undeclared atom {t.name!r}")
+            pos = index.get(t)
+            if pos is None:
+                raise DeclarationError(f"undeclared atom {t.name!r}")
+            return p.atoms[pos]
         assert isinstance(t, Sum)
-        pair = (value(t.left), value(t.right))
-        if pair_classes is None:
-            pair_classes = p.pair_classes()
-        return pair_classes.get(pair, pair)
+        left, right = value(t.left), value(t.right)
+        if type(left) is int and type(right) is int and left < k and right < k:
+            return label(left, right)
+        return (left, right)
 
     return value(t)
 
@@ -160,45 +169,44 @@ def equivalent(t1: Term, t2: Term, p: Partition) -> bool:
 
 
 def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
-    """Greatest lower bound: pairwise nonempty class intersections.
+    """Greatest lower bound: the product of the two congruences.
 
-    ``l1`` itself when it already refines ``l2``.
+    Atom i goes to the class of its label pair. A product class keeps a
+    definition when both sides define it, built from the two definitions'
+    operand product classes; the constructor drops it unless both of those
+    have atoms. ``l1`` itself when the product equals it, which is checked
+    before the product is built.
     """
     if is_top(l1):
         return l2
     if is_top(l2):
         return l1
     assert isinstance(l1, Partition) and isinstance(l2, Partition)
-    if refines(l1, l2):
-        return l1
-    return Partition(l1.universe, tuple(zip(l1.labels, l2.labels)))
-
-
-def meet_all(elems: Iterable[LatticeElem]) -> LatticeElem:
-    """Fold of ``meet``; the empty collection yields ``TOP``."""
-    acc: LatticeElem = TOP
-    for elem in elems:
-        acc = meet(acc, elem)
-    return acc
+    if l1.universe is not l2.universe:
+        raise UniverseMismatchError("partitions built over different universes")
+    keys = list(zip(l1.atoms, l2.atoms))
+    classes = dict.fromkeys(keys)
+    defs1, defs2 = l1.defs, l2.defs
+    if len(classes) == len(defs1):
+        # the product has l1's atom classes, each inside its image in l2; it
+        # keeps l1's definitions when l2 defines each image by the images of
+        # the operand classes
+        image = dict(keys)
+        if all(d is None or defs2[image[c]] == (image[d[0]], image[d[1]]) for c, d in enumerate(defs1)):
+            return l1
+    defs = {
+        (c1, c2): tuple(zip(defs1[c1], defs2[c2]))
+        for c1, c2 in classes
+        if defs1[c1] is not None and defs2[c2] is not None
+    }
+    return Partition(l1.universe, keys, defs)
 
 
 def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
     """True iff every class of ``l1`` is contained in a class of ``l2``."""
-    if is_top(l2):
-        return True
-    if is_top(l1):
-        return False
-    assert isinstance(l1, Partition) and isinstance(l2, Partition)
-    if l1.universe is not l2.universe:
-        raise UniverseMismatchError("partitions built over different universes")
-    a, b = l1.labels, l2.labels
-    # map each class of l1 to a class of l2 it meets; l1 refines l2 exactly
-    # when that map sends every position to its own l2 label
-    image = dict(zip(a, b))
-    return tuple(map(image.__getitem__, a)) == b
+    return meet(l1, l2) == l1
 
 
 def get_class(t: Term, p: Partition) -> set[Term]:
     """All universe terms sharing the class of ``t``."""
-    lab = p.class_of(t)
-    return {s for s, l in zip(p.universe.terms, p.labels) if l == lab}
+    return set(p.classes()[p.class_of(t)])

@@ -76,8 +76,9 @@ def validate_graph(
 ) -> FlowGraph:
     """Check the structural rules and return an immutable graph.
 
-    Node ids and predecessors are plain ``int``s (a ``bool`` is not one), and
-    each predecessor list is a sequence; anything else raises ``GraphError``.
+    Node ids and predecessors are plain ``int``s (a ``bool`` is not one),
+    ``preds`` is a mapping and each predecessor list is a sequence; anything
+    else raises ``GraphError``.
     """
     for k in kinds:
         if type(k) is not int:
@@ -88,6 +89,8 @@ def validate_graph(
         raise GraphError("empty graph: node 1 (entry) is required")
     if ids != list(range(1, n + 1)):
         raise GraphError(f"node ids must be 1..{n} without gaps, got {ids}")
+    if not isinstance(preds, Mapping):
+        raise GraphError(f"predecessors {preds!r} are not a mapping")
     for k in preds:
         if type(k) is not int or k not in kinds:
             raise GraphError(f"predecessors given for unknown node {k!r}")

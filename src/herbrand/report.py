@@ -8,15 +8,13 @@ visibility only, never membership.
 
 One render call does each piece of work once:
 
-* a *layout* per universe holds the visible grid positions (all of them
-  with ``full``; otherwise the atoms below the reserved constants and the
-  pairs of such atoms) and the name of each, formatted once (``a``,
-  ``a+b``);
+* a *layout* per universe holds the visible atoms (all of them with
+  ``full``; otherwise those below the reserved constants) and the names of
+  them and of their pairs, formatted once (``a``, ``a+b``);
 * a memo from value to class rows, so nodes and ``--trace`` iterates that
-  share a value render it once. Rows are picked in C-level passes: one
-  ``itemgetter`` gathers the visible labels, a ``Counter`` marks the labels
-  that occur more than once, ``compress`` keeps their members and one sort
-  of (label, name) pairs groups them;
+  share a value render it once. An atom class's row is its visible atoms
+  plus the pairs over its definition's operand classes; an undefined
+  operand class pair's row is the pairs over the two classes;
 * a writer for the fixed shape of a points list, in text or in the JSON
   layout of ``json.dumps(indent=2)`` with strings escaped by its encoder,
   ``encode_basestring_ascii``. It renders each distinct value's entry once
@@ -28,45 +26,50 @@ Nothing is kept from one call to the next.
 from __future__ import annotations
 
 import json
-from collections import Counter
-from itertools import chain, compress, groupby
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Iterable
 
 from .congruence import LatticeElem, Partition, is_top
 from .terms import TermUniverse
 
-_label = itemgetter(0)
-_name = itemgetter(1)
-
 
 class _Layout:
-    """The visible positions of one universe's grid and their names."""
+    """The visible atoms of one universe, their names and their pairs' names."""
 
     def __init__(self, universe: TermUniverse, full: bool) -> None:
         names = [atom.name for atom in universe.atoms]
-        m = len(names)
-        self.gather = None
         if not full:
-            k = m - len(universe.reserved)
-            names = names[:k]
-            pair_rows = (range(m + i * m, m + i * m + k) for i in range(k))
-            positions = [*range(k), *chain.from_iterable(pair_rows)]
-            # k + k*k positions: none, or at least two, so that itemgetter
-            # returns a tuple
-            self.gather = itemgetter(*positions) if positions else lambda labels: ()
-        self.names = names + [f"{a}+{b}" for a in names for b in names]
+            names = names[: len(names) - len(universe.reserved)]
+        self.names = names
+        self.pair_names = [[f"{a}+{b}" for b in names] for a in names]
+        # a shown class has at least this many visible members
+        self.least = 1 if full else 2
 
-    def rows(self, labels: tuple[int, ...]) -> list[list[str]]:
-        names: Iterable[str] = self.names
-        if self.gather is not None:
-            labels = self.gather(labels)
-            counts = Counter(labels)
-            shared = list(map((1).__lt__, map(counts.__getitem__, labels)))
-            labels, names = compress(labels, shared), compress(names, shared)
-        members = sorted(zip(labels, names))
-        return sorted([list(map(_name, group)) for _, group in groupby(members, _label)])
+    def rows(self, p: Partition) -> list[list[str]]:
+        members: list[list[int]] = [[] for _ in p.defs]
+        for i, c in zip(range(len(self.names)), p.atoms):
+            members[c].append(i)
+        names, pair_names = self.names, self.pair_names
+
+        def pairs(left: int, right: int) -> list[str]:
+            return [pair_names[i][j] for i in members[left] for j in members[right]]
+
+        rows = []
+        for c, pair in enumerate(p.defs):
+            row = [names[i] for i in members[c]]
+            if pair is not None:
+                row += pairs(*pair)
+            if len(row) >= self.least:
+                rows.append(sorted(row))
+        # an undefined operand class pair (l, r) has |l| * |r| visible members
+        shown = [c for c, on in enumerate(members) if on]
+        shared = [c for c in shown if len(members[c]) > 1]
+        defined = set(p.defs)
+        for left in shown:
+            rights = shown if len(members[left]) >= self.least else shared
+            rows.extend(sorted(pairs(left, right)) for right in rights if (left, right) not in defined)
+        rows.sort()
+        return rows
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -96,7 +99,7 @@ class _Render:
             layout = self.layouts.get(elem.universe)
             if layout is None:
                 layout = self.layouts[elem.universe] = _Layout(elem.universe, self.full)
-            rows = layout.rows(elem.labels)
+            rows = layout.rows(elem)
         self.memo[elem] = rows
         return rows
 

@@ -35,9 +35,6 @@ class Atom:
     kind: str
     name: str
 
-    def is_constant(self) -> bool:
-        return self.kind != VARIABLE
-
     def __str__(self) -> str:
         return self.name
 
@@ -82,13 +79,6 @@ class TermUniverse:
         if atom is None:
             raise DeclarationError(f"undeclared name {name!r}")
         return atom
-
-    def pair_operands(self, pos: int) -> tuple[int, int]:
-        """Atom positions (left, right) of the compound term at ``pos``."""
-        m = len(self.atoms)
-        if pos < m:
-            raise ValueError(f"term at position {pos} is an atom")
-        return divmod(pos - m, m)
 
 
 def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:

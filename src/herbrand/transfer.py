@@ -2,22 +2,25 @@
 
 A deterministic assignment ``y := beta`` maps a partition through inverse
 substitution: two terms are equivalent afterwards exactly when substituting
-``beta`` for ``y`` in both yields equivalent terms beforehand. A
-non-deterministic assignment ``y := *`` (input statement) keeps a pair
-equivalent only if the equivalence survives every ``y``-free substitution,
-which reduces to substituting two distinct fresh constants. Both map ``TOP``
-to ``TOP`` without looking at the statement.
+``beta`` for ``y`` in both yields equivalent terms beforehand. On a
+``Partition`` that moves the atom ``y`` alone, into the class of ``beta``;
+every pair follows its operands' classes by C2. A non-deterministic
+assignment ``y := *`` (input statement) keeps a pair equivalent only if the
+equivalence survives every ``y``-free substitution, which reduces to
+substituting two distinct fresh constants; that moves ``y`` into a fresh
+class of its own. When ``y`` was the last atom of its old class, the
+constructor drops that class and every definition that uses it. Both
+transfers map ``TOP`` to ``TOP`` without looking at the statement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Union
 
-from .congruence import LatticeElem, Partition, is_top, meet_all
+from .congruence import LatticeElem, Partition, is_top
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, Term, VARIABLE, occurs
+from .terms import Atom, Term, TermUniverse, VARIABLE, occurs
 
 
 def _check_not_self_referential(y: Atom, beta: Term) -> None:
@@ -42,60 +45,55 @@ class NonDet:
 Statement = Union[Assign, NonDet]
 
 
+def _variable_position(universe: TermUniverse, y: Atom) -> int:
+    yi = universe.index.get(y)
+    if yi is None or y.kind != VARIABLE:
+        raise DeclarationError(f"{y.name!r} is not a declared variable")
+    return yi
+
+
 def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     """Semantics of ``y := beta``; requires ``y`` not to occur in ``beta``.
 
-    Works on the universe grid (atom ``i`` at position ``i``, pair ``(i, j)``
-    at ``m + i*m + j``). Only the ``2m`` positions mentioning ``y`` change:
-    each takes the class of its image under ``[beta/y]``. For an atom ``b``
-    the image is another universe position; for a pair ``beta`` the image of
-    ``y+j`` or ``i+y`` is a depth-2 term, whose key is the universe class
-    with the same operand classes, if any, else the operand class pair.
+    ``y`` joins the class of ``beta``. For an atom that is the atom's class;
+    for a pair ``a+b`` it is the atom class defined as (class a, class b) if
+    there is one, else a fresh class with that definition. Every other atom
+    keeps its class, and every pair follows its operands' classes by C2.
     """
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
     universe = elem.universe
-    yi = universe.index.get(y)
-    if yi is None or y.kind != VARIABLE:
-        raise DeclarationError(f"{y.name!r} is not a declared variable")
+    yi = _variable_position(universe, y)
     bpos = universe.index.get(beta)
     if bpos is None:
         if isinstance(beta, Atom):
             raise DeclarationError(f"undeclared atom {beta.name!r}")
         raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
     _check_not_self_referential(y, beta)
-    labels = elem.labels
-    m = len(universe.atoms)
-    row = m + yi * m
-    keys: list[object] = list(labels)
+    atoms = list(elem.atoms)
+    defs = dict(enumerate(elem.defs))
+    m = len(atoms)
     if bpos < m:
-        brow = m + bpos * m
-        keys[yi] = labels[bpos]
-        keys[row : row + m] = labels[brow : brow + m]
-        keys[m + yi :: m] = labels[m + bpos :: m]
-        keys[row + yi] = labels[brow + bpos]
+        atoms[yi] = atoms[bpos]
     else:
-        cb = labels[bpos]
-        pair_classes = elem.pair_classes()
-        operands = list(labels[:m])
-        operands[yi] = cb
-        row_pairs = list(zip(repeat(cb), operands))
-        column_pairs = list(zip(operands, repeat(cb)))
-        keys[yi] = cb
-        keys[row : row + m] = map(pair_classes.get, row_pairs, row_pairs)
-        keys[m + yi :: m] = list(map(pair_classes.get, column_pairs, column_pairs))
-    return Partition(universe, keys)
+        i, j = divmod(bpos - m, m)
+        pair = (atoms[i], atoms[j])
+        atoms[yi] = elem.defs.index(pair) if pair in elem.defs else len(defs)
+        defs[atoms[yi]] = pair
+    return Partition(universe, atoms, defs)
 
 
 def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
-    """Semantics of ``y := *`` via the two reserved constants; the first
-    ``assign_transfer`` checks that ``y`` is a declared variable."""
+    """Semantics of ``y := *``: ``y`` moves to a fresh class with no
+    definition, which is the meet of ``elem`` with ``y := $nd1`` and
+    ``y := $nd2`` over the two reserved constants."""
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
-    c1, c2 = elem.universe.reserved
-    return meet_all([elem, assign_transfer(elem, y, c1), assign_transfer(elem, y, c2)])
+    atoms = list(elem.atoms)
+    atoms[_variable_position(elem.universe, y)] = len(elem.defs)
+    return Partition(elem.universe, atoms, dict(enumerate(elem.defs)))
 
 
 def apply_statement(elem: LatticeElem, stmt: Statement) -> LatticeElem:

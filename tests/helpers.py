@@ -1,7 +1,8 @@
 """Shared fixtures-in-code: program loading, hand-built partitions, the
-term-level, congruence-axiom, lattice, fixpoint, path-level and report
-reference oracles, and the seeded random generators used by property and
-acceptance tests."""
+label-grid reference representation and its kernels, the term-level,
+congruence-axiom, lattice, fixpoint, path-level and report reference
+oracles, and the seeded random generators used by property and acceptance
+tests."""
 
 from __future__ import annotations
 
@@ -11,13 +12,15 @@ import json
 import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, product
 from pathlib import Path
 from typing import Iterable
 
 from herbrand import (
     Assign,
     Atom,
+    DeclarationError,
     FlowGraph,
     LatticeElem,
     NonDet,
@@ -36,12 +39,11 @@ from herbrand import (
     get_class,
     is_top,
     meet,
-    meet_all,
     mop_table,
     occurs,
     parse_program,
     parse_term,
-    term_value,
+    solve,
 )
 from herbrand.cli import main as cli_main
 from herbrand.dataflow import default_iteration_limit
@@ -74,18 +76,172 @@ def load_program(name: str):
 
 
 def make_partition(universe: TermUniverse, groups: list[list[str]]) -> Partition:
-    """Partition with the given classes (term texts); everything else singleton."""
+    """The least congruence with the given classes (term texts): the atoms
+    of a group share a class, which the group's one pair, if any, defines;
+    every other atom is a singleton."""
+    keys: list[object] = list(range(len(universe.atoms)))
+    pairs = {}
+    for gi, group in enumerate(groups):
+        for text in group:
+            t = parse_term(text, universe)
+            if isinstance(t, Sum):
+                pairs[("group", gi)] = t
+            else:
+                keys[universe.index[t]] = ("group", gi)
+    defs = {key: (keys[universe.index[t.left]], keys[universe.index[t.right]]) for key, t in pairs.items()}
+    return Partition(universe, keys, defs)
+
+
+def make_grid(universe: TermUniverse, groups: list[list[str]]) -> GridPartition:
+    """Grid partition with the given classes (term texts); everything else
+    singleton. Congruence or not."""
     labels: list[object] = list(range(len(universe.terms)))
     for gi, group in enumerate(groups):
         for text in group:
             pos = universe.index[parse_term(text, universe)]
             labels[pos] = ("group", gi)
-    return Partition(universe, tuple(labels))
+    return GridPartition(universe, tuple(labels))
 
 
 def cls(p: Partition, text: str) -> set[str]:
     """Formatted member set of the class of the given term."""
     return {format_term(t) for t in get_class(parse_term(text, p.universe), p)}
+
+
+# ---------------------------------------------------------------------------
+# the label grid (the reference representation: one label per universe term,
+# atom i at position i and pair (i, j) at m + i*m + j) and its kernels
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridPartition:
+    """A partition of the universe terms, one canonical label per term.
+
+    ``labels[i]`` is the class of ``universe.terms[i]``. The constructor
+    accepts any hashable grouping keys and renumbers them densely in first
+    occurrence order. Any partition is admitted, congruence or not.
+    """
+
+    universe: TermUniverse
+    labels: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.labels) != len(self.universe.terms):
+            raise ValueError(f"expected {len(self.universe.terms)} labels, got {len(self.labels)}")
+        ids = {key: i for i, key in enumerate(dict.fromkeys(self.labels))}
+        object.__setattr__(self, "labels", tuple(map(ids.__getitem__, self.labels)))
+
+    @property
+    def num_classes(self) -> int:
+        return max(self.labels, default=-1) + 1
+
+    def class_of(self, t: Term) -> int:
+        return self.labels[self.universe.index[t]]
+
+    def classes(self) -> list[list[Term]]:
+        """Class member lists, ordered by class label, members in term order."""
+        out: list[list[Term]] = [[] for _ in range(self.num_classes)]
+        for t, lab in zip(self.universe.terms, self.labels):
+            out[lab].append(t)
+        return out
+
+    def pair_classes(self) -> dict[tuple[int, int], int]:
+        """``(class(l), class(r)) -> class(l+r)`` over the universe pairs.
+
+        Functional by C2; otherwise the last pair in row-major order wins.
+        """
+        m = len(self.universe.atoms)
+        atom_labels = self.labels[:m]
+        return dict(zip(product(atom_labels, atom_labels), self.labels[m:]))
+
+
+@lru_cache(maxsize=256)  # the report reference expands each node's value
+def grid(elem):
+    """The grid of a lattice value: a ``Partition`` is expanded through its
+    class member lists; ``TOP`` and a grid are returned as they are."""
+    if not isinstance(elem, Partition):
+        return elem
+    index = elem.universe.index
+    labels = [0] * len(index)
+    for c, members in enumerate(elem.classes()):
+        for t in members:
+            labels[index[t]] = c
+    return GridPartition(elem.universe, tuple(labels))
+
+
+def grid_term_value(t: Term, g: GridPartition):
+    """Class value of a term of any depth under ``g``: an ``int`` label, or
+    the pair of the operand values of a sum that no universe pair matches."""
+    pos = g.universe.index.get(t)
+    if pos is not None:
+        return g.labels[pos]
+    if isinstance(t, Atom):
+        raise DeclarationError(f"undeclared atom {t.name!r}")
+    pair = (grid_term_value(t.left, g), grid_term_value(t.right, g))
+    return g.pair_classes().get(pair, pair)
+
+
+def grid_refines(l1, l2) -> bool:
+    """True iff every class of ``l1`` is contained in a class of ``l2``."""
+    if is_top(l2):
+        return True
+    if is_top(l1):
+        return False
+    a, b = l1.labels, l2.labels
+    # map each class of l1 to a class of l2 it meets; l1 refines l2 exactly
+    # when that map sends every position to its own l2 label
+    image = dict(zip(a, b))
+    return tuple(map(image.__getitem__, a)) == b
+
+
+def grid_meet(l1, l2):
+    """Pairwise nonempty class intersections; ``l1`` itself when it already
+    refines ``l2``."""
+    if is_top(l1):
+        return l2
+    if is_top(l2):
+        return l1
+    if grid_refines(l1, l2):
+        return l1
+    return GridPartition(l1.universe, tuple(zip(l1.labels, l2.labels)))
+
+
+def grid_assign_transfer(g, y: Atom, beta: Term):
+    """``y := beta`` on the grid, for a declared variable ``y`` and a
+    ``y``-free universe term ``beta``.
+
+    Only the ``2m`` positions mentioning ``y`` change: each takes the class
+    of its image under ``[beta/y]``. For an atom ``b`` the image is another
+    universe position; for a pair ``beta`` the image of ``y+j`` or ``i+y`` is
+    a depth-2 term, whose key is the universe class with the same operand
+    classes, if any, else the operand class pair.
+    """
+    if is_top(g):
+        return g
+    universe = g.universe
+    yi, bpos = universe.index[y], universe.index[beta]
+    labels = g.labels
+    m = len(universe.atoms)
+    row = m + yi * m
+    keys: list[object] = list(labels)
+    if bpos < m:
+        brow = m + bpos * m
+        keys[yi] = labels[bpos]
+        keys[row : row + m] = labels[brow : brow + m]
+        keys[m + yi :: m] = labels[m + bpos :: m]
+        keys[row + yi] = labels[brow + bpos]
+    else:
+        cb = labels[bpos]
+        pair_classes = g.pair_classes()
+        operands = list(labels[:m])
+        operands[yi] = cb
+        row_pairs = [(cb, c) for c in operands]
+        column_pairs = [(c, cb) for c in operands]
+        keys[yi] = cb
+        keys[row : row + m] = [pair_classes.get(pair, pair) for pair in row_pairs]
+        keys[m + yi :: m] = [pair_classes.get(pair, pair) for pair in column_pairs]
+    return GridPartition(universe, tuple(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -113,48 +269,49 @@ def depth(t: Term) -> int:
 
 
 def reference_assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
-    """``y := beta`` by inverse substitution on ``Term`` trees.
+    """``y := beta`` by inverse substitution on ``Term`` trees, on the grid.
 
     Every universe term mentioning ``y`` is keyed by the class value of its
     image under ``[beta/y]``; every other term keeps its class. Inputs are
     not validated beyond the self-reference check.
     """
-    if is_top(elem):
-        return elem
-    assert isinstance(elem, Partition)
+    g = grid(elem)
+    if is_top(g):
+        return g
     if occurs(beta, y):
         raise SelfReferenceError(f"{y.name!r} occurs in its own right-hand side")
     keys = []
-    for pos, t in enumerate(elem.universe.terms):
+    for pos, t in enumerate(g.universe.terms):
         if occurs(t, y):
-            keys.append(term_value(substitute(t, y, beta), elem))
+            keys.append(grid_term_value(substitute(t, y, beta), g))
         else:
-            keys.append(elem.labels[pos])
-    return Partition(elem.universe, tuple(keys))
+            keys.append(g.labels[pos])
+    return GridPartition(g.universe, tuple(keys))
 
 
 def nondet_definitional(elem: LatticeElem, y: Atom, betas) -> LatticeElem:
-    """Reference semantics of ``y := *`` over an explicit substitution sample.
+    """Reference semantics of ``y := *`` over an explicit substitution
+    sample, on the grid.
 
     Two terms stay together iff they are equivalent under ``elem`` and remain
     equivalent after substituting each ``beta``.
     """
-    if is_top(elem):
-        return elem
-    assert isinstance(elem, Partition)
+    g = grid(elem)
+    if is_top(g):
+        return g
     betas = tuple(betas)
     for beta in betas:
         if occurs(beta, y):
             raise SelfReferenceError(f"sample substitution for {y.name!r} mentions it")
     keys = []
-    for t in elem.universe.terms:
+    for t in g.universe.terms:
         keys.append(
             (
-                term_value(t, elem),
-                tuple(term_value(substitute(t, y, beta), elem) for beta in betas),
+                grid_term_value(t, g),
+                tuple(grid_term_value(substitute(t, y, beta), g) for beta in betas),
             )
         )
-    return Partition(elem.universe, tuple(keys))
+    return GridPartition(g.universe, tuple(keys))
 
 
 def y_free_universe_terms(universe: TermUniverse, y: Atom) -> list[Term]:
@@ -174,8 +331,9 @@ class Violation:
     detail: str
 
 
-def congruence_violations(p: Partition) -> list[Violation]:
+def congruence_violations(p) -> list[Violation]:
     """Check axioms C1, C2, C3 over the whole universe; empty means valid."""
+    p = grid(p)
     u = p.universe
     m = len(u.atoms)
     out: list[Violation] = []
@@ -183,7 +341,7 @@ def congruence_violations(p: Partition) -> list[Violation]:
     # C1: a class may hold at most one constant.
     const_in_class: dict[int, Term] = {}
     for i, atom in enumerate(u.atoms):
-        if not atom.is_constant():
+        if atom.kind == VARIABLE:
             continue
         t = u.terms[i]
         other = const_in_class.setdefault(p.labels[i], t)
@@ -195,7 +353,7 @@ def congruence_violations(p: Partition) -> list[Violation]:
     by_key: dict[tuple[int, int], tuple[Term, int]] = {}
     by_label: dict[int, tuple[Term, tuple[int, int]]] = {}
     for pos in range(m, len(u.terms)):
-        i, j = u.pair_operands(pos)
+        i, j = divmod(pos - m, m)
         key = (p.labels[i], p.labels[j])
         t = u.terms[pos]
         lab = p.labels[pos]
@@ -219,7 +377,7 @@ def congruence_violations(p: Partition) -> list[Violation]:
             )
 
     # C3: besides the constant itself, only variables may join a constant's class.
-    const_labels = {p.labels[i]: u.terms[i] for i, a in enumerate(u.atoms) if a.is_constant()}
+    const_labels = {p.labels[i]: u.terms[i] for i, a in enumerate(u.atoms) if a.kind != VARIABLE}
     for pos in range(m, len(u.terms)):
         c = const_labels.get(p.labels[pos])
         if c is not None:
@@ -229,7 +387,7 @@ def congruence_violations(p: Partition) -> list[Violation]:
     return out
 
 
-def is_congruence(p: Partition) -> bool:
+def is_congruence(p) -> bool:
     return not congruence_violations(p)
 
 
@@ -240,12 +398,13 @@ def is_congruence(p: Partition) -> bool:
 
 def reference_refines(l1: LatticeElem, l2: LatticeElem) -> bool:
     """True iff every class of ``l1`` lies inside one class of ``l2``, by a
-    position-by-position scan that records where each class of ``l1`` goes."""
+    position-by-position scan of the grids that records where each class of
+    ``l1`` goes."""
+    l1, l2 = grid(l1), grid(l2)
     if is_top(l2):
         return True
     if is_top(l1):
         return False
-    assert isinstance(l1, Partition) and isinstance(l2, Partition)
     assert l1.universe is l2.universe
     image: dict[int, int] = {}
     for a, b in zip(l1.labels, l2.labels):
@@ -255,16 +414,21 @@ def reference_refines(l1: LatticeElem, l2: LatticeElem) -> bool:
 
 
 def reference_meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
-    """The product of two partitions: one class per distinct label pair."""
+    """The product of two partitions' grids: one class per distinct label pair."""
+    l1, l2 = grid(l1), grid(l2)
     if is_top(l1):
         return l2
     if is_top(l2):
         return l1
-    assert isinstance(l1, Partition) and isinstance(l2, Partition)
     assert l1.universe is l2.universe
     pair_ids: dict[tuple[int, int], int] = {}
     labels = [pair_ids.setdefault(pair, len(pair_ids)) for pair in zip(l1.labels, l2.labels)]
-    return Partition(l1.universe, tuple(labels))
+    return GridPartition(l1.universe, tuple(labels))
+
+
+def meet_all(elems: Iterable[LatticeElem]) -> LatticeElem:
+    """Fold of ``meet``; the empty collection yields ``TOP``."""
+    return reduce(meet, elems, TOP)
 
 
 # ---------------------------------------------------------------------------
@@ -392,9 +556,9 @@ def reference_visible_classes(elem: LatticeElem, full: bool = False) -> list[lis
     ``full`` is set only the atoms below index ``k`` and the pairs of such
     atoms are visible; only the kept classes are formatted.
     """
+    elem = grid(elem)
     if is_top(elem):
         return None
-    assert isinstance(elem, Partition)
     universe = elem.universe
     labels = elem.labels
     if full:
@@ -612,3 +776,27 @@ def full_corpus(random_count: int = 14) -> list[tuple[str, str]]:
     """Named program texts: every checked-in file plus generated ones."""
     named = [(name, program_text(name)) for name in CORPUS_FILES]
     return named + random_corpus(random_count)
+
+
+def large_looping_programs(number: int = 8, seed: int = 4242) -> list[tuple[str, TermUniverse, FlowGraph]]:
+    """Seeded random programs of 21 to 40 nodes, each closing a loop, parsed."""
+    out = []
+    for i in range(number):
+        text = rand_program_text(random.Random(seed + i), max_nodes=40, min_nodes=21)
+        universe, graph = parse_program(text)
+        assert graph.n > 20
+        # a predecessor at or after the node closes a loop
+        assert any(p >= k for k in range(1, graph.n + 1) for p in graph.pred(k)), i
+        out.append((f"large_{i}", universe, graph))
+    return out
+
+
+def iterate_values() -> list[Partition]:
+    """Every distinct non-``TOP`` value among the solver's iterates on
+    ``full_corpus()`` and ``large_looping_programs()``."""
+    programs = [(name, *parse_program(text)) for name, text in full_corpus()]
+    values: dict[Partition, None] = {}
+    for _, universe, graph in programs + large_looping_programs():
+        for row in solve(graph, universe, trace=True).trace:
+            values.update((p, None) for p in row if not is_top(p))
+    return list(values)

@@ -17,7 +17,6 @@ from herbrand import (
     assign_transfer,
     bottom,
     meet,
-    meet_all,
     nondet_transfer,
     parse_program,
     solve,
@@ -30,7 +29,9 @@ from helpers import (
     cls,
     congruence_violations,
     full_corpus,
+    grid,
     is_congruence,
+    meet_all,
     nondet_definitional,
     rand_partition,
     rand_statement,
@@ -132,7 +133,7 @@ def test_criterion_4_two_constant_characterization():
         y = rng.choice(universe.variables)
         via_reserved = nondet_transfer(p, y)
         via_all_betas = nondet_definitional(p, y, y_free_universe_terms(universe, y))
-        assert via_reserved == via_all_betas
+        assert grid(via_reserved) == via_all_betas
         if len(universe.constants) >= 2:
             c1, c2 = universe.constants[:2]
             via_user = meet_all(

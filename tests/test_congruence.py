@@ -15,7 +15,6 @@ from herbrand import (
     get_class,
     is_top,
     meet,
-    meet_all,
     occurs,
     parse_program,
     parse_term,
@@ -24,12 +23,22 @@ from herbrand import (
     term_value,
     assign_transfer,
 )
+from herbrand.terms import VARIABLE
 from helpers import (
+    GridPartition,
     cls,
     congruence_violations,
     full_corpus,
+    grid,
+    grid_meet,
+    grid_refines,
+    grid_term_value,
     is_congruence,
+    iterate_values,
+    large_looping_programs,
+    make_grid,
     make_partition,
+    meet_all,
     rand_partition,
     rand_universe,
     reference_meet,
@@ -195,13 +204,19 @@ def test_meet_is_the_greatest_lower_bound(u):
         assert reference_refines(r, p) and reference_refines(r, q) and reference_refines(r, m)
 
 
-def _assert_meet_and_refines_match_reference(p, q) -> bool:
-    """Check ``meet`` and ``refines`` on ``(p, q)`` against the references;
-    return whether ``p`` refines ``q``."""
+def _relabeled(p: Partition, f) -> Partition:
+    """``p`` built again from the keys ``f(label)``."""
+    defs = {f(c): (f(pair[0]), f(pair[1])) for c, pair in enumerate(p.defs) if pair is not None}
+    return Partition(p.universe, [f(c) for c in p.atoms], defs)
+
+
+def _assert_meet_and_refines_match_reference(p, q, meet=meet, refines=refines) -> bool:
+    """Check ``meet`` and ``refines`` on ``(p, q)`` against the grid
+    references; return whether ``p`` refines ``q``."""
     fine = reference_refines(p, q)
     assert refines(p, q) == fine, (p, q)
     met = meet(p, q)
-    assert met == reference_meet(p, q), (p, q)
+    assert grid(met) == reference_meet(p, q), (p, q)
     if fine:
         assert met is p, (p, q)
     return fine
@@ -215,11 +230,11 @@ def test_meet_matches_reference_on_random_labelings():
         q = rand_partition(universe, rng)
         r = rand_partition(universe, rng)
         if i % 4 == 0:
-            p = reference_meet(q, r)  # refines q
+            p = meet(q, r)  # refines q
         elif i % 4 == 1:
-            p, q = q, reference_meet(q, r)  # the right operand refines the left
+            p, q = q, meet(q, r)  # the right operand refines the left
         elif i % 4 == 2:
-            p = Partition(universe, q.labels)  # equal, but another object
+            p = _relabeled(q, lambda c: c)  # equal, but another object
         else:
             p = r
         refining += _assert_meet_and_refines_match_reference(p, q)
@@ -229,23 +244,24 @@ def test_meet_matches_reference_on_random_labelings():
 
 
 def test_meet_matches_reference_on_arbitrary_labelings():
-    # non-congruences too, so that classes cut across the grid layout
+    # the grid reference's meet on non-congruences, so that classes cut
+    # across the grid layout
     rng = random.Random(32)
     for _ in range(100):
         universe = rand_universe(rng)
         size = len(universe.terms)
         p, q = (
-            Partition(universe, tuple(rng.randrange(1 + rng.randrange(size)) for _ in range(size)))
+            GridPartition(universe, tuple(rng.randrange(1 + rng.randrange(size)) for _ in range(size)))
             for _ in range(2)
         )
-        _assert_meet_and_refines_match_reference(p, q)
-        _assert_meet_and_refines_match_reference(reference_meet(p, q), q)
+        _assert_meet_and_refines_match_reference(p, q, grid_meet, grid_refines)
+        _assert_meet_and_refines_match_reference(reference_meet(p, q), q, grid_meet, grid_refines)
 
 
 def test_meet_matches_reference_on_jacobi_traces():
     refining = pairs = 0
-    for _, text in full_corpus():
-        universe, graph = parse_program(text)
+    programs = [(name, *parse_program(text)) for name, text in full_corpus()]
+    for _, universe, graph in programs + large_looping_programs():
         trace = solve(graph, universe, trace=True).trace
         values = list({p: None for row in trace for p in row if not is_top(p)})
         for p in values:
@@ -257,8 +273,8 @@ def test_meet_matches_reference_on_jacobi_traces():
 
 def test_equal_partitions_hash_equal(u):
     raw = make_partition(u, [["x", "a"], ["y", "b"]])  # built from raw keys
-    canonical = Partition(u, raw.labels)
-    shifted = Partition(u, tuple(label + 17 for label in raw.labels))
+    canonical = _relabeled(raw, lambda c: c)
+    shifted = _relabeled(raw, lambda c: c + 17)
     assert raw == canonical == shifted
     assert hash(raw) == hash(canonical) == hash(shifted)
     memo = {(3, raw): "hit"}
@@ -312,34 +328,34 @@ def test_two_constant_substitutions_stay_apart(u):
 
 
 def test_congruence_violation_c1(u):
-    p = make_partition(u, [["a", "b"]])
+    p = make_grid(u, [["a", "b"]])
     violations = congruence_violations(p)
     assert any(v.axiom == "C1" for v in violations)
 
 
 def test_congruence_violation_c2_missing_forced_merge(u):
     # y and a share a class, but x+y and x+a do not
-    p = make_partition(u, [["y", "a"]])
+    p = make_grid(u, [["y", "a"]])
     violations = congruence_violations(p)
     assert any(v.axiom == "C2" for v in violations)
 
 
 def test_congruence_violation_c2_unforced_merge(u):
     # x+y and x+a share a class although y and a do not
-    p = make_partition(u, [["x+y", "x+a"]])
+    p = make_grid(u, [["x+y", "x+a"]])
     violations = congruence_violations(p)
     assert any(v.axiom == "C2" for v in violations)
 
 
 def test_congruence_violation_c3(u):
-    p = make_partition(u, [["a", "x+y"]])
+    p = make_grid(u, [["a", "x+y"]])
     violations = congruence_violations(p)
     assert any(v.axiom == "C3" for v in violations)
 
 
-def _brute_force_is_congruence(p: Partition) -> bool:
+def _brute_force_is_congruence(p) -> bool:
     u = p.universe
-    consts = [a for a in u.atoms if a.is_constant()]
+    consts = [a for a in u.atoms if a.kind != VARIABLE]
     for i, c in enumerate(consts):
         for c2 in consts[i + 1 :]:
             if p.class_of(c) == p.class_of(c2):
@@ -357,7 +373,7 @@ def _brute_force_is_congruence(p: Partition) -> bool:
     for c in consts:
         for t in u.terms:
             if p.class_of(t) == p.class_of(c) and t != c:
-                if not (isinstance(t, Atom) and not t.is_constant()):
+                if not (isinstance(t, Atom) and t.kind == VARIABLE):
                     return False
     return True
 
@@ -367,7 +383,7 @@ def test_violation_scan_matches_brute_force(u):
     count = len(u.terms)
     for _ in range(150):
         labels = tuple(rng.randrange(1 + rng.randrange(count)) for _ in range(count))
-        p = Partition(u, labels)
+        p = GridPartition(u, labels)
         assert is_congruence(p) == _brute_force_is_congruence(p)
     for _ in range(20):
         p = rand_partition(u, rng)
@@ -375,11 +391,11 @@ def test_violation_scan_matches_brute_force(u):
 
 
 def test_partitions_equal_ignores_label_names(u):
-    p = make_partition(u, [["x", "a"]])
-    relabeled = Partition(u, tuple(label + 17 for label in p.labels))
-    assert p == relabeled and hash(p) == hash(relabeled)
-    permuted = Partition(u, tuple(-label for label in p.labels))
-    assert p == permuted and hash(p) == hash(permuted)
+    for p in (make_partition(u, [["x", "a"]]), make_partition(u, [["x", "a+b"], ["y", "x+x"]])):
+        relabeled = _relabeled(p, lambda c: c + 17)
+        assert p == relabeled and hash(p) == hash(relabeled)
+        permuted = _relabeled(p, lambda c: -c)
+        assert p == permuted and hash(p) == hash(permuted)
 
 
 def test_partitions_equal_top_vs_partition(u):
@@ -397,7 +413,7 @@ def test_partitions_equal_is_an_equivalence(u):
     rng = random.Random(17)
     ps = [rand_partition(u, rng) for _ in range(6)]
     # equal copies that are distinct objects, so equality is not identity
-    ps += [TOP, Top()] + [Partition(u, p.labels) for p in ps[:3]]
+    ps += [TOP, Top()] + [_relabeled(p, lambda c: c) for p in ps[:3]]
     for p in ps:
         assert p == p
         for q in ps:
@@ -427,6 +443,39 @@ def test_meet_preserves_congruence_axioms(u):
 def test_num_classes_when_the_last_term_joins_an_earlier_class():
     universe = build_universe(["x"], [])
     size = len(universe.terms)
-    p = Partition(universe, (0, 1, *range(2, size - 1), 1))
-    assert p.num_classes == size - 1
-    assert [len(members) for members in p.classes()].count(2) == 1
+    # the last term is $nd2+$nd2: x is defined as it, and on the grid
+    # reference it joins $nd1
+    for p in (Partition(universe, (0, 1, 2), {0: (2, 2)}), GridPartition(universe, (0, 1, *range(2, size - 1), 1))):
+        assert p.num_classes == size - 1
+        assert [len(members) for members in p.classes()].count(2) == 1
+
+
+def test_two_atom_classes_cannot_share_a_definition():
+    universe = build_universe(["x", "y"], [])
+    with pytest.raises(ValueError, match="two atom classes share a definition"):
+        Partition(universe, [0, 1, 2, 3], {0: (2, 2), 1: (2, 2)})
+    # a definition over a class with no atom is dropped, so no clash remains
+    p = Partition(universe, [0, 1, 2, 2], {0: (3, 3), 1: (2, 2)})
+    assert p.defs == (None, (2, 2), None)
+
+
+def test_queries_match_the_grid_on_corpus_iterates():
+    rng = random.Random(33)
+    checked = 0
+    for p in iterate_values():
+        universe = p.universe
+        labels = tuple(map(p.class_of, universe.terms))
+        g = GridPartition(universe, labels)
+        # class_of already gives the grid's first-occurrence labels
+        assert g.labels == labels
+        assert p.num_classes == g.num_classes
+        assert p.classes() == g.classes()
+        for t in universe.terms:
+            assert get_class(t, p) == {s for s in universe.terms if g.class_of(s) == g.class_of(t)}
+        atoms = universe.atoms
+        for _ in range(20):
+            a, b, c, d = (rng.choice(atoms) for _ in range(4))
+            for t in (Sum(Sum(a, b), c), Sum(a, Sum(b, c)), Sum(Sum(a, b), Sum(c, d)), Sum(Sum(Sum(a, b), c), d)):
+                assert term_value(t, p) == grid_term_value(t, g), (p, t)
+                checked += 1
+    assert checked > 5000

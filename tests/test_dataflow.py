@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 import herbrand.dataflow
@@ -24,8 +22,8 @@ from helpers import (
     cls,
     full_corpus,
     is_congruence,
+    large_looping_programs,
     load_program,
-    rand_program_text,
     reference_round_robin,
 )
 from herbrand import parse_program
@@ -102,6 +100,9 @@ def test_every_kind_is_checked_against_its_arity(kinds, preds):
             {1: Entry(), 2: _NONDET}, {2: [1], True: []}, "predecessors given for unknown node True",
             None, id="preds-key-bool",
         ),
+        pytest.param({1: Entry()}, [1], "predecessors [1] are not a mapping", None, id="preds-list"),
+        pytest.param({1: Entry()}, (1,), "predecessors (1,) are not a mapping", None, id="preds-tuple"),
+        pytest.param({1: Entry()}, None, "predecessors None are not a mapping", None, id="preds-none"),
     ],
 )
 def test_malformed_ids_and_predecessor_lists_rejected(kinds, preds, message, node):
@@ -269,21 +270,9 @@ def _full_step_iterates(graph, universe):
             return states
 
 
-def _large_looping_programs(count: int = 8, seed: int = 4242):
-    out = []
-    for i in range(count):
-        text = rand_program_text(random.Random(seed + i), max_nodes=40, min_nodes=21)
-        universe, graph = parse_program(text)
-        assert graph.n > 20
-        # a predecessor at or after the node closes a loop
-        assert any(p >= k for k in range(1, graph.n + 1) for p in graph.pred(k)), i
-        out.append((f"large_{i}", universe, graph))
-    return out
-
-
 def _solver_corpus():
     named = [(name, *parse_program(text)) for name, text in full_corpus()]
-    return named + _large_looping_programs()
+    return named + large_looping_programs()
 
 
 def test_composite_step_on_a_node_subset_copies_the_rest():

@@ -27,9 +27,14 @@ def test_term_level_oracles_are_not_exported():
         "Violation",
         "substitute",
         "depth",
+        "meet_all",
+        "ExtendedValue",
     ):
         assert name not in herbrand.__all__
         assert not hasattr(herbrand, name)
+    assert not hasattr(herbrand.Atom, "is_constant")
+    assert not hasattr(herbrand.TermUniverse, "pair_operands")
+    assert not hasattr(herbrand.Partition, "pair_classes")
 
 
 def test_mop_submodule_is_not_shadowed():

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from herbrand import Partition, TOP, build_universe, emit_report, parse_program, solve, visible_classes
+from herbrand import TOP, build_universe, emit_report, format_term, parse_program, solve, visible_classes
 from herbrand.cli import main
 from helpers import (
     CORPUS_FILES,
+    GridPartition,
     PROGRAMS_DIR,
     ROOT,
     full_corpus,
@@ -90,16 +91,34 @@ def test_mop_report_matches_reference_before_stabilising(capsys):
             _assert_same(capsys.readouterr().out, want, (max_len, fmt))
 
 
+def _shown_classes(g, full):
+    """The classes of the grid ``g`` as a report lists them, from its member
+    lists: without ``full``, terms that mention a reserved constant and
+    classes left with one member are dropped."""
+    reserved = {atom.name for atom in g.universe.reserved}
+    rows = []
+    for members in g.classes():
+        names = sorted(format_term(t) for t in members)
+        if not full:
+            names = [name for name in names if not reserved.intersection(name.split("+"))]
+        if len(names) > (0 if full else 1):
+            rows.append(names)
+    return sorted(rows)
+
+
 def test_visible_classes_match_reference_on_arbitrary_labelings():
+    # arbitrary labelings check the grid reference; congruences check the
+    # renderer against it
     rng = random.Random(47)
     for variables, constants in [([], []), (["x"], []), (["x", "y"], ["a"]), (["x", "y", "z"], ["a", "b"])]:
         universe = build_universe(variables, constants)
         n = len(universe.terms)
         for _ in range(30):
-            labelings = [Partition(universe, tuple(rng.randrange(1 + n // 3) for _ in range(n)))]
+            g = GridPartition(universe, tuple(rng.randrange(1 + n // 3) for _ in range(n)))
+            for full in (False, True):
+                assert reference_visible_classes(g, full) == _shown_classes(g, full)
             if variables:
-                labelings.append(rand_partition(universe, rng, steps=rng.randrange(0, 12)))
-            for p in labelings:
+                p = rand_partition(universe, rng, steps=rng.randrange(0, 12))
                 for full in (False, True):
                     assert visible_classes(p, full) == reference_visible_classes(p, full)
     assert visible_classes(TOP) is None

@@ -121,7 +121,7 @@ def test_universe_terms_are_its_own_atoms_and_sums_of_them(universe):
     for i, atom in enumerate(universe.atoms):
         assert universe.terms[i] is atom
     for pos in range(m, len(universe.terms)):
-        i, j = universe.pair_operands(pos)
+        i, j = divmod(pos - m, m)
         pair = universe.terms[pos]
         assert pair.left is universe.atoms[i] and pair.right is universe.atoms[j]
     assert parse_term("x", universe) == universe.resolve("x")

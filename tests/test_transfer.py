@@ -6,7 +6,6 @@ from herbrand import (
     Assign,
     DeclarationError,
     NonDet,
-    Partition,
     SelfReferenceError,
     Sum,
     TOP,
@@ -16,18 +15,19 @@ from herbrand import (
     build_universe,
     is_top,
     meet,
-    meet_all,
     nondet_transfer,
-    parse_program,
     parse_term,
     refines,
-    solve,
 )
 from helpers import (
+    GridPartition,
     cls,
-    full_corpus,
+    grid,
+    grid_assign_transfer,
     is_congruence,
-    make_partition,
+    iterate_values,
+    make_grid,
+    meet_all,
     nondet_definitional,
     rand_partition,
     rand_statement,
@@ -153,16 +153,16 @@ def test_nondet_refines_its_input(u):
 def test_nondet_definitional_with_no_samples_is_identity(u):
     rng = random.Random(22)
     p = rand_partition(u, rng)
-    assert nondet_definitional(p, u.resolve("y"), []) == p
+    assert nondet_definitional(p, u.resolve("y"), []) == grid(p)
 
 
 def test_nondet_definitional_with_reserved_pair_matches_transfer(u):
+    # two fresh constants suffice: the direct rule, a fresh class for y,
+    # equals the meet over substituting the two reserved constants
     rng = random.Random(23)
-    y = u.resolve("y")
-    c1, c2 = u.reserved
-    for _ in range(20):
-        p = rand_partition(u, rng)
-        assert nondet_definitional(p, y, [c1, c2]) == nondet_transfer(p, y)
+    for p in [rand_partition(u, rng) for _ in range(20)] + iterate_values():
+        for var in p.universe.variables:
+            assert nondet_definitional(p, var, p.universe.reserved) == grid(nondet_transfer(p, var)), (p, var)
 
 
 def test_nondet_definitional_sample_sensitivity(u):
@@ -186,7 +186,7 @@ def test_nondet_matches_full_definitional_oracle(u):
     betas = y_free_universe_terms(u, y)
     for _ in range(20):
         p = rand_partition(u, rng)
-        assert nondet_transfer(p, y) == nondet_definitional(p, y, betas)
+        assert grid(nondet_transfer(p, y)) == nondet_definitional(p, y, betas)
 
 
 def test_user_constant_pair_gives_same_nondet_result(u):
@@ -246,38 +246,31 @@ def test_transfer_outputs_are_congruences_on_random_universes():
             assert is_congruence(p)
 
 
-def _assert_kernel_matches_reference(p):
-    """Every ``y := beta`` with ``beta`` a universe term free of ``y``."""
+def _assert_kernel_matches_reference(p, kernel=assign_transfer):
+    """Every ``y := beta`` with ``beta`` a universe term free of ``y``, on the
+    grid; a ``Partition`` is checked against the grid kernel as well."""
     checked = 0
     for y in p.universe.variables:
         for beta in y_free_universe_terms(p.universe, y):
-            kernel = assign_transfer(p, y, beta)
-            assert kernel == reference_assign_transfer(p, y, beta), (p.labels, y, beta)
+            got = grid(kernel(p, y, beta))
+            assert got == reference_assign_transfer(p, y, beta), (p, y, beta)
+            if kernel is assign_transfer:
+                assert got == grid_assign_transfer(grid(p), y, beta), (p, y, beta)
             checked += 1
     return checked
 
 
 def test_assign_kernel_matches_reference_on_jacobi_traces():
-    seen = set()
-    checked = 0
-    for name, text in full_corpus(random_count=14):
-        universe, graph = parse_program(text)
-        result = solve(graph, universe, trace=True)
-        for row in result.trace:
-            for p in row:
-                if is_top(p) or (name, p.labels) in seen:
-                    continue
-                seen.add((name, p.labels))
-                checked += _assert_kernel_matches_reference(p)
+    checked = sum(map(_assert_kernel_matches_reference, iterate_values()))
     assert checked > 1000
 
 
 def test_assign_kernel_matches_reference_on_non_congruences(u):
-    # x ~ a without x+a ~ a+a breaks C2 forward; x+a ~ y+b breaks C2 backward;
-    # b ~ x+y breaks C3
-    p = make_partition(u, [["x", "a"], ["x+a", "y+b"], ["b", "x+y"], ["a+a", "y+y"]])
+    # the grid reference's kernel: x ~ a without x+a ~ a+a breaks C2
+    # forward; x+a ~ y+b breaks C2 backward; b ~ x+y breaks C3
+    p = make_grid(u, [["x", "a"], ["x+a", "y+b"], ["b", "x+y"], ["a+a", "y+y"]])
     assert not is_congruence(p)
-    assert _assert_kernel_matches_reference(p) > 0
+    assert _assert_kernel_matches_reference(p, grid_assign_transfer) > 0
     # arbitrary labelings: pair classes are looked up with several writers
     rng = random.Random(29)
     for _ in range(30):
@@ -285,11 +278,12 @@ def test_assign_kernel_matches_reference_on_non_congruences(u):
         size = len(universe.terms)
         width = rng.randrange(1, size + 1)
         labels = tuple(rng.randrange(width) for _ in range(size))
-        _assert_kernel_matches_reference(Partition(universe, labels))
+        _assert_kernel_matches_reference(GridPartition(universe, labels), grid_assign_transfer)
 
 
 def test_pair_classes_keep_last_writer(u):
-    # x ~ y, but x+x and y+y sit apart: (class x, class x) names the later one
-    p = make_partition(u, [["x", "y"]])
+    # on the grid reference, x ~ y, but x+x and y+y sit apart: (class x,
+    # class x) names the later one
+    p = make_grid(u, [["x", "y"]])
     x, y = u.resolve("x"), u.resolve("y")
     assert p.pair_classes()[(p.class_of(x), p.class_of(x))] == p.class_of(Sum(y, y))
