@@ -105,7 +105,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     universe, graph = _load(args.program)
     print(
         f"ok: {graph.n} nodes, {len(universe.variables)} vars, "
-        f"{len(universe.constants)} consts, {len(universe.terms)} universe terms"
+        f"{len(universe.constants)} consts, {len(universe)} universe terms"
     )
     return 0
 

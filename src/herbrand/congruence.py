@@ -128,7 +128,7 @@ class Partition:
         return label
 
     def class_of(self, t: Term) -> int:
-        if t not in self.universe.index:
+        if t not in self.universe:
             raise DeclarationError(f"term not in universe: {t}")
         return term_value(t, self)
 

@@ -170,9 +170,9 @@ class SolveResult:
 
 
 def default_iteration_limit(graph: FlowGraph, universe: TermUniverse) -> int:
-    # Each coordinate descends strictly at most |U| + 1 times (TOP plus one
-    # step per lost class), so this bound is never reached on valid input.
-    return graph.n * (len(universe.terms) + 1) + 1
+    # Each coordinate descends strictly at most |U| + 1 times (TOP plus one step
+    # per lost class; len(universe) is |U| = m + m²), so this is never reached.
+    return graph.n * (len(universe) + 1) + 1
 
 
 def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> SolveResult:

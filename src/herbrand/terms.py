@@ -5,9 +5,9 @@ Terms are built from declared variables and constants with a single binary
 operator ``+`` treated as uninterpreted (no commutativity, no arithmetic).
 An atom is itself a term, so ``Term = Atom | Sum``: a variable, a constant
 or a sum of two terms. The universe of a program consists of every atom plus
-every ordered pair of atoms under ``+``, each pair one ``Sum`` over the
-universe's own atom objects; deeper sums exist as ``Term`` trees but are not
-universe members. A class query takes an atom as it is: ``p.class_of(atom)``,
+every ordered pair of atoms under ``+``, but a ``TermUniverse`` stores only
+its m atoms: ``len(universe)`` is |U| = m + m², and a ``Sum`` of two of them
+is ``in`` it. A class query takes an atom as it is: ``p.class_of(atom)``,
 and ``congruence.term_value`` gives an ``int`` class label or a pair.
 """
 
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .errors import DeclarationError, ParseError
@@ -60,19 +61,28 @@ def occurs(t: Term, x: Atom) -> bool:
 class TermUniverse:
     """The finite expression universe: all atoms and all atom pairs.
 
-    ``terms`` holds every atom followed by every ordered pair of atoms in
-    row-major atom order, so ``len(terms) == len(atoms) + len(atoms) ** 2``.
-    ``index`` maps each universe term to its dense position. Universes
-    compare by identity; one analysis run shares a single universe.
+    ``index`` maps each of the m atoms to its position; ``len(universe)`` is
+    |U| = m + m². ``terms``, every atom and then every ordered atom pair in
+    row-major order, is built on first use to list class members, never by
+    the CLI. Universes compare by identity; one run shares one universe.
     """
 
     variables: tuple[Atom, ...]
     constants: tuple[Atom, ...]
     reserved: tuple[Atom, Atom]
     atoms: tuple[Atom, ...]
-    terms: tuple[Term, ...]
-    index: dict[Term, int]
+    index: dict[Atom, int]
     by_name: dict[str, Atom]
+
+    def __len__(self) -> int:
+        return len(self.atoms) * (len(self.atoms) + 1)
+
+    def __contains__(self, t: object) -> bool:
+        return t.left in self.index and t.right in self.index if type(t) is Sum else t in self.index
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        return (*self.atoms, *[Sum(a, b) for a in self.atoms for b in self.atoms])
 
     def resolve(self, name: str) -> Atom:
         atom = self.by_name.get(name)
@@ -96,15 +106,12 @@ def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:
     reserved = (Atom(RESERVED, RESERVED_NAMES[0]), Atom(RESERVED, RESERVED_NAMES[1]))
     atoms = var_atoms + const_atoms + reserved
 
-    terms: list[Term] = [*atoms, *[Sum(a, b) for a in atoms for b in atoms]]
-
     return TermUniverse(
         variables=var_atoms,
         constants=const_atoms,
         reserved=reserved,
         atoms=atoms,
-        terms=tuple(terms),
-        index={t: i for i, t in enumerate(terms)},
+        index={a: i for i, a in enumerate(atoms)},
         by_name={a.name: a for a in atoms},
     )
 

@@ -65,20 +65,17 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     assert isinstance(elem, Partition)
     universe = elem.universe
     yi = _variable_position(universe, y)
-    bpos = universe.index.get(beta)
-    if bpos is None:
+    if beta not in universe:
         if isinstance(beta, Atom):
             raise DeclarationError(f"undeclared atom {beta.name!r}")
         raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
     _check_not_self_referential(y, beta)
     atoms = list(elem.atoms)
     defs = dict(enumerate(elem.defs))
-    m = len(atoms)
-    if bpos < m:
-        atoms[yi] = atoms[bpos]
+    if isinstance(beta, Atom):
+        atoms[yi] = atoms[universe.index[beta]]
     else:
-        i, j = divmod(bpos - m, m)
-        pair = (atoms[i], atoms[j])
+        pair = (atoms[universe.index[beta.left]], atoms[universe.index[beta.right]])
         atoms[yi] = elem.defs.index(pair) if pair in elem.defs else len(defs)
         defs[atoms[yi]] = pair
     return Partition(universe, atoms, defs)

@@ -98,7 +98,7 @@ def make_grid(universe: TermUniverse, groups: list[list[str]]) -> GridPartition:
     labels: list[object] = list(range(len(universe.terms)))
     for gi, group in enumerate(groups):
         for text in group:
-            pos = universe.index[parse_term(text, universe)]
+            pos = grid_index(universe)[parse_term(text, universe)]
             labels[pos] = ("group", gi)
     return GridPartition(universe, tuple(labels))
 
@@ -137,7 +137,7 @@ class GridPartition:
         return max(self.labels, default=-1) + 1
 
     def class_of(self, t: Term) -> int:
-        return self.labels[self.universe.index[t]]
+        return self.labels[grid_index(self.universe)[t]]
 
     def classes(self) -> list[list[Term]]:
         """Class member lists, ordered by class label, members in term order."""
@@ -156,13 +156,20 @@ class GridPartition:
         return dict(zip(product(atom_labels, atom_labels), self.labels[m:]))
 
 
+@lru_cache(maxsize=256)
+def grid_index(universe: TermUniverse) -> dict[Term, int]:
+    """Each universe term's grid position: atom i at i, pair (i, j) at
+    m + i*m + j, the order of ``universe.terms``."""
+    return {t: pos for pos, t in enumerate(universe.terms)}
+
+
 @lru_cache(maxsize=256)  # the report reference expands each node's value
 def grid(elem):
     """The grid of a lattice value: a ``Partition`` is expanded through its
     class member lists; ``TOP`` and a grid are returned as they are."""
     if not isinstance(elem, Partition):
         return elem
-    index = elem.universe.index
+    index = grid_index(elem.universe)
     labels = [0] * len(index)
     for c, members in enumerate(elem.classes()):
         for t in members:
@@ -173,7 +180,7 @@ def grid(elem):
 def grid_term_value(t: Term, g: GridPartition):
     """Class value of a term of any depth under ``g``: an ``int`` label, or
     the pair of the operand values of a sum that no universe pair matches."""
-    pos = g.universe.index.get(t)
+    pos = grid_index(g.universe).get(t)
     if pos is not None:
         return g.labels[pos]
     if isinstance(t, Atom):
@@ -220,7 +227,8 @@ def grid_assign_transfer(g, y: Atom, beta: Term):
     if is_top(g):
         return g
     universe = g.universe
-    yi, bpos = universe.index[y], universe.index[beta]
+    index = grid_index(universe)
+    yi, bpos = index[y], index[beta]
     labels = g.labels
     m = len(universe.atoms)
     row = m + yi * m

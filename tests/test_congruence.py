@@ -4,6 +4,7 @@ import pytest
 
 from herbrand import (
     Atom,
+    DeclarationError,
     Partition,
     Sum,
     TOP,
@@ -50,6 +51,21 @@ from helpers import (
 @pytest.fixture
 def u():
     return build_universe(["x", "y"], ["a", "b"])
+
+
+def test_class_of_rejects_terms_outside_the_universe(u):
+    q = build_universe(["q"], []).resolve("q")
+    a = u.resolve("a")
+    atom = "Atom(kind='constant', name='a')"
+    for t, shown in [
+        (q, "q"),
+        (Sum(a, q), f"Sum(left={atom}, right=Atom(kind='variable', name='q'))"),
+        (Sum(parse_term("a+a", u), a), f"Sum(left=Sum(left={atom}, right={atom}), right={atom})"),
+        ("a", "a"),
+    ]:
+        with pytest.raises(DeclarationError) as info:
+            bottom(u).class_of(t)
+        assert str(info.value) == f"term not in universe: {shown}", t
 
 
 def test_bottom_is_all_singletons(u):

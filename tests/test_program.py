@@ -311,6 +311,17 @@ def test_cli_check_reports_summary(capsys):
     assert out.startswith("ok:")
 
 
+def test_cli_check_counts_a_thousand_variable_universe(tmp_path, capsys):
+    names = " ".join(f"v{i}" for i in range(1000))
+    path = tmp_path / "wide.dfg"
+    path.write_text(f"vars {names}\nconsts a\nnode 1 entry\nnode 2 assign v0 := a pred 1\n")
+    assert _run(capsys, "check", str(path)) == (
+        0,
+        "ok: 2 nodes, 1000 vars, 1 consts, 1007012 universe terms\n",
+        "",
+    )
+
+
 def test_cli_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.dfg"
     bad.write_text(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -7,11 +8,15 @@ from herbrand import (
     ParseError,
     Sum,
     build_universe,
+    emit_report,
     format_term,
+    mop_table,
     occurs,
     parse_term,
+    solve,
+    verify_mop_mfp,
 )
-from helpers import depth, substitute
+from helpers import CORPUS_FILES, depth, load_program, substitute
 
 
 @pytest.fixture
@@ -154,3 +159,36 @@ def test_parse_format_roundtrip(universe):
         if "$" in text:
             continue  # reserved constants are deliberately unparseable
         assert parse_term(text, universe) == t
+
+
+def test_universe_stores_its_atoms_only():
+    names = [f"v{i}" for i in range(3000)]
+    tracemalloc.start()
+    try:
+        universe = build_universe(names, [])
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert len(universe.index) == len(universe.atoms) == 3002
+    assert len(universe) == 3002 + 3002**2
+    assert "terms" not in universe.__dict__
+
+
+def test_universe_membership_is_its_atoms_and_their_pairs(universe):
+    q = build_universe(["q"], []).resolve("q")
+    a = universe.resolve("a")
+    assert all(t in universe for t in universe.terms)
+    for t in [q, Sum(a, q), Sum(q, a), Sum(parse_term("a+b", universe), a), "a", None]:
+        assert t not in universe, t
+
+
+@pytest.mark.parametrize("name", CORPUS_FILES)
+def test_analysis_never_builds_the_term_list(name):
+    universe, graph = load_program(name)
+    result = solve(graph, universe, trace=True)
+    emit_report(result.state, result.iterations, "json", True, result.trace)
+    mop_table(graph, universe, 8)
+    assert verify_mop_mfp(graph, universe, 8).ok
+    assert "terms" not in universe.__dict__
+    assert len(universe) == len(universe.terms)

@@ -114,6 +114,9 @@ def test_transfer_diagnostics_keep_their_types_messages_and_order(u):
         ((p, u.reserved[0], a), not_declared("$nd1")),
         ((p, y, q), (DeclarationError, "undeclared atom 'q'")),
         ((p, y, deep), bad_rhs),
+        ((p, y, Sum(a, q)), bad_rhs),
+        ((p, y, Sum(q, a)), bad_rhs),
+        ((p, y, "a"), bad_rhs),
         ((p, y, parse_term("y+a", u)), (SelfReferenceError, "'y' appears in its own right-hand side")),
         # the target is checked first, then the right-hand side, then self-reference
         ((p, q, q), not_declared("q")),
