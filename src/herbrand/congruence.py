@@ -16,6 +16,10 @@ strong equivalence DAG of Gulwani and Necula, SAS 2004, cut to depth 1).
 Every undefined operand class pair is a class of pairs only. Queries number
 the classes as first occurrence over the universe would: the k atom classes
 0..k-1, then the undefined pair classes (l, r) in lexicographic order.
+Classes are listed here and nowhere else: ``Partition.members`` expands the
+labels and definitions into member lists for the report and for
+``classes()``, and ``get_class`` reads one class from the same labels and
+definitions.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -25,10 +29,8 @@ the same object on both sides, ``TOP`` on either side, the universe check,
 equal labels and definitions, and a left operand that refines the right.
 All but the last cost O(1) or two tuple compares; the refinement test is
 O(m) plus O(k) over the left side's definitions. The running path meet of
-``mop_table`` rarely gets past them: of the 96,241 frontier meets on the
-seed-3 ``verify-paths`` chains of ``perfbench``, 22,454 have the same object
-on both sides, 173 have ``TOP`` on the left, 27,018 have equal operands,
-46,297 have a left side that refines the right, and 299 build a product.
+``mop_table`` rarely gets past them; the README gives the counts on the
+``perfbench`` chains.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 label or a pair (tuple) of operand values, collapsing each operand pair of
@@ -39,14 +41,16 @@ exactly when their values coincide.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, count, product, starmap
-from typing import Union
+from itertools import count
+from typing import TypeVar, Union
 
 from .errors import DeclarationError, UniverseMismatchError
 from .terms import Atom, Sum, Term, TermUniverse
+
+T = TypeVar("T")
 
 
 class Top:
@@ -132,13 +136,40 @@ class Partition:
             raise DeclarationError(f"term not in universe: {t}")
         return term_value(t, self)
 
+    def members(self, names: Sequence[T], pair_names: Sequence[Sequence[T]], least: int = 1) -> list[list[T]]:
+        """Class member lists in label order: each atom class, its atoms and
+        then the pairs over its definition; then each undefined operand class
+        pair (l, r), in lexicographic order. Atom i is listed as ``names[i]``
+        and pair (i, j) as ``pair_names[i][j]``. Only the first
+        ``len(names)`` atoms count, and a class with fewer than ``least``
+        (1 or 2) counted members is left out."""
+        atoms: list[list[int]] = [[] for _ in self.defs]
+        for i, c in zip(range(len(names)), self.atoms):
+            atoms[c].append(i)
+
+        def pairs(left: int, right: int) -> list[T]:
+            return [pair_names[i][j] for i in atoms[left] for j in atoms[right]]
+
+        out = []
+        for c, pair in enumerate(self.defs):
+            row = [names[i] for i in atoms[c]]
+            if pair is not None:
+                row += pairs(*pair)
+            if len(row) >= least:
+                out.append(row)
+        # an undefined operand class pair (l, r) has |l| * |r| counted
+        # members, so below ``least`` a one-atom l needs an r of two or more
+        shown = [c for c, on in enumerate(atoms) if on]
+        shared = [c for c in shown if len(atoms[c]) > 1]
+        defined = set(self.defs)
+        for left in shown:
+            rights = shown if len(atoms[left]) >= least else shared
+            out.extend(pairs(left, right) for right in rights if (left, right) not in defined)
+        return out
+
     def classes(self) -> list[list[Term]]:
         """Class member lists, ordered by class label, members in term order."""
-        out: list[list[Term]] = [[] for _ in range(self.num_classes)]
-        pair_labels = starmap(self._pair_class, product(self.atoms, repeat=2))
-        for t, c in zip(self.universe.terms, chain(self.atoms, pair_labels)):
-            out[c].append(t)
-        return out
+        return self.members(self.universe.atoms, self.universe.pairs)
 
 
 LatticeElem = Union[Top, Partition]
@@ -233,5 +264,18 @@ def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
 
 
 def get_class(t: Term, p: Partition) -> set[Term]:
-    """All universe terms sharing the class of ``t``."""
-    return set(p.classes()[p.class_of(t)])
+    """All universe terms sharing the class of ``t``: the atoms labeled with
+    its class and the pairs over the class's operand class pair, read from
+    ``p``'s labels and definitions in O(m + |class|)."""
+    c = p.class_of(t)
+
+    def atoms(d: int) -> list[Atom]:
+        return [a for a, label in zip(p.universe.atoms, p.atoms) if label == d]
+
+    # a class past the atom classes has no atoms, and its pairs are those
+    # over the classes of ``t``'s own operands
+    pair = p.defs[c] if c < len(p.defs) else (p.class_of(t.left), p.class_of(t.right))
+    members: set[Term] = set(atoms(c))
+    if pair is not None:
+        members.update(Sum(a, b) for a in atoms(pair[0]) for b in atoms(pair[1]))
+    return members

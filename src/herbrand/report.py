@@ -12,9 +12,8 @@ One render call does each piece of work once:
   ``full``; otherwise those below the reserved constants) and the names of
   them and of their pairs, formatted once (``a``, ``a+b``);
 * a memo from value to class rows, so nodes and ``--trace`` iterates that
-  share a value render it once. An atom class's row is its visible atoms
-  plus the pairs over its definition's operand classes; an undefined
-  operand class pair's row is the pairs over the two classes;
+  share a value render it once. ``Partition.members`` lists a value's
+  classes over the visible names;
 * a writer for the fixed shape of a points list, in text or in the JSON
   layout of ``json.dumps(indent=2)`` with strings escaped by its encoder,
   ``encode_basestring_ascii``. It renders each distinct value's entry once
@@ -46,30 +45,7 @@ class _Layout:
         self.least = 1 if full else 2
 
     def rows(self, p: Partition) -> list[list[str]]:
-        members: list[list[int]] = [[] for _ in p.defs]
-        for i, c in zip(range(len(self.names)), p.atoms):
-            members[c].append(i)
-        names, pair_names = self.names, self.pair_names
-
-        def pairs(left: int, right: int) -> list[str]:
-            return [pair_names[i][j] for i in members[left] for j in members[right]]
-
-        rows = []
-        for c, pair in enumerate(p.defs):
-            row = [names[i] for i in members[c]]
-            if pair is not None:
-                row += pairs(*pair)
-            if len(row) >= self.least:
-                rows.append(sorted(row))
-        # an undefined operand class pair (l, r) has |l| * |r| visible members
-        shown = [c for c, on in enumerate(members) if on]
-        shared = [c for c in shown if len(members[c]) > 1]
-        defined = set(p.defs)
-        for left in shown:
-            rights = shown if len(members[left]) >= self.least else shared
-            rows.extend(sorted(pairs(left, right)) for right in rights if (left, right) not in defined)
-        rows.sort()
-        return rows
+        return sorted(map(sorted, p.members(self.names, self.pair_names, self.least)))
 
 
 def _json_array(items: list[str], indent: str) -> str:

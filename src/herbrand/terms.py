@@ -16,6 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Union
 
 from .errors import DeclarationError, ParseError
@@ -62,9 +63,10 @@ class TermUniverse:
     """The finite expression universe: all atoms and all atom pairs.
 
     ``index`` maps each of the m atoms to its position; ``len(universe)`` is
-    |U| = m + m². ``terms``, every atom and then every ordered atom pair in
-    row-major order, is built on first use to list class members, never by
-    the CLI. Universes compare by identity; one run shares one universe.
+    |U| = m + m². ``pairs[i][j]`` is the pair of atoms i and j, and ``terms``
+    is every atom and then the rows of ``pairs``, the same objects. Both are
+    built on first use, by ``Partition.classes`` and tests, never by the
+    CLI. Universes compare by identity; one run shares one universe.
     """
 
     variables: tuple[Atom, ...]
@@ -81,8 +83,12 @@ class TermUniverse:
         return t.left in self.index and t.right in self.index if type(t) is Sum else t in self.index
 
     @cached_property
+    def pairs(self) -> tuple[tuple[Sum, ...], ...]:
+        return tuple(tuple(Sum(a, b) for b in self.atoms) for a in self.atoms)
+
+    @cached_property
     def terms(self) -> tuple[Term, ...]:
-        return (*self.atoms, *[Sum(a, b) for a in self.atoms for b in self.atoms])
+        return (*self.atoms, *chain.from_iterable(self.pairs))
 
     def resolve(self, name: str) -> Atom:
         atom = self.by_name.get(name)

@@ -103,9 +103,12 @@ def make_grid(universe: TermUniverse, groups: list[list[str]]) -> GridPartition:
     return GridPartition(universe, tuple(labels))
 
 
-def cls(p: Partition, text: str) -> set[str]:
-    """Formatted member set of the class of the given term."""
-    return {format_term(t) for t in get_class(parse_term(text, p.universe), p)}
+def cls(p: Partition | GridPartition, text: str) -> set[str]:
+    """Formatted member set of the class of the given term; a grid lists it
+    through its own member lists."""
+    t = parse_term(text, p.universe)
+    members = p.classes()[p.class_of(t)] if isinstance(p, GridPartition) else get_class(t, p)
+    return {format_term(s) for s in members}
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +168,14 @@ def grid_index(universe: TermUniverse) -> dict[Term, int]:
 
 @lru_cache(maxsize=256)  # the report reference expands each node's value
 def grid(elem):
-    """The grid of a lattice value: a ``Partition`` is expanded through its
-    class member lists; ``TOP`` and a grid are returned as they are."""
+    """The grid of a lattice value: a ``Partition`` is expanded through
+    ``class_of`` (the ``term_value`` fold) over the universe terms, not
+    through ``Partition.members``, so the references built on the grid do
+    not check the class lister against itself; ``TOP`` and a grid are
+    returned as they are."""
     if not isinstance(elem, Partition):
         return elem
-    index = grid_index(elem.universe)
-    labels = [0] * len(index)
-    for c, members in enumerate(elem.classes()):
-        for t in members:
-            labels[index[t]] = c
-    return GridPartition(elem.universe, tuple(labels))
+    return GridPartition(elem.universe, tuple(map(elem.class_of, elem.universe.terms)))
 
 
 def grid_term_value(t: Term, g: GridPartition):

@@ -485,6 +485,19 @@ def test_get_class(u):
     assert cls(p, "x+b") == {"x+b", "a+b"}
 
 
+def test_get_class_reads_one_class_of_a_large_universe():
+    universe = build_universe([f"v{i}" for i in range(3000)], [])
+    v0, v1, v2, v3 = universe.atoms[:4]
+    p = assign_transfer(bottom(universe), v0, v1)
+    assert get_class(v0, p) == {v0, v1}
+    # a defined atom class and a pure pair class
+    q = assign_transfer(p, v2, Sum(v0, v3))
+    assert get_class(v2, q) == {v2, Sum(v0, v3), Sum(v1, v3)}
+    assert get_class(Sum(v3, v1), q) == {Sum(v3, v0), Sum(v3, v1)}
+    assert "terms" not in universe.__dict__
+    assert "pairs" not in universe.__dict__
+
+
 def test_meet_preserves_congruence_axioms(u):
     rng = random.Random(18)
     for _ in range(40):

@@ -22,7 +22,7 @@ from herbrand import (
 )
 from herbrand.cli import main
 from herbrand.terms import RESERVED
-from helpers import GOLDEN_DIR, PROGRAMS_DIR, program_text, rand_partition
+from helpers import GOLDEN_DIR, PROGRAMS_DIR, grid, program_text, rand_partition
 
 
 def _mentions_reserved(t) -> bool:
@@ -34,7 +34,7 @@ def _mentions_reserved(t) -> bool:
 
 def _term_level_visible_classes(p, full):
     rows = []
-    for members in p.classes():
+    for members in grid(p).classes():
         if not full:
             members = [t for t in members if not _mentions_reserved(t)]
             if len(members) < 2:

@@ -10,6 +10,8 @@ from herbrand import (
     build_universe,
     emit_report,
     format_term,
+    get_class,
+    is_top,
     mop_table,
     occurs,
     parse_term,
@@ -129,6 +131,9 @@ def test_universe_terms_are_its_own_atoms_and_sums_of_them(universe):
         i, j = divmod(pos - m, m)
         pair = universe.terms[pos]
         assert pair.left is universe.atoms[i] and pair.right is universe.atoms[j]
+        # the terms are the atoms and then the rows of ``pairs``, the same objects
+        assert pair is universe.pairs[i][j]
+    assert len(universe.pairs) == m and all(len(row) == m for row in universe.pairs)
     assert parse_term("x", universe) == universe.resolve("x")
 
 
@@ -190,5 +195,11 @@ def test_analysis_never_builds_the_term_list(name):
     emit_report(result.state, result.iterations, "json", True, result.trace)
     mop_table(graph, universe, 8)
     assert verify_mop_mfp(graph, universe, 8).ok
+    # get_class reads one class from the labels and definitions
+    for p in result.state:
+        if not is_top(p):
+            for atom in universe.atoms:
+                assert atom in get_class(atom, p)
     assert "terms" not in universe.__dict__
+    assert "pairs" not in universe.__dict__
     assert len(universe) == len(universe.terms)
