@@ -75,8 +75,9 @@ class Partition:
 
     ``atoms[i]`` is the class of ``universe.atoms[i]``, and ``defs[c]`` is
     ``None`` or the operand class pair ``(l, r)`` of the pairs in atom class
-    ``c``. The constructor accepts any hashable keys for the atoms and a
-    mapping from key to a pair of keys for the definitions. It renumbers the
+    ``c``. The constructor accepts any hashable keys for the atoms and, for
+    the definitions, a mapping from key to a pair of keys or a sequence read
+    as the mapping from each index to its entry. It renumbers the
     keys densely in first-occurrence order and drops a definition whose class
     or operand key no atom has, since no universe pair can then reach it.
     Two classes with one definition would be one class, so they raise
@@ -93,7 +94,7 @@ class Partition:
             raise ValueError(f"expected {len(self.universe.atoms)} atom labels, got {len(keys)}")
         ids = dict(zip(dict.fromkeys(keys), count()))
         defs: list[tuple[int, int] | None] = [None] * len(ids)
-        for key, pair in self.defs.items():
+        for key, pair in self.defs.items() if hasattr(self.defs, "items") else enumerate(self.defs):
             c = ids.get(key)
             if c is not None and pair is not None:
                 left, right = ids.get(pair[0]), ids.get(pair[1])

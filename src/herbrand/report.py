@@ -6,20 +6,21 @@ byte for byte. By default singleton classes and terms mentioning a reserved
 constant are hidden; ``full=True`` shows everything. Filtering affects
 visibility only, never membership.
 
-One render call does each piece of work once:
+One ``_Render`` serves one render call, in one format, and keeps nothing
+after it:
 
-* a *layout* per universe holds the visible atoms (all of them with
-  ``full``; otherwise those below the reserved constants) and the names of
-  them and of their pairs, formatted once (``a``, ``a+b``);
-* a memo from value to class rows, so nodes and ``--trace`` iterates that
-  share a value render it once. ``Partition.members`` lists a value's
-  classes over the visible names;
-* a writer for the fixed shape of a points list, in text or in the JSON
-  layout of ``json.dumps(indent=2)`` with strings escaped by its encoder,
-  ``encode_basestring_ascii``. It renders each distinct value's entry once
-  per indentation.
-
-Nothing is kept from one call to the next.
+* the visible names of each universe (all atoms with ``full``; otherwise
+  those below the reserved constants) and their pairs' names, formatted
+  once (``a``, ``a+b``); ``Partition.members`` lists a value's classes over
+  them;
+* one entry memo keyed by depth and value. A point's entry is what follows
+  ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
+  top-level entry is rendered once from its class rows, and a ``--trace``
+  iterate's entry is that text indented one level deeper, so a value's
+  classes are listed once per report however many points share it;
+* one points writer for both formats. JSON has the layout of
+  ``json.dumps(indent=2)``, with strings escaped by its encoder,
+  ``encode_basestring_ascii``, but is written directly.
 """
 
 from __future__ import annotations
@@ -32,22 +33,6 @@ from .congruence import LatticeElem, Partition, is_top
 from .terms import TermUniverse
 
 
-class _Layout:
-    """The visible atoms of one universe, their names and their pairs' names."""
-
-    def __init__(self, universe: TermUniverse, full: bool) -> None:
-        names = [atom.name for atom in universe.atoms]
-        if not full:
-            names = names[: len(names) - len(universe.reserved)]
-        self.names = names
-        self.pair_names = [[f"{a}+{b}" for b in names] for a in names]
-        # a shown class has at least this many visible members
-        self.least = 1 if full else 2
-
-    def rows(self, p: Partition) -> list[list[str]]:
-        return sorted(map(sorted, p.members(self.names, self.pair_names, self.least)))
-
-
 def _json_array(items: list[str], indent: str) -> str:
     """A JSON array of rendered items, closed at ``indent``."""
     if not items:
@@ -57,66 +42,57 @@ def _json_array(items: list[str], indent: str) -> str:
 
 
 class _Render:
-    """One render call: a layout per universe, rows and entries per value."""
+    """One render call: the names of each universe and each value's entry."""
 
-    def __init__(self, full: bool) -> None:
+    def __init__(self, fmt: str, full: bool) -> None:
+        self.json = fmt == "json"
         self.full = full
-        self.layouts: dict[TermUniverse, _Layout] = {}
-        self.memo: dict[LatticeElem, list[list[str]] | None] = {}
-        # one format per call, so the indentation tells the entry tables apart
-        self.entries: dict[str, dict[LatticeElem, str]] = {}
+        # a trace iterate's points sit one level deeper than the state's
+        self.step = "    " if self.json else "  "
+        self.names: dict[TermUniverse, tuple[list[str], list[list[str]]]] = {}
+        self.entries: dict[tuple[bool, LatticeElem], str] = {}
 
     def rows(self, elem: LatticeElem) -> list[list[str]] | None:
-        if elem in self.memo:
-            return self.memo[elem]
-        rows = None
-        if not is_top(elem):
-            assert isinstance(elem, Partition)
-            layout = self.layouts.get(elem.universe)
-            if layout is None:
-                layout = self.layouts[elem.universe] = _Layout(elem.universe, self.full)
-            rows = layout.rows(elem)
-        self.memo[elem] = rows
-        return rows
+        if is_top(elem):
+            return None
+        assert isinstance(elem, Partition)
+        names = self.names.get(elem.universe)
+        if names is None:
+            shown = [atom.name for atom in elem.universe.atoms]
+            if not self.full:
+                shown = shown[: len(shown) - len(elem.universe.reserved)]
+            names = self.names[elem.universe] = (shown, [[f"{a}+{b}" for b in shown] for a in shown])
+        # a shown class has at least this many visible members
+        return sorted(map(sorted, elem.members(*names, 1 if self.full else 2)))
 
-    def text_points(self, state: Iterable[LatticeElem], indent: str = "") -> list[str]:
-        entries = self.entries.setdefault(indent, {})
-        lines = []
-        for node_id, elem in enumerate(state, start=1):
-            entry = entries.get(elem)
-            if entry is None:
+    def entry(self, elem: LatticeElem, deep: bool) -> str:
+        entry = self.entries.get((deep, elem))
+        if entry is None:
+            if deep:
+                entry = self.entry(elem, False).replace("\n", "\n" + self.step)
+            else:
                 rows = self.rows(elem)
-                if rows is None:
-                    entry = "top"
+                if not self.json:
+                    entry = "top" if rows is None else "partition" + "".join(f"\n  [{', '.join(row)}]" for row in rows)
+                elif rows is None:
+                    entry = '\n      "status": "top"\n    }'
                 else:
-                    entry = "partition" + "".join(f"\n{indent}  [" + ", ".join(row) + "]" for row in rows)
-                entries[elem] = entry
-            lines.append(f"{indent}node {node_id}: {entry}")
-        return lines
+                    classes = [_json_array(list(map(encode_basestring_ascii, row)), "        ") for row in rows]
+                    entry = f'\n      "status": "partition",\n      "classes": {_json_array(classes, "      ")}\n    }}'
+            self.entries[deep, elem] = entry
+        return entry
 
-    def json_points(self, state: Iterable[LatticeElem], indent: str) -> str:
-        """The points array of ``state``, closed at ``indent``."""
-        item = indent + "  "
-        field = item + "  "
-        entries = self.entries.setdefault(indent, {})
-        points = []
-        for node_id, elem in enumerate(state, start=1):
-            entry = entries.get(elem)
-            if entry is None:
-                rows = self.rows(elem)
-                if rows is None:
-                    entry = f'{field}"status": "top"\n{item}}}'
-                else:
-                    classes = [_json_array(list(map(encode_basestring_ascii, row)), field + "  ") for row in rows]
-                    entry = f'{field}"status": "partition",\n{field}"classes": {_json_array(classes, field)}\n{item}}}'
-                entries[elem] = entry
-            points.append(f'{{\n{field}"id": {node_id},\n{entry}')
-        return _json_array(points, indent)
+    def points(self, state: Iterable[LatticeElem], deep: bool = False) -> list[str]:
+        """One item per point of ``state``, a trace iterate's when ``deep``:
+        a text line or a JSON object."""
+        pad = self.step if deep else ""
+        head = '{{\n{}      "id": {},' if self.json else "{}node {}: "
+        return [head.format(pad, k) + self.entry(e, deep) for k, e in enumerate(state, start=1)]
 
 
 def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
     """Class lists for one node, or ``None`` for a ``TOP`` node."""
-    return _Render(full).rows(elem)
+    return _Render("text", full).rows(elem)
 
 
 def render_json(payload: dict) -> str:
@@ -135,14 +111,14 @@ def render_points(
     ``head`` maps field names to strings, integers or booleans; text shows a
     boolean as ``yes`` or ``no``.
     """
-    render = _Render(full)
+    render = _Render(fmt, full)
     if fmt == "json":
         fields = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in head.items()]
-        fields.append(f'  "points": {render.json_points(state, "  ")}')
+        fields.append(f'  "points": {_json_array(render.points(state), "  ")}')
         if trace is not None:
+            arrays = (_json_array(render.points(row, True), "      ") for row in trace)
             iterates = [
-                f'{{\n      "iteration": {l},\n      "points": {render.json_points(row, "      ")}\n    }}'
-                for l, row in enumerate(trace)
+                f'{{\n      "iteration": {l},\n      "points": {points}\n    }}' for l, points in enumerate(arrays)
             ]
             fields.append(f'  "trace": {_json_array(iterates, "  ")}')
         return "{\n" + ",\n".join(fields) + "\n}\n"
@@ -150,11 +126,11 @@ def render_points(
         f"{key}: {'yes' if value is True else 'no' if value is False else value}"
         for key, value in head.items()
     ]
-    lines.extend(render.text_points(state))
+    lines += render.points(state)
     if trace is not None:
         for l, row in enumerate(trace):
             lines.append(f"iterate {l}:")
-            lines.extend(render.text_points(row, "  "))
+            lines += render.points(row, True)
     return "\n".join(lines) + "\n"
 
 

@@ -123,13 +123,16 @@ def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:
 
 
 def parse_term(text: str, universe: TermUniverse) -> Term:
-    """Parse ``atom`` or ``atom + atom`` against the universe's declarations."""
-    parts = text.split("+")
+    """Parse ``atom`` or ``atom + atom`` against the universe's declarations.
+    Only blanks and tabs, the program format's separators, may surround an
+    atom."""
+    expr = text.strip(" \t")
+    parts = expr.split("+")
     if len(parts) > 2:
-        raise ParseError(f"expression {text.strip()!r} nests more than one '+'")
-    names = [p.strip() for p in parts]
-    if any(not n for n in names):
-        raise ParseError(f"malformed expression {text.strip()!r}")
+        raise ParseError(f"expression {expr!r} nests more than one '+'")
+    names = [p.strip(" \t") for p in parts]
+    if not all(names):
+        raise ParseError(f"malformed expression {expr!r}")
     for n in names:
         if not IDENT_RE.match(n):
             raise ParseError(f"invalid atom {n!r}")

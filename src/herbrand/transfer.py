@@ -71,13 +71,14 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
         raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
     _check_not_self_referential(y, beta)
     atoms = list(elem.atoms)
-    defs = dict(enumerate(elem.defs))
+    defs = elem.defs
     if isinstance(beta, Atom):
         atoms[yi] = atoms[universe.index[beta]]
     else:
         pair = (atoms[universe.index[beta.left]], atoms[universe.index[beta.right]])
-        atoms[yi] = elem.defs.index(pair) if pair in elem.defs else len(defs)
-        defs[atoms[yi]] = pair
+        if pair not in defs:
+            defs = (*defs, pair)
+        atoms[yi] = defs.index(pair)
     return Partition(universe, atoms, defs)
 
 
@@ -90,7 +91,7 @@ def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
     assert isinstance(elem, Partition)
     atoms = list(elem.atoms)
     atoms[_variable_position(elem.universe, y)] = len(elem.defs)
-    return Partition(elem.universe, atoms, dict(enumerate(elem.defs)))
+    return Partition(elem.universe, atoms, elem.defs)
 
 
 def apply_statement(elem: LatticeElem, stmt: Statement) -> LatticeElem:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -544,3 +545,15 @@ def test_queries_match_the_grid_on_corpus_iterates():
                 assert term_value(t, p) == grid_term_value(t, g), (p, t)
                 checked += 1
     assert checked > 5000
+
+
+def test_a_partition_is_rebuilt_from_its_own_fields():
+    # ``defs`` is a tuple, the form the constructor also takes for it
+    defined = 0
+    for name, text in full_corpus():
+        universe, graph = parse_program(text)
+        for p in solve(graph, universe).state:
+            assert Partition(p.universe, p.atoms, p.defs) == p, name
+            assert dataclasses.replace(p) == p, name
+            defined += any(p.defs)
+    assert defined > 0

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from herbrand import TOP, build_universe, emit_report, format_term, parse_program, solve, visible_classes
+from herbrand import TOP, Partition, build_universe, emit_report, format_term, parse_program, solve, visible_classes
 from herbrand.cli import main
 from helpers import (
     CORPUS_FILES,
@@ -132,3 +132,25 @@ def test_nodes_sharing_a_value_render_it_identically():
         for full in (False, True):
             got = emit_report(shared, 0, fmt, full, [shared, shared])
             _assert_same(got, reference_emit_report(shared, 0, fmt, full, [shared, shared]), (fmt, full))
+
+
+def test_a_report_lists_the_classes_of_each_distinct_value_once(monkeypatch):
+    calls = []
+    members = Partition.members
+
+    def counted(p, *args):
+        calls.append(p)
+        return members(p, *args)
+
+    monkeypatch.setattr(Partition, "members", counted)
+    programs = list(CORPUS.items())
+    programs.append(("analyze-deep[0]", workloads.build("analyze-deep", 3)[0].program.text()))
+    for name, text in programs:
+        universe, graph = parse_program(text)
+        result = solve(graph, universe, trace=True)
+        for fmt, full, trace in VARIANTS:
+            iterates = result.trace if trace else None
+            calls.clear()
+            emit_report(result.state, result.iterations, fmt, full, iterates)
+            values = set(result.state).union(*(iterates or ())) - {TOP}
+            assert len(calls) == len(values), (name, fmt, full, trace)

@@ -146,6 +146,10 @@ def test_parse_term_errors(universe):
         parse_term("$nd1", universe)
     with pytest.raises(DeclarationError):
         parse_term("q", universe)
+    # only blanks and tabs, the program format's separators, surround an atom
+    for text in ["x\u00a0", "x\n+a", "\u2003x", "x +\u00a0a", "x\r", "x+a\n"]:
+        with pytest.raises(ParseError, match="invalid atom"):
+            parse_term(text, universe)
 
 
 def test_format_parenthesizes_nested_sums(universe):
@@ -159,6 +163,7 @@ def test_format_parenthesizes_nested_sums(universe):
 def test_parse_format_roundtrip(universe):
     for text in ["x", "a", "x+y", "a+b", "y+y"]:
         assert format_term(parse_term(text, universe)) == text
+    assert format_term(parse_term(" x + a ", universe)) == format_term(parse_term("\tx\t+\ta\t", universe)) == "x+a"
     for t in universe.terms:
         text = format_term(t)
         if "$" in text:
