@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
-from .dataflow import solve
+from .dataflow import FlowGraph, solve
 from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
-from .mop import DEFAULT_PATH_CAP, mop_table, stabilized, verify_mop_mfp
+from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import LINE_END_RE, parse_program
-from .report import emit_report, render_json, render_points
+from .report import FORMATS, emit_report, render_check, render_mop, render_verify
+from .terms import TermUniverse
 
 
-def _load(path: str):
+def _load(path: str) -> tuple[TermUniverse, FlowGraph]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
@@ -40,77 +42,33 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
-    universe, graph = _load(args.program)
+def _cmd_analyze(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     result = solve(graph, universe, trace=args.trace)
-    sys.stdout.write(
-        emit_report(
-            result.state,
-            iterations=result.iterations,
-            fmt=args.format,
-            full=args.full,
-            trace=result.trace,
-        )
-    )
+    sys.stdout.write(emit_report(result.state, result.iterations, args.format, args.full, result.trace))
     return 0
 
 
-def _cmd_mop(args: argparse.Namespace) -> int:
-    universe, graph = _load(args.program)
+def _cmd_mop(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     rows = mop_table(graph, universe, args.max_len, cap=args.path_cap)
-    head = {"solver": "mop", "max_len": args.max_len, "stabilized": stabilized(rows)}
-    sys.stdout.write(render_points(head, rows[-1], args.format, args.full))
+    sys.stdout.write(render_mop(rows, args.max_len, args.format, args.full))
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    universe, graph = _load(args.program)
+def _cmd_verify(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     report = verify_mop_mfp(graph, universe, args.max_len, cap=args.path_cap)
-    if args.format == "json":
-        sys.stdout.write(
-            render_json(
-                {
-                    "solver": "verify",
-                    "max_len": report.max_len,
-                    "nodes": report.node_count,
-                    "checks": report.checks,
-                    "stabilized": report.stabilized,
-                    "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
-                    "fixpoint_mismatches": report.fixpoint_mismatches,
-                    "ok": report.ok,
-                }
-            )
-        )
-    else:
-        lines = []
-        bad = {l for (_, l) in report.iterate_mismatches}
-        for l in range(report.max_len + 1):
-            if l in bad:
-                nodes = sorted(k for (k, ll) in report.iterate_mismatches if ll == l)
-                lines.append(f"length {l}: MISMATCH at nodes {nodes}")
-            else:
-                lines.append(f"length {l}: ok ({report.node_count} nodes)")
-        lines.append(f"stabilized within bound: {'yes' if report.stabilized else 'no'}")
-        if report.stabilized:
-            if report.fixpoint_mismatches:
-                lines.append(f"path meet vs fixpoint: MISMATCH at nodes {report.fixpoint_mismatches}")
-            else:
-                lines.append("path meet vs fixpoint: ok")
-        lines.append("ok" if report.ok else "FAILED")
-        sys.stdout.write("\n".join(lines) + "\n")
+    sys.stdout.write(render_verify(report, args.format))
     return 0 if report.ok else 1
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    universe, graph = _load(args.program)
-    print(
-        f"ok: {graph.n} nodes, {len(universe.variables)} vars, "
-        f"{len(universe.constants)} consts, {len(universe)} universe terms"
-    )
+def _cmd_check(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
+    sys.stdout.write(render_check(universe, graph))
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="herbrand",
         description="Per-point Herbrand equivalence classes of program expressions",
@@ -119,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser, *, max_len: bool) -> None:
         p.add_argument("program", help="path to a .dfg program")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
         if max_len:
             p.add_argument(
                 "--max-len",
@@ -158,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(*_load(args.program), args)
     except (PathLimitError, IterationLimitError) as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
         return 3

@@ -17,9 +17,9 @@ Every undefined operand class pair is a class of pairs only. Queries number
 the classes as first occurrence over the universe would: the k atom classes
 0..k-1, then the undefined pair classes (l, r) in lexicographic order.
 Classes are listed here and nowhere else: ``Partition.members`` expands the
-labels and definitions into member lists for the report and for
-``classes()``, and ``get_class`` reads one class from the same labels and
-definitions.
+labels and definitions into member lists over the names it is given (the
+report's visible names), and ``get_class`` reads one class from the same
+labels and definitions.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -112,11 +112,6 @@ class Partition:
         # __eq__ still tells partitions over different universes apart
         return self._hash
 
-    @property
-    def num_classes(self) -> int:
-        k = len(self.defs)
-        return k + k * k - (k - self.defs.count(None))
-
     @cached_property
     def _pair_class(self) -> Callable[[int, int], int]:
         """Maps operand atom classes ``(l, r)`` to the label of their pair
@@ -167,10 +162,6 @@ class Partition:
             rights = shown if len(atoms[left]) >= least else shared
             out.extend(pairs(left, right) for right in rights if (left, right) not in defined)
         return out
-
-    def classes(self) -> list[list[Term]]:
-        """Class member lists, ordered by class label, members in term order."""
-        return self.members(self.universe.atoms, self.universe.pairs)
 
 
 LatticeElem = Union[Top, Partition]

@@ -21,6 +21,11 @@ after it:
 * one points writer for both formats. JSON has the layout of
   ``json.dumps(indent=2)``, with strings escaped by its encoder,
   ``encode_basestring_ascii``, but is written directly.
+
+This module is the only one that knows how a report looks: every
+subcommand's report, ``verify``'s and ``check``'s included, is rendered
+here, and ``FORMATS`` lists the formats. Any other ``fmt`` raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,7 +35,17 @@ from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from .congruence import LatticeElem, Partition, is_top
+from .dataflow import FlowGraph
+from .mop import VerifyReport, stabilized
 from .terms import TermUniverse
+
+FORMATS = ("text", "json")
+
+
+def _is_json(fmt: str) -> bool:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
+    return fmt == "json"
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -45,7 +60,7 @@ class _Render:
     """One render call: the names of each universe and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
-        self.json = fmt == "json"
+        self.json = _is_json(fmt)
         self.full = full
         # a trace iterate's points sit one level deeper than the state's
         self.step = "    " if self.json else "  "
@@ -112,7 +127,7 @@ def render_points(
     boolean as ``yes`` or ``no``.
     """
     render = _Render(fmt, full)
-    if fmt == "json":
+    if render.json:
         fields = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in head.items()]
         fields.append(f'  "points": {_json_array(render.points(state), "  ")}')
         if trace is not None:
@@ -141,5 +156,49 @@ def emit_report(
     full: bool = False,
     trace: list[tuple[LatticeElem, ...]] | None = None,
 ) -> str:
-    """Render an analysis state; ``fmt`` is ``text`` or ``json``."""
+    """Render an analysis state; ``fmt`` is one of ``FORMATS``."""
     return render_points({"solver": "jacobi", "iterations": iterations}, state, fmt, full, trace)
+
+
+def render_mop(rows: list[tuple[LatticeElem, ...]], max_len: int, fmt: str = "text", full: bool = False) -> str:
+    """Render the last row of a ``mop_table`` bounded by ``max_len``."""
+    return render_points({"solver": "mop", "max_len": max_len, "stabilized": stabilized(rows)}, rows[-1], fmt, full)
+
+
+def render_verify(report: VerifyReport, fmt: str = "text") -> str:
+    """Render a ``verify_mop_mfp`` report: in text, one line per length, the
+    nodes that mismatch at it sorted, then the fixpoint check and the verdict."""
+    if _is_json(fmt):
+        return render_json(
+            {
+                "solver": "verify",
+                "max_len": report.max_len,
+                "nodes": report.node_count,
+                "checks": report.checks,
+                "stabilized": report.stabilized,
+                "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
+                "fixpoint_mismatches": report.fixpoint_mismatches,
+                "ok": report.ok,
+            }
+        )
+    bad: dict[int, list[int]] = {}
+    for k, l in report.iterate_mismatches:
+        bad.setdefault(l, []).append(k)
+    lines = [
+        f"length {l}: MISMATCH at nodes {sorted(bad[l])}" if l in bad else f"length {l}: ok ({report.node_count} nodes)"
+        for l in range(report.max_len + 1)
+    ]
+    lines.append(f"stabilized within bound: {'yes' if report.stabilized else 'no'}")
+    if report.stabilized:
+        fixpoint = report.fixpoint_mismatches
+        lines.append(f"path meet vs fixpoint: {f'MISMATCH at nodes {fixpoint}' if fixpoint else 'ok'}")
+    lines.append("ok" if report.ok else "FAILED")
+    return "\n".join(lines) + "\n"
+
+
+def render_check(universe: TermUniverse, graph: FlowGraph) -> str:
+    """The one-line summary of a program that parsed and validated."""
+    return (
+        f"ok: {graph.n} nodes, {len(universe.variables)} vars, "
+        f"{len(universe.constants)} consts, {len(universe)} universe terms\n"
+    )

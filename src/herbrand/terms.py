@@ -16,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Union
 
 from .errors import DeclarationError, ParseError
@@ -63,10 +62,10 @@ class TermUniverse:
     """The finite expression universe: all atoms and all atom pairs.
 
     ``index`` maps each of the m atoms to its position; ``len(universe)`` is
-    |U| = m + m². ``pairs[i][j]`` is the pair of atoms i and j, and ``terms``
-    is every atom and then the rows of ``pairs``, the same objects. Both are
-    built on first use, by ``Partition.classes`` and tests, never by the
-    CLI. Universes compare by identity; one run shares one universe.
+    |U| = m + m². ``terms`` is every atom and then, row by row, the pair of
+    atoms i and j at position m + i*m + j; it is built on first read, by
+    tests and the benchmark, never by the CLI. Universes compare by
+    identity; one run shares one universe.
     """
 
     variables: tuple[Atom, ...]
@@ -83,12 +82,8 @@ class TermUniverse:
         return t.left in self.index and t.right in self.index if type(t) is Sum else t in self.index
 
     @cached_property
-    def pairs(self) -> tuple[tuple[Sum, ...], ...]:
-        return tuple(tuple(Sum(a, b) for b in self.atoms) for a in self.atoms)
-
-    @cached_property
     def terms(self) -> tuple[Term, ...]:
-        return (*self.atoms, *chain.from_iterable(self.pairs))
+        return (*self.atoms, *(Sum(a, b) for a in self.atoms for b in self.atoms))
 
     def resolve(self, name: str) -> Atom:
         atom = self.by_name.get(name)

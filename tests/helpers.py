@@ -103,6 +103,28 @@ def make_grid(universe: TermUniverse, groups: list[list[str]]) -> GridPartition:
     return GridPartition(universe, tuple(labels))
 
 
+@lru_cache(maxsize=256)
+def universe_pairs(universe: TermUniverse) -> tuple[tuple[Sum, ...], ...]:
+    """The m × m table of atom pairs: ``[i][j]`` is atom i + atom j, the
+    same object as in ``universe.terms``."""
+    terms, m = universe.terms, len(universe.atoms)
+    return tuple(terms[m + i * m : m + (i + 1) * m] for i in range(m))
+
+
+def classes(p: Partition) -> list[list[Term]]:
+    """Class member lists of ``p`` over the universe terms, ordered by class
+    label, members in term order."""
+    return p.members(p.universe.atoms, universe_pairs(p.universe))
+
+
+def num_classes(p: Partition) -> int:
+    """The class count of ``p``, from its definitions alone: k atom classes
+    and k² operand class pairs, less the defined pairs, which lie in atom
+    classes."""
+    k = len(p.defs)
+    return k + k * k - (k - p.defs.count(None))
+
+
 def cls(p: Partition | GridPartition, text: str) -> set[str]:
     """Formatted member set of the class of the given term; a grid lists it
     through its own member lists."""

@@ -35,6 +35,9 @@ def test_term_level_oracles_are_not_exported():
     assert not hasattr(herbrand.Atom, "is_constant")
     assert not hasattr(herbrand.TermUniverse, "pair_operands")
     assert not hasattr(herbrand.Partition, "pair_classes")
+    assert not hasattr(herbrand.Partition, "classes")
+    assert not hasattr(herbrand.Partition, "num_classes")
+    assert not hasattr(herbrand.TermUniverse, "pairs")
 
 
 def test_mop_submodule_is_not_shadowed():

@@ -276,6 +276,75 @@ def test_cli_verify_exit_1_on_mismatch(monkeypatch, capsys):
     code, out, _ = _run(capsys, "verify", str(PROGRAMS_DIR / "diamond.dfg"))
     assert code == 1
     assert "MISMATCH" in out and "FAILED" in out
+    assert out == (
+        "length 0: ok (1 nodes)\nlength 1: MISMATCH at nodes [1]\nlength 2: ok (1 nodes)\n"
+        "stabilized within bound: yes\npath meet vs fixpoint: ok\nFAILED\n"
+    )
+
+    # (report, exit code, text stdout); the JSON stdout lists the same fields
+    cases = [
+        # two nodes at length 1, given out of order, then one at length 2,
+        # and fixpoint mismatches
+        (
+            VerifyReport(3, 3, True, 12, [(3, 1), (1, 1), (2, 2)], [2, 3]),
+            1,
+            "length 0: ok (3 nodes)\nlength 1: MISMATCH at nodes [1, 3]\nlength 2: MISMATCH at nodes [2]\n"
+            "length 3: ok (3 nodes)\nstabilized within bound: yes\n"
+            "path meet vs fixpoint: MISMATCH at nodes [2, 3]\nFAILED\n",
+        ),
+        # fixpoint mismatches only
+        (
+            VerifyReport(2, 1, True, 4, [], [1]),
+            1,
+            "length 0: ok (2 nodes)\nlength 1: ok (2 nodes)\nstabilized within bound: yes\n"
+            "path meet vs fixpoint: MISMATCH at nodes [1]\nFAILED\n",
+        ),
+        # unstabilized: no fixpoint line, with and without a mismatch
+        (
+            VerifyReport(2, 2, False, 6, [(2, 2)]),
+            1,
+            "length 0: ok (2 nodes)\nlength 1: ok (2 nodes)\nlength 2: MISMATCH at nodes [2]\n"
+            "stabilized within bound: no\nFAILED\n",
+        ),
+        (
+            VerifyReport(2, 1, False, 4),
+            0,
+            "length 0: ok (2 nodes)\nlength 1: ok (2 nodes)\nstabilized within bound: no\nok\n",
+        ),
+    ]
+    for report, exit_code, text in cases:
+        monkeypatch.setattr(cli_module, "verify_mop_mfp", lambda *a, report=report, **k: report)
+        assert _run(capsys, "verify", str(PROGRAMS_DIR / "diamond.dfg")) == (exit_code, text, "")
+        payload = {
+            "solver": "verify",
+            "max_len": report.max_len,
+            "nodes": report.node_count,
+            "checks": report.checks,
+            "stabilized": report.stabilized,
+            "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
+            "fixpoint_mismatches": report.fixpoint_mismatches,
+            "ok": exit_code == 0,
+        }
+        json_out = json.dumps(payload, indent=2) + "\n"
+        assert _run(capsys, "verify", str(PROGRAMS_DIR / "diamond.dfg"), "--format", "json") == (exit_code, json_out, "")
+
+
+def test_cli_main_calls_share_one_parser(capsys):
+    from herbrand import cli as cli_module
+
+    cli_module.build_parser.cache_clear()
+    path = str(PROGRAMS_DIR / "diamond.dfg")
+    assert _run(capsys, "check", path)[0] == 0
+    assert _run(capsys, "analyze", path, "--format", "json")[0] == 0
+    with pytest.raises(SystemExit) as info:
+        main(["analyze", path, "--format", "yaml"])
+    assert info.value.code == 2
+    assert "invalid choice: 'yaml'" in capsys.readouterr().err
+    # a bad argument leaves the shared parser usable
+    assert _run(capsys, "check", path) == (0, "ok: 5 nodes, 2 vars, 1 consts, 30 universe terms\n", "")
+    # the first call built the parser, and the other three reused it
+    info = cli_module.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_cli_verify_json(capsys):

@@ -6,8 +6,19 @@ import sys
 
 import pytest
 
-from herbrand import TOP, Partition, build_universe, emit_report, format_term, parse_program, solve, visible_classes
-from herbrand.cli import main
+from herbrand import (
+    TOP,
+    Partition,
+    build_universe,
+    emit_report,
+    format_term,
+    parse_program,
+    solve,
+    verify_mop_mfp,
+    visible_classes,
+)
+from herbrand.cli import build_parser, main
+from herbrand.report import FORMATS, render_points, render_verify
 from helpers import (
     CORPUS_FILES,
     GridPartition,
@@ -154,3 +165,32 @@ def test_a_report_lists_the_classes_of_each_distinct_value_once(monkeypatch):
             emit_report(result.state, result.iterations, fmt, full, iterates)
             values = set(result.state).union(*(iterates or ())) - {TOP}
             assert len(calls) == len(values), (name, fmt, full, trace)
+
+
+def test_emit_report_rejects_an_unknown_format():
+    universe, graph = load_program("diamond.dfg")
+    result = solve(graph, universe)
+    with pytest.raises(ValueError, match="unknown report format 'JSON'"):
+        emit_report(result.state, result.iterations, "JSON")
+
+
+def test_render_points_rejects_an_unknown_format():
+    universe, graph = load_program("diamond.dfg")
+    with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+        render_points({"solver": "jacobi"}, solve(graph, universe).state, "yaml")
+
+
+def test_render_verify_rejects_an_unknown_format():
+    universe, graph = load_program("diamond.dfg")
+    report = verify_mop_mfp(graph, universe, 4)
+    assert report.ok
+    with pytest.raises(ValueError, match="unknown report format 'xml'"):
+        render_verify(report, "xml")
+
+
+def test_cli_formats_are_the_report_formats():
+    assert FORMATS == ("text", "json")
+    (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
+    for name in ("analyze", "mop", "verify"):
+        (option,) = [action for action in commands.choices[name]._actions if action.dest == "format"]
+        assert option.choices is FORMATS

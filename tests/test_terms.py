@@ -18,7 +18,7 @@ from herbrand import (
     solve,
     verify_mop_mfp,
 )
-from helpers import CORPUS_FILES, depth, load_program, substitute
+from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs
 
 
 @pytest.fixture
@@ -131,9 +131,10 @@ def test_universe_terms_are_its_own_atoms_and_sums_of_them(universe):
         i, j = divmod(pos - m, m)
         pair = universe.terms[pos]
         assert pair.left is universe.atoms[i] and pair.right is universe.atoms[j]
-        # the terms are the atoms and then the rows of ``pairs``, the same objects
-        assert pair is universe.pairs[i][j]
-    assert len(universe.pairs) == m and all(len(row) == m for row in universe.pairs)
+        # the terms are the atoms and then the rows of the pair table, the same objects
+        assert pair is universe_pairs(universe)[i][j]
+    rows = universe_pairs(universe)
+    assert len(rows) == m and all(len(row) == m for row in rows)
     assert parse_term("x", universe) == universe.resolve("x")
 
 
