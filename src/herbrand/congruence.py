@@ -16,10 +16,10 @@ strong equivalence DAG of Gulwani and Necula, SAS 2004, cut to depth 1).
 Every undefined operand class pair is a class of pairs only. Queries number
 the classes as first occurrence over the universe would: the k atom classes
 0..k-1, then the undefined pair classes (l, r) in lexicographic order.
-Classes are listed here and nowhere else: ``Partition.members`` expands the
-labels and definitions into member lists over the names it is given (the
-report's visible names), and ``get_class`` reads one class from the same
-labels and definitions.
+Classes are listed here and nowhere else: ``Partition.members`` lists them
+as index data, each atom class's group of atom indices and one ``(c, l, r)``
+label triple per listed class, and formats no names (the report does);
+``get_class`` reads one class from the same labels and definitions.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -41,16 +41,14 @@ exactly when their values coincide.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import TypeVar, Union
+from typing import Union
 
 from .errors import DeclarationError, UniverseMismatchError
 from .terms import Atom, Sum, Term, TermUniverse
-
-T = TypeVar("T")
 
 
 class Top:
@@ -132,36 +130,30 @@ class Partition:
             raise DeclarationError(f"term not in universe: {t}")
         return term_value(t, self)
 
-    def members(self, names: Sequence[T], pair_names: Sequence[Sequence[T]], least: int = 1) -> list[list[T]]:
-        """Class member lists in label order: each atom class, its atoms and
-        then the pairs over its definition; then each undefined operand class
-        pair (l, r), in lexicographic order. Atom i is listed as ``names[i]``
-        and pair (i, j) as ``pair_names[i][j]``. Only the first
-        ``len(names)`` atoms count, and a class with fewer than ``least``
-        (1 or 2) counted members is left out."""
-        atoms: list[list[int]] = [[] for _ in self.defs]
-        for i, c in zip(range(len(names)), self.atoms):
+    def members(self, count: int, least: int = 1) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+        """The classes as index data: the atom groups, where group c holds
+        the indices below ``count`` of atom class c's atoms and a last, empty
+        group is the group of label -1; and one label triple ``(c, l, r)``
+        per listed class, in label order. An atom class c is listed as
+        ``(c, l, r)`` over its definition (l, r), or ``(c, -1, -1)`` without
+        one; each undefined operand class pair (l, r), in lexicographic
+        order, as ``(-1, l, r)``. A class's members are the atoms of group c
+        and the pairs over group l × group r, and a class with fewer than
+        ``least`` (1 or 2) of them is left out."""
+        atoms: list[list[int]] = [[] for _ in range(len(self.defs) + 1)]
+        for i, c in zip(range(count), self.atoms):
             atoms[c].append(i)
-
-        def pairs(left: int, right: int) -> list[T]:
-            return [pair_names[i][j] for i in atoms[left] for j in atoms[right]]
-
-        out = []
-        for c, pair in enumerate(self.defs):
-            row = [names[i] for i in atoms[c]]
-            if pair is not None:
-                row += pairs(*pair)
-            if len(row) >= least:
-                out.append(row)
+        groups = list(map(tuple, atoms))
+        sizes = list(map(len, groups))
+        labels = enumerate(pair or (-1, -1) for pair in self.defs)
+        out = [(c, l, r) for c, (l, r) in labels if sizes[c] + sizes[l] * sizes[r] >= least]
         # an undefined operand class pair (l, r) has |l| * |r| counted
         # members, so below ``least`` a one-atom l needs an r of two or more
-        shown = [c for c, on in enumerate(atoms) if on]
-        shared = [c for c in shown if len(atoms[c]) > 1]
+        shown = [c for c, size in enumerate(sizes) if size]
+        shared = [c for c in shown if sizes[c] > 1]
         defined = set(self.defs)
-        for left in shown:
-            rights = shown if len(atoms[left]) >= least else shared
-            out.extend(pairs(left, right) for right in rights if (left, right) not in defined)
-        return out
+        out += [(-1, l, r) for l in shown for r in (shown if sizes[l] >= least else shared) if (l, r) not in defined]
+        return groups, out
 
 
 LatticeElem = Union[Top, Partition]

@@ -9,18 +9,27 @@ visibility only, never membership.
 One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
-* the visible names of each universe (all atoms with ``full``; otherwise
-  those below the reserved constants) and their pairs' names, formatted
-  once (``a``, ``a+b``); ``Partition.members`` lists a value's classes over
-  them;
+* per universe, the visible names (all atoms with ``full``; otherwise those
+  below the reserved constants) and one row memo. ``Partition.members``
+  lists a value's classes as atom groups and ``(c, l, r)`` label triples.
+  The memo is keyed by a row's groups, interned per universe, and holds its
+  least member and its text. A miss formats only that row's members (the
+  atoms of group c and ``a+b`` over groups l × r) and sorts them, so no
+  table of the m² pair names is built, and a row that recurs across the
+  values of a report is formatted once. A value's rows sort by their least
+  members, since classes are disjoint;
 * one entry memo keyed by depth and value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   top-level entry is rendered once from its class rows, and a ``--trace``
   iterate's entry is that text indented one level deeper, so a value's
   classes are listed once per report however many points share it;
 * one points writer for both formats. JSON has the layout of
-  ``json.dumps(indent=2)``, with strings escaped by its encoder,
-  ``encode_basestring_ascii``, but is written directly.
+  ``json.dumps(indent=2)`` but is written directly. A JSON row is its
+  member names quoted and joined, unescaped: ``build_universe`` admits only
+  ``IDENT_RE`` names besides ``$nd1`` and ``$nd2``, and JSON escapes none
+  of them. Each universe's visible names are checked once against
+  ``encode_basestring_ascii``, and a name that would need an escape raises
+  ``ValueError``.
 
 This module is the only one that knows how a report looks: every
 subcommand's report, ``verify``'s and ``check``'s included, is rendered
@@ -32,6 +41,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable
 
 from .congruence import LatticeElem, Partition, is_top
@@ -56,29 +66,58 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+# a class row: its least member, its text in the render's format and its
+# sorted members
+_Row = tuple[str, str, list[str]]
+
+
 class _Render:
-    """One render call: the names of each universe and each value's entry."""
+    """One render call: per universe its visible names, atom group ids and
+    row memo, and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
         self.full = full
         # a trace iterate's points sit one level deeper than the state's
         self.step = "    " if self.json else "  "
-        self.names: dict[TermUniverse, tuple[list[str], list[list[str]]]] = {}
+        # a class row's text: its sorted members, joined and wrapped
+        self.row = ('[\n          "', '",\n          "', '"\n        ]') if self.json else ("\n  [", ", ", "]")
+        self.universes: dict[TermUniverse, tuple[list[str], dict[tuple[int, ...], int], dict[tuple, _Row]]] = {}
         self.entries: dict[tuple[bool, LatticeElem], str] = {}
 
-    def rows(self, elem: LatticeElem) -> list[list[str]] | None:
+    def rows(self, elem: LatticeElem) -> list[_Row] | None:
+        """The shown class rows of ``elem``, sorted; ``None`` for ``TOP``."""
         if is_top(elem):
             return None
         assert isinstance(elem, Partition)
-        names = self.names.get(elem.universe)
-        if names is None:
-            shown = [atom.name for atom in elem.universe.atoms]
+        known = self.universes.get(elem.universe)
+        if known is None:
+            names = [atom.name for atom in elem.universe.atoms]
             if not self.full:
-                shown = shown[: len(shown) - len(elem.universe.reserved)]
-            names = self.names[elem.universe] = (shown, [[f"{a}+{b}" for b in shown] for a in shown])
+                names = names[: len(names) - len(elem.universe.reserved)]
+            for name in names if self.json else ():
+                if encode_basestring_ascii(name) != f'"{name}"':
+                    raise ValueError(f"atom name {name!r} needs a JSON escape")
+            known = self.universes[elem.universe] = (names, {}, {})
+        names, ids, memo = known
+        head, sep, tail = self.row
         # a shown class has at least this many visible members
-        return sorted(map(sorted, elem.members(*names, 1 if self.full else 2)))
+        groups, labels = elem.members(len(names), 1 if self.full else 2)
+        gid = [ids.setdefault(group, len(ids)) for group in groups]
+        rows = []
+        for c, l, r in labels:
+            key = (gid[c], gid[l], gid[r])
+            row = memo.get(key)
+            if row is None:
+                members = [f"{names[a]}+{names[b]}" for a in groups[l] for b in groups[r]]
+                if c >= 0:  # not a class of pairs only
+                    members += [names[i] for i in groups[c]]
+                members.sort()
+                row = memo[key] = (members[0], head + sep.join(members) + tail, members)
+            rows.append(row)
+        # classes are disjoint, so rows sort by their least members
+        rows.sort(key=itemgetter(0))
+        return rows
 
     def entry(self, elem: LatticeElem, deep: bool) -> str:
         entry = self.entries.get((deep, elem))
@@ -88,12 +127,12 @@ class _Render:
             else:
                 rows = self.rows(elem)
                 if not self.json:
-                    entry = "top" if rows is None else "partition" + "".join(f"\n  [{', '.join(row)}]" for row in rows)
+                    entry = "top" if rows is None else "partition" + "".join(row[1] for row in rows)
                 elif rows is None:
                     entry = '\n      "status": "top"\n    }'
                 else:
-                    classes = [_json_array(list(map(encode_basestring_ascii, row)), "        ") for row in rows]
-                    entry = f'\n      "status": "partition",\n      "classes": {_json_array(classes, "      ")}\n    }}'
+                    classes = _json_array([row[1] for row in rows], "      ")
+                    entry = f'\n      "status": "partition",\n      "classes": {classes}\n    }}'
             self.entries[deep, elem] = entry
         return entry
 
@@ -107,7 +146,7 @@ class _Render:
 
 def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
     """Class lists for one node, or ``None`` for a ``TOP`` node."""
-    return _Render("text", full).rows(elem)
+    return None if is_top(elem) else [row[2] for row in _Render("text", full).rows(elem)]
 
 
 def render_json(payload: dict) -> str:

@@ -113,8 +113,12 @@ def universe_pairs(universe: TermUniverse) -> tuple[tuple[Sum, ...], ...]:
 
 def classes(p: Partition) -> list[list[Term]]:
     """Class member lists of ``p`` over the universe terms, ordered by class
-    label, members in term order."""
-    return p.members(p.universe.atoms, universe_pairs(p.universe))
+    label, members in term order: a class's atoms, then its pairs row by
+    row, expanded from the atom groups and label triples of
+    ``Partition.members``."""
+    atoms, pairs = p.universe.atoms, universe_pairs(p.universe)
+    groups, labels = p.members(len(atoms))
+    return [[atoms[i] for i in groups[c]] + [pairs[i][j] for i in groups[l] for j in groups[r]] for c, l, r in labels]
 
 
 def num_classes(p: Partition) -> int:

@@ -2,23 +2,32 @@
 and ``reference_mop_report`` (tests/helpers.py), byte for byte."""
 
 import random
+import string
 import sys
+import tracemalloc
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
 from herbrand import (
     TOP,
+    Atom,
     Partition,
+    TermUniverse,
+    assign_transfer,
+    bottom,
     build_universe,
     emit_report,
     format_term,
     parse_program,
+    parse_term,
     solve,
     verify_mop_mfp,
     visible_classes,
 )
 from herbrand.cli import build_parser, main
 from herbrand.report import FORMATS, render_points, render_verify
+from herbrand.terms import IDENT_RE, RESERVED, VARIABLE
 from helpers import (
     CORPUS_FILES,
     GridPartition,
@@ -117,22 +126,53 @@ def _shown_classes(g, full):
     return sorted(rows)
 
 
-def test_visible_classes_match_reference_on_arbitrary_labelings():
-    # arbitrary labelings check the grid reference; congruences check the
-    # renderer against it
+def _arbitrary_labelings():
+    """Seeded (grid, congruence) pairs over four universes: 30 arbitrary
+    labelings per universe, each with a random congruence drawn after it
+    (``None`` over the universe without variables)."""
     rng = random.Random(47)
     for variables, constants in [([], []), (["x"], []), (["x", "y"], ["a"]), (["x", "y", "z"], ["a", "b"])]:
         universe = build_universe(variables, constants)
         n = len(universe.terms)
         for _ in range(30):
             g = GridPartition(universe, tuple(rng.randrange(1 + n // 3) for _ in range(n)))
+            yield g, rand_partition(universe, rng, steps=rng.randrange(0, 12)) if variables else None
+
+
+def test_visible_classes_match_reference_on_arbitrary_labelings():
+    # arbitrary labelings check the grid reference; congruences check the
+    # renderer against it
+    for g, p in _arbitrary_labelings():
+        for full in (False, True):
+            assert reference_visible_classes(g, full) == _shown_classes(g, full)
+        if p is not None:
             for full in (False, True):
-                assert reference_visible_classes(g, full) == _shown_classes(g, full)
-            if variables:
-                p = rand_partition(universe, rng, steps=rng.randrange(0, 12))
-                for full in (False, True):
-                    assert visible_classes(p, full) == reference_visible_classes(p, full)
+                assert visible_classes(p, full) == reference_visible_classes(p, full)
     assert visible_classes(TOP) is None
+
+
+def test_one_report_over_values_sharing_atom_groups_matches_reference():
+    # one report over every congruence above: the row memo is shared by all
+    # of a universe's values, in which one atom group has several labels,
+    # and a group is an atom class of one value and a pair operand of another
+    state = tuple(p for _, p in _arbitrary_labelings() if p is not None) + (TOP,)
+    labels, as_atoms, as_operands = {}, {}, {}
+    for p in state[:-1]:
+        groups, triples = p.members(len(p.universe.atoms))
+        for c, group in enumerate(groups[:-1]):
+            labels.setdefault((p.universe, group), set()).add(c)
+        for c, l, r in triples:
+            if c >= 0:
+                as_atoms.setdefault((p.universe, groups[c]), set()).add(p)
+            for i in (l, r) if l >= 0 else ():
+                as_operands.setdefault((p.universe, groups[i]), set()).add(p)
+    assert any(len(seen) > 1 for seen in labels.values())
+    assert any(len(as_atoms[key] | as_operands[key]) > 1 for key in as_atoms.keys() & as_operands.keys())
+    trace = [state[::-1], state[1::2]]
+    for fmt, full, with_trace in VARIANTS:
+        iterates = trace if with_trace else None
+        got = emit_report(state, 3, fmt, full, iterates)
+        _assert_same(got, reference_emit_report(state, 3, fmt, full, iterates), (fmt, full, with_trace))
 
 
 def test_nodes_sharing_a_value_render_it_identically():
@@ -165,6 +205,61 @@ def test_a_report_lists_the_classes_of_each_distinct_value_once(monkeypatch):
             emit_report(result.state, result.iterations, fmt, full, iterates)
             values = set(result.state).union(*(iterates or ())) - {TOP}
             assert len(calls) == len(values), (name, fmt, full, trace)
+
+
+def test_a_thousand_variable_report_formats_only_its_shown_rows():
+    # without ``full`` only the rows of non-singleton classes are shown, so
+    # the report must not format all m² pair names (about 64 MiB at m = 1,000)
+    names = " ".join(f"v{i}" for i in range(1000))
+    text = f"vars {names}\nnode 1 entry\nnode 2 assign v1 := v0 pred 1\nnode 3 assign v2 := v0 + v1 pred 2\n"
+    universe, graph = parse_program(text)
+    result = solve(graph, universe)
+    for fmt in FORMATS:
+        tracemalloc.start()
+        try:
+            report = emit_report(result.state, result.iterations, fmt)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, (fmt, peak)
+        assert "v0+v1" in report, fmt
+
+
+def test_report_names_need_no_json_escape():
+    # a JSON row quotes its names without escaping them: every name that
+    # ``build_universe`` admits is its own ``encode_basestring_ascii`` body
+    rng = random.Random(53)
+    first = string.ascii_letters + "_"
+    names = {"".join([rng.choice(first)] + rng.choices(first + string.digits, k=rng.randrange(12))) for _ in range(500)}
+    names = sorted(names)
+    assert all(IDENT_RE.match(name) for name in names)
+    universe = build_universe(names, [])
+    for name in [atom.name for atom in universe.atoms]:
+        assert encode_basestring_ascii(name) == f'"{name}"', name
+    assert [atom.name for atom in universe.reserved] == ["$nd1", "$nd2"]
+    # and a JSON report over some of them equals ``json.dumps``'s
+    universe = build_universe(names[:5], [])
+    x, y, z = universe.variables[:3]
+    joined = assign_transfer(bottom(universe), x, y)
+    state = (bottom(universe), joined, assign_transfer(joined, z, parse_term(f"{x.name} + {y.name}", universe)))
+    for full in (False, True):
+        _assert_same(emit_report(state, 0, "json", full), reference_emit_report(state, 0, "json", full), full)
+
+
+def test_json_report_rejects_a_name_that_needs_an_escape():
+    atoms = (Atom(VARIABLE, 'a"b'), Atom(RESERVED, "$nd1"), Atom(RESERVED, "$nd2"))
+    universe = TermUniverse(
+        variables=atoms[:1],
+        constants=(),
+        reserved=atoms[1:],
+        atoms=atoms,
+        index={atom: i for i, atom in enumerate(atoms)},
+        by_name={atom.name: atom for atom in atoms},
+    )
+    for full in (False, True):
+        with pytest.raises(ValueError, match="needs a JSON escape"):
+            emit_report([bottom(universe)], 0, "json", full)
+    assert '\n  [a"b+a"b]\n' in emit_report([bottom(universe)], 0, "text", True)
 
 
 def test_emit_report_rejects_an_unknown_format():
