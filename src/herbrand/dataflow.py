@@ -88,7 +88,9 @@ def validate_graph(
     if n == 0:
         raise GraphError("empty graph: node 1 (entry) is required")
     if ids != list(range(1, n + 1)):
-        raise GraphError(f"node ids must be 1..{n} without gaps, got {ids}")
+        # n distinct ints other than 1..n leave at least one of 1..n out
+        missing = next(k for k in range(1, n + 1) if k not in kinds)
+        raise GraphError(f"node ids must be 1..{n} without gaps, but node {missing} is missing")
     if not isinstance(preds, Mapping):
         raise GraphError(f"predecessors {preds!r} are not a mapping")
     for k in preds:

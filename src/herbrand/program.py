@@ -18,6 +18,17 @@ the assigned variable may not appear there; deeper expressions must be split
 across temporaries by the author. Node 1 must be the unique entry. All
 structural rules are enforced, and every diagnostic carries a line number
 where one applies.
+
+Each line is read once by ``_LINE_RE``, which matches every well-formed
+line in its plain spelling: a blank line, ``vars`` or ``consts`` with one or
+more names, or a node line with blanks or tabs between all its words (they
+may be left out around ``:=`` and ``+``) and integers of at most 18 digits.
+That fast reader raises nothing: it declines a line it does not match, a
+node id already defined and a name already declared or repeated on its line.
+A declined line goes to the tokenizer and ``_Cursor``, which can read any
+line and are the one place that words and raises a diagnostic; so the
+errors do not depend on the fast reader, and legal lines it leaves out,
+such as ``node 1entry``, still parse.
 """
 
 from __future__ import annotations
@@ -29,9 +40,20 @@ from .errors import AnalysisError, DeclarationError, GraphError, ParseError
 from .terms import IDENT_RE, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
 
+_ID = "[A-Za-z_][A-Za-z0-9_]*"
 # a token, or in the second group the first character that starts none;
 # blanks and tabs before either are skipped
-_TOKEN_RE = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+)|([^ \t]))")
+_TOKEN_RE = re.compile(rf"[ \t]*(?:({_ID}|[0-9]+|:=|\+)|([^ \t]))")
+_INT = "([0-9]{1,18})"  # far below the interpreter's limit on digits per int()
+# every well-formed line in its plain spelling: a blank line, a declaration
+# or a node, with blanks or tabs between words; its groups are (head, names,
+# node id, entry, confluence, nondet, target, assign, target, rhs, rhs, pred,
+# pred), and the second pred is read only after "confluence" (group 5)
+_LINE_RE = re.compile(
+    rf"[ \t]*(?:(vars|consts)((?:[ \t]+{_ID})+)|node[ \t]+{_INT}[ \t]+(?:(entry)|(?:(confluence)"
+    rf"|(nondet)[ \t]+({_ID})|(assign)[ \t]+({_ID})[ \t]*:=[ \t]*({_ID})(?:[ \t]*\+[ \t]*({_ID}))?)"
+    rf"[ \t]+pred[ \t]+{_INT}(?(5)[ \t]+{_INT})))?[ \t]*"
+)
 # the line ends of universal newlines, as the command line reads a file;
 # str.splitlines would also break at "\f", "\v", U+2028 and more
 LINE_END_RE = re.compile(r"\r\n?|\n")
@@ -98,6 +120,29 @@ def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, li
     nodes: dict[int, tuple[int, str, list[str], list[int]]] = {}
     for line_no, raw in enumerate(LINE_END_RE.split(text), start=1):
         body = raw.split("#", 1)[0]
+        match = _LINE_RE.fullmatch(body)
+        if match is not None:  # the fast reader; what it declines, the cursor reads
+            (head, names, node_id, entry, confluence, nondet, nd_target,
+             assign, target, left, right, pred, pred2) = match.groups()
+            if head is not None:
+                names = names.split()
+                if len(set(names)) == len(names) and decl_lines.keys().isdisjoint(names):
+                    decl_lines.update(dict.fromkeys(names, line_no))
+                    (variables if head == "vars" else constants).extend(names)
+                    continue
+            elif node_id is None:
+                continue
+            elif (node_id := int(node_id)) not in nodes:
+                if entry:
+                    nodes[node_id] = (line_no, entry, [], [])
+                elif confluence:
+                    nodes[node_id] = (line_no, confluence, [], [int(pred), int(pred2)])
+                elif nondet:
+                    nodes[node_id] = (line_no, nondet, [nd_target], [int(pred)])
+                else:
+                    names = [target, left] if right is None else [target, left, right]
+                    nodes[node_id] = (line_no, assign, names, [int(pred)])
+                continue
         tokens = _tokenize(body, line_no)
         if not tokens:
             continue

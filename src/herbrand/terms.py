@@ -118,21 +118,33 @@ def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:
 
 
 def parse_term(text: str, universe: TermUniverse) -> Term:
-    """Parse ``atom`` or ``atom + atom`` against the universe's declarations.
-    Only blanks and tabs, the program format's separators, may surround an
-    atom."""
+    """Parse ``operand`` or ``operand + operand`` against the universe's
+    declarations, where an operand is an atom or a parenthesised term, as
+    ``format_term`` writes them. Only blanks and tabs, the program format's
+    separators, may surround an operand."""
     expr = text.strip(" \t")
-    parts = expr.split("+")
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(expr):
+        if ch in "()":
+            depth += 1 if ch == "(" else -1
+            if depth < 0:
+                break
+        elif ch == "+" and not depth:
+            parts.append(expr[start:i])
+            start = i + 1
+    if depth:
+        raise ParseError(f"unbalanced parentheses in {expr!r}")
+    parts.append(expr[start:])
     if len(parts) > 2:
         raise ParseError(f"expression {expr!r} nests more than one '+'")
     names = [p.strip(" \t") for p in parts]
     if not all(names):
         raise ParseError(f"malformed expression {expr!r}")
     for n in names:
-        if not IDENT_RE.match(n):
+        if not (IDENT_RE.match(n) or n[0] == "(" and n[-1] == ")"):
             raise ParseError(f"invalid atom {n!r}")
-    atoms = [universe.resolve(n) for n in names]
-    return atoms[0] if len(atoms) == 1 else Sum(*atoms)
+    terms = [parse_term(n[1:-1], universe) if n[0] == "(" else universe.resolve(n) for n in names]
+    return terms[0] if len(terms) == 1 else Sum(*terms)
 
 
 def format_term(t: Term) -> str:

@@ -165,6 +165,21 @@ def test_node_ids_must_be_contiguous():
         validate_graph({}, {})
 
 
+def test_a_gap_in_the_node_ids_names_the_first_missing_id():
+    u = build_universe(["x"], ["a"])
+    stmt = Assign(u.resolve("x"), u.resolve("a"))
+    cases = [
+        ({1: Entry(), 3: stmt}, {3: [1]}, "node ids must be 1..2 without gaps, but node 2 is missing"),
+        ({1: Entry(), 2: stmt, 5: stmt, 6: stmt}, {2: [1], 5: [2], 6: [5]}, "1..4 without gaps, but node 3 is missing"),
+        ({0: Entry(), 1: Entry()}, {}, "1..2 without gaps, but node 2 is missing"),
+        ({-4: Entry()}, {}, "1..1 without gaps, but node 1 is missing"),
+    ]
+    for kinds, preds, message in cases:
+        with pytest.raises(GraphError) as info:
+            validate_graph(kinds, preds)
+        assert str(info.value).endswith(message) and info.value.node is None
+
+
 def test_first_step_pins_only_the_entry():
     universe, graph = load_program("diamond.dfg")
     state = composite_step((TOP,) * graph.n, graph, universe)

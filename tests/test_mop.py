@@ -1,9 +1,12 @@
+import dataclasses
+
 import pytest
 
 from herbrand import (
     Assign,
     Confluence,
     NonDet,
+    Partition,
     PathLimitError,
     TOP,
     apply_statement,
@@ -13,6 +16,7 @@ from herbrand import (
     mop_table,
     parse_program,
     refines,
+    solve,
     verify_mop_mfp,
 )
 from herbrand.cli import main
@@ -173,6 +177,53 @@ def test_verify_checks_every_length_even_without_stabilization():
     # stabilization is a whole-vector condition
     rows = mop_table(graph, universe, 4)
     assert report.stabilized == (rows[3] == rows[4])
+
+
+def _per_length_verify(rows, trace, n, max_len):
+    """``verify_mop_mfp``'s comparison as one loop over every length: the
+    checks and the iterate mismatches, in (length, node) order."""
+    mismatches = []
+    for l in range(max_len + 1):
+        row, iterate = rows[min(l, len(rows) - 1)], trace[min(l, len(trace) - 1)]
+        mismatches += [(k, l) for k in range(1, n + 1) if row[k - 1] != iterate[k - 1]]
+    return n * (max_len + 1), mismatches
+
+
+def test_verify_compares_past_both_tables_ends_once(monkeypatch):
+    universe, graph = load_program("diamond.dfg")
+    rows = mop_table(graph, universe, 10**6)
+    solved = solve(graph, universe, trace=True)
+    monkeypatch.setattr("herbrand.mop.mop_table", lambda *a, **k: rows)
+    monkeypatch.setattr("herbrand.mop.solve", lambda *a, **k: solved)
+    compared = 0
+    equal = Partition.__eq__
+
+    def counting_eq(self, other):
+        nonlocal compared
+        compared += 1
+        return equal(self, other)
+
+    monkeypatch.setattr(Partition, "__eq__", counting_eq)
+    report = verify_mop_mfp(graph, universe, 10**6)
+    assert report.ok and report.checks == graph.n * (10**6 + 1)
+    assert 0 < compared <= graph.n * (len(rows) + len(solved.trace))
+
+
+def test_verify_lists_a_mismatch_past_both_ends_at_every_length(monkeypatch):
+    # a doctored solver trace whose last row differs from the path meets at
+    # nodes 2 and 5, and whose earlier row differs at node 4
+    universe, graph = load_program("diamond.dfg")
+    rows = mop_table(graph, universe, 50)
+    trace = list(solve(graph, universe, trace=True).trace)
+    trace[-1] = (*trace[-1][:1], bottom(universe), *trace[-1][2:4], bottom(universe))
+    trace[2] = (*trace[2][:3], bottom(universe), trace[2][4])
+    doctored = dataclasses.replace(solve(graph, universe), trace=trace)
+    monkeypatch.setattr("herbrand.mop.solve", lambda *a, **k: doctored)
+    for max_len in (1, len(trace) - 1, len(rows) + len(trace), 50):
+        report = verify_mop_mfp(graph, universe, max_len)
+        checks, mismatches = _per_length_verify(rows, trace, graph.n, max_len)
+        assert (report.checks, report.iterate_mismatches) == (checks, mismatches)
+    assert mismatches[-2:] == [(2, 50), (5, 50)] and (4, 2) in mismatches
 
 
 def test_table_stops_one_row_after_the_paths_run_out():

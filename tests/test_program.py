@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +22,14 @@ from herbrand import (
     parse_program,
     visible_classes,
 )
+from herbrand import program
 from herbrand.cli import main
 from herbrand.terms import RESERVED
-from helpers import GOLDEN_DIR, PROGRAMS_DIR, grid, program_text, rand_partition
+from helpers import CORPUS_FILES, GOLDEN_DIR, PROGRAMS_DIR, ROOT, grid, program_text, rand_partition
+
+# the benchmark's program generator, read only
+sys.path.append(str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def _mentions_reserved(t) -> bool:
@@ -172,6 +179,128 @@ def test_parser_raises_only_analysis_errors(lines, line_end):
         parse_program(line_end.join(lines))
     except AnalysisError:
         pass
+
+
+# ---------------------------------------------------------------------------
+# the fast reader (program._LINE_RE) against the cursor
+# ---------------------------------------------------------------------------
+
+# every program the corpus and the benchmark's workloads on seeds 0 to 2 parse
+_PROGRAMS = [program_text(name) for name in CORPUS_FILES] + [
+    case.program.text() for name in workloads.WORKLOADS for seed in range(3) for case in workloads.build(name, seed)
+]
+
+
+def _outcome(text):
+    """The scanned lines, the universe's names and the graph, or the
+    error's type, message, line and node."""
+    try:
+        scanned = program._scan(text)
+        universe, graph = parse_program(text)
+    except AnalysisError as err:
+        return type(err), str(err), err.line, getattr(err, "node", None)
+    return scanned, universe.variables, universe.constants, graph
+
+
+def _assert_the_cursor_agrees(texts):
+    """Each text parses the same with the fast reader on and with every line
+    sent to the cursor."""
+    texts = list(texts)
+    fast = [_outcome(text) for text in texts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(program, "_LINE_RE", re.compile(r"(?!)"))  # matches nothing
+        slow = [_outcome(text) for text in texts]
+    for text, f, s in zip(texts, fast, slow):
+        assert f == s, text
+
+
+# inserted by the mutations below: words, separators the format rejects (VT,
+# NBSP), a line end, and a digit run past CPython's limit on digits per int()
+_INSERTS = ["node", "pred", "entry", "confluence", "nondet", ":=", "+", "x", "v1", "1", "2", " ", "\t", "#"]
+_INSERTS += ["\x0b", "\u00a0", "\r", "7" * 4400]
+
+
+def _mutations(text, rng, count):
+    lines = text.split("\n")
+    for _ in range(count):
+        out = list(lines)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(out))
+            line, op = out[i], rng.randrange(4)
+            if op == 0:  # insert a word or a character
+                j = rng.randint(0, len(line))
+                out[i] = line[:j] + rng.choice(_INSERTS) + line[j:]
+            elif op == 1 and line:  # delete a character
+                j = rng.randrange(len(line))
+                out[i] = line[:j] + line[j + 1:]
+            elif op == 2:  # duplicate a line
+                out.insert(rng.randint(0, len(out)), line)
+            else:  # blanks to tabs
+                out[i] = line.replace(" ", "\t")
+        yield "\n".join(out)
+
+
+def test_fast_reader_takes_every_corpus_and_workload_line(monkeypatch):
+    def cursor(body, line_no):
+        raise AssertionError(f"line {line_no} went to the cursor: {body!r}")
+
+    monkeypatch.setattr(program, "_tokenize", cursor)
+    for text in _PROGRAMS:
+        parse_program(text)
+
+
+def test_fast_reader_parses_corpus_and_workloads_like_the_cursor():
+    _assert_the_cursor_agrees(_PROGRAMS)
+
+
+def test_fast_reader_parses_mutated_programs_like_the_cursor():
+    rng = random.Random(18)
+    texts = [m for text in _PROGRAMS[: len(CORPUS_FILES)] for m in _mutations(text, rng, 60)]
+    texts += [m for text in _PROGRAMS[len(CORPUS_FILES):] for m in _mutations(text, rng, 4)]
+    _assert_the_cursor_agrees(texts)
+
+
+# lines next to the fast reader's edge: legal ones it leaves to the cursor,
+# and errors, which only the cursor words
+_EDGE_LINES = [
+    "node 1 entry pred 1",
+    "node 2 nondet x pred 1 2",
+    "node 3 confluence pred 2",
+    "node 3 confluence pred 1 2 3",
+    "node 1entry",
+    "node 2 assign x:=a+y pred 1",
+    "node 2 assign x := a + pred 1",
+    "node 2 assign x := a pred",
+    "node 2 assign a := x pred 1",
+    "node 2 nondet pred pred 1",
+    "node 007 entry",
+    "node 0 entry",
+    "node " + "9" * 18 + " entry",
+    "node " + "9" * 19 + " entry",
+    "node 2 nondet x pred " + "7" * 19,
+    "vars y y",
+    "consts b a",
+    "vars x",
+    "vars node pred",
+    "vars",
+    "vars\tz  ",
+    "node 1 entry",
+    "node 2 nondet y pred 1",
+    "  node\t4 confluence pred 2 2\t",
+]
+_BASE = "vars x y\nconsts a\nnode 1 entry\nnode 2 nondet x pred 1\nnode 3 assign y := x + a pred 2\n"
+
+
+def test_fast_reader_parses_edge_lines_like_the_cursor():
+    _assert_the_cursor_agrees(
+        text for line in _EDGE_LINES for text in (line + "\n" + _BASE, _BASE + line + "\n", _BASE + line + "\n" + line)
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(_LINES, max_size=10), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_fast_reader_parses_hypothesis_lines_like_the_cursor(lines, line_end):
+    _assert_the_cursor_agrees([line_end.join(lines)])
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +518,17 @@ def test_cli_check_counts_a_thousand_variable_universe(tmp_path, capsys):
         "ok: 2 nodes, 1000 vars, 1 consts, 1007012 universe terms\n",
         "",
     )
+
+
+def test_cli_gap_in_sixty_thousand_node_ids_names_the_missing_node(tmp_path, capsys):
+    lines = ["vars x", "node 1 entry", "node 2 nondet x pred 1"]
+    lines += [f"node {k} nondet x pred {k - 1}" for k in range(4, 60002)]
+    path = tmp_path / "gap.dfg"
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = _run(capsys, "check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error[E_GRAPH]: node ids must be 1..60000 without gaps, but node 3 is missing\n"
+    assert len(err.encode()) < 200
 
 
 def test_cli_input_errors_exit_2(tmp_path, capsys):

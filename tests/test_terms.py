@@ -172,6 +172,39 @@ def test_parse_format_roundtrip(universe):
         assert parse_term(text, universe) == t
 
 
+def test_parse_term_reads_what_format_term_writes(universe):
+    rng = random.Random(4)
+    terms = [_rand_term(universe, rng, rng.randint(0, 4)) for _ in range(400)]
+    assert max(map(depth, terms)) == 4
+    for t in terms:
+        assert parse_term(format_term(t), universe) == t
+        spaced = format_term(t).replace("+", " + ").replace("(", "( \t").replace(")", "\t )")
+        assert parse_term(spaced, universe) == t
+    x, a = universe.resolve("x"), universe.resolve("a")
+    assert parse_term("(x+a)+y", universe) == Sum(Sum(x, a), universe.resolve("y"))
+    assert parse_term("(x+a)", universe) == parse_term("((x))+((a))", universe) == Sum(x, a)
+
+
+def test_parse_term_errors_past_one_level(universe):
+    cases = [
+        ("a+b+x", ParseError, "expression 'a+b+x' nests more than one '+'"),
+        (" (a+b)+x+y ", ParseError, "expression '(a+b)+x+y' nests more than one '+'"),
+        ("(a+b+x)+y", ParseError, "expression 'a+b+x' nests more than one '+'"),
+        ("(a+b", ParseError, "unbalanced parentheses in '(a+b'"),
+        ("a)+(b", ParseError, "unbalanced parentheses in 'a)+(b'"),
+        ("(a)(b)", ParseError, "unbalanced parentheses in 'a)(b'"),
+        ("()+a", ParseError, "malformed expression ''"),
+        ("(a+)+b", ParseError, "malformed expression 'a+'"),
+        ("x(a)", ParseError, "invalid atom 'x(a)'"),
+        ("(a+\u00a0b)", ParseError, "invalid atom '\\xa0b'"),
+        ("(a+q)+x", DeclarationError, "undeclared name 'q'"),
+    ]
+    for text, error, message in cases:
+        with pytest.raises(error) as info:
+            parse_term(text, universe)
+        assert str(info.value) == message, text
+
+
 def test_universe_stores_its_atoms_only():
     names = [f"v{i}" for i in range(3000)]
     tracemalloc.start()
