@@ -24,11 +24,12 @@ label triple per listed class, and formats no names (the report does);
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
 hash equal. The meet is the product of the two partitions (Kildall, POPL
-1973). ``meet`` builds it only when five cheap exits fail, in this order:
+1973). ``meet`` builds it only when six cheap exits fail, in this order:
 the same object on both sides, ``TOP`` on either side, the universe check,
-equal labels and definitions, and a left operand that refines the right.
-All but the last cost O(1) or two tuple compares; the refinement test is
-O(m) plus O(k) over the left side's definitions. The running path meet of
+equal labels and definitions, the finest congruence on either side, and a
+left operand that refines the right. All but the last cost O(1), two tuple
+compares or one pass over k definitions; the refinement test is O(m) plus
+O(k) over the left side's definitions. The running path meet of
 ``mop_table`` rarely gets past them; the README gives the counts on the
 ``perfbench`` chains.
 
@@ -208,7 +209,11 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     2. ``TOP`` on either side: the other side, one type test each.
     3. Different universes raise ``UniverseMismatchError``.
     4. Equal ``atoms`` and ``defs`` tuples: ``l1``, two tuple compares.
-    5. ``l1`` refines ``l2``: ``l1``. One map from each ``l1`` atom class to
+    5. The finest congruence, m atom classes and no definition, on either
+       side: that side, ``l1`` tested first. It is the least element, so it
+       is the product. One length compare and one ``any`` over the k
+       definitions per side.
+    6. ``l1`` refines ``l2``: ``l1``. One map from each ``l1`` atom class to
        an ``l2`` class, checked against ``l2``'s labels in O(m); when ``l1``
        defines some class, its O(k) definitions are also checked against
        ``l2``'s.
@@ -224,6 +229,12 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     atoms1, atoms2, defs1, defs2 = l1.atoms, l2.atoms, l1.defs, l2.defs
     if atoms1 == atoms2 and defs1 == defs2:
         return l1
+    # the finest congruence is the least element: its product with any
+    # congruence has m singleton atom classes and no definition, so is itself
+    if len(defs1) == len(atoms1) and not any(defs1):
+        return l1
+    if len(defs2) == len(atoms2) and not any(defs2):
+        return l2
     image = dict(zip(atoms1, atoms2))
     if tuple(map(image.__getitem__, atoms1)) == atoms2:
         # the product has l1's atom classes, each inside its image in l2; it

@@ -30,6 +30,11 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # identifier character), so a pair of fresh distinct constants always exists.
 RESERVED_NAMES = ("$nd1", "$nd2")
 
+# The most parenthesis levels ``parse_term`` reads. It recurses once per
+# level, as do ``format_term`` and ``term_value`` on what it returns, so a
+# deeper text raises ``ParseError`` before any recursion.
+MAX_TERM_DEPTH = 100
+
 
 @dataclass(frozen=True)
 class Atom:
@@ -121,17 +126,20 @@ def parse_term(text: str, universe: TermUniverse) -> Term:
     """Parse ``operand`` or ``operand + operand`` against the universe's
     declarations, where an operand is an atom or a parenthesised term, as
     ``format_term`` writes them. Only blanks and tabs, the program format's
-    separators, may surround an operand."""
+    separators, may surround an operand. Operands nest at most
+    ``MAX_TERM_DEPTH`` parentheses deep."""
     expr = text.strip(" \t")
     parts, depth, start = [], 0, 0
     for i, ch in enumerate(expr):
         if ch in "()":
             depth += 1 if ch == "(" else -1
-            if depth < 0:
+            if not 0 <= depth <= MAX_TERM_DEPTH:
                 break
         elif ch == "+" and not depth:
             parts.append(expr[start:i])
             start = i + 1
+    if depth > MAX_TERM_DEPTH:
+        raise ParseError(f"expression nests parentheses more than {MAX_TERM_DEPTH} deep")
     if depth:
         raise ParseError(f"unbalanced parentheses in {expr!r}")
     parts.append(expr[start:])

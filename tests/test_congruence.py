@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 
 import pytest
 
@@ -17,6 +18,7 @@ from herbrand import (
     get_class,
     is_top,
     meet,
+    mop_table,
     occurs,
     parse_program,
     parse_term,
@@ -27,6 +29,7 @@ from herbrand import (
 )
 from herbrand.terms import VARIABLE
 from helpers import (
+    ROOT,
     GridPartition,
     classes,
     cls,
@@ -49,6 +52,10 @@ from helpers import (
     reference_refines,
     substitute,
 )
+
+# the benchmark's program generator, read only
+sys.path.append(str(ROOT / "perfbench"))
+import gen  # noqa: E402
 
 
 @pytest.fixture
@@ -190,6 +197,31 @@ def test_meet_builds_the_product_when_the_right_lacks_the_left_definition(u):
     assert meet(p, bottom(u)) == bottom(u)
 
 
+def test_meet_exit_the_finest_operand_absorbs_the_meet(u, monkeypatch):
+    # the finest congruence is the least element, so it is the meet itself,
+    # returned before any label map or product: as bottom(u) and as an equal
+    # partition rebuilt from raw keys
+    rng = random.Random(14)
+    others = [make_partition(u, [["x", "a+b"]]), make_partition(u, [["x", "y"], ["a+a", "b"]])]
+    others += [p for p in (rand_partition(u, rng, steps=4) for _ in range(20)) if p != bottom(u)]
+    finest = [bottom(u), _relabeled(bottom(u), lambda c: ("raw", -c))]
+    assert finest[0] == finest[1] and finest[0] is not finest[1]
+    built = 0
+    init = Partition.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counting_init)
+    for b in finest:
+        for p in others:
+            assert meet(p, b) is b
+            assert meet(b, p) is b
+    assert built == 0
+
+
 def test_degenerate_universe_without_variables():
     empty = build_universe([], [])
     bot = bottom(empty)
@@ -293,8 +325,11 @@ def test_meet_matches_reference_on_random_labelings():
         else:
             p = r
         refining += _assert_meet_and_refines_match_reference(p, q)
-        for top_pair in ((TOP, q), (p, TOP), (TOP, TOP)):
-            _assert_meet_and_refines_match_reference(*top_pair)
+        # the finest congruence on either side, as bottom() or rebuilt
+        finest = _relabeled(bottom(universe), lambda c: -c) if i % 2 else bottom(universe)
+        for extreme_pair in ((TOP, q), (p, TOP), (TOP, TOP), (finest, q), (p, finest)):
+            _assert_meet_and_refines_match_reference(*extreme_pair)
+        assert meet(p, finest) is (p if p == finest else finest)
     assert 100 <= refining < 200
 
 
@@ -324,6 +359,27 @@ def test_meet_matches_reference_on_jacobi_traces():
                 refining += _assert_meet_and_refines_match_reference(p, q)
                 pairs += 1
     assert 0 < refining < pairs
+
+
+def test_frontier_meets_with_a_finest_operand_return_it(monkeypatch):
+    # the benchmark's 4-diamond chain at --max-len 15: 16 of its 61 frontier
+    # meets reach the finest-operand exit, and each returns that operand
+    universe, graph = parse_program(gen.shared_chain(random.Random(0), 4).text())
+    finest = bottom(universe)
+    calls, absorbed = 0, 0
+
+    def counting_meet(l1, l2):
+        nonlocal calls, absorbed
+        calls += 1
+        met = meet(l1, l2)
+        if not (is_top(l1) or is_top(l2)) and l1 != l2 and finest in (l1, l2):
+            assert met is (l1 if l1 == finest else l2)
+            absorbed += 1
+        return met
+
+    monkeypatch.setattr("herbrand.mop.meet", counting_meet)
+    mop_table(graph, universe, 15)
+    assert (calls, absorbed) == (61, 16)
 
 
 def test_equal_partitions_hash_equal(u):

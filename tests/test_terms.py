@@ -7,6 +7,7 @@ from herbrand import (
     DeclarationError,
     ParseError,
     Sum,
+    bottom,
     build_universe,
     emit_report,
     format_term,
@@ -16,8 +17,10 @@ from herbrand import (
     occurs,
     parse_term,
     solve,
+    term_value,
     verify_mop_mfp,
 )
+from herbrand.terms import MAX_TERM_DEPTH
 from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs
 
 
@@ -203,6 +206,27 @@ def test_parse_term_errors_past_one_level(universe):
         with pytest.raises(error) as info:
             parse_term(text, universe)
         assert str(info.value) == message, text
+
+
+def test_parse_term_bounds_its_nesting(universe):
+    x, a = universe.resolve("x"), universe.resolve("a")
+    deepest = x
+    for _ in range(MAX_TERM_DEPTH + 1):
+        deepest = Sum(deepest, a)
+    text = format_term(deepest)
+    assert text.startswith("(" * MAX_TERM_DEPTH + "x+a)")
+    parsed = parse_term(text, universe)
+    assert parsed == deepest
+    assert term_value(parsed, bottom(universe)) == term_value(deepest, bottom(universe))
+    assert parse_term("(" * MAX_TERM_DEPTH + "x" + ")" * MAX_TERM_DEPTH, universe) == x
+    # one level more, or far more, is a ParseError and never a RecursionError
+    message = f"expression nests parentheses more than {MAX_TERM_DEPTH} deep"
+    for n in (MAX_TERM_DEPTH + 1, 900, 3000):
+        with pytest.raises(ParseError) as info:
+            parse_term("(" * n + "x" + ")" * n, universe)
+        assert str(info.value) == message
+    with pytest.raises(ParseError, match=message):
+        parse_term(format_term(Sum(deepest, a)), universe)
 
 
 def test_universe_stores_its_atoms_only():
