@@ -42,7 +42,7 @@ exactly when their values coincide.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -68,7 +68,7 @@ class Top:
 TOP = Top()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Partition:
     """A congruence of the universe terms, canonically labeled.
 
@@ -79,32 +79,34 @@ class Partition:
     as the mapping from each index to its entry. It renumbers the
     keys densely in first-occurrence order and drops a definition whose class
     or operand key no atom has, since no universe pair can then reach it.
-    Two classes with one definition would be one class, so they raise
-    ``ValueError``. The hash is computed once, here.
+    A definition other than ``None`` that is not two keys raises
+    ``ValueError``, and so do two classes with one definition, which would
+    be one class. The hand-written ``__init__`` does all of this in one
+    pass and computes the hash there, once per value.
     """
 
     universe: TermUniverse
     atoms: tuple[int, ...]
     defs: tuple[tuple[int, int] | None, ...]
 
-    def __post_init__(self) -> None:
-        keys = tuple(self.atoms)
-        if len(keys) != len(self.universe.atoms):
-            raise ValueError(f"expected {len(self.universe.atoms)} atom labels, got {len(keys)}")
+    def __init__(self, universe: TermUniverse, atoms: Iterable[Hashable], defs: Mapping | Sequence) -> None:
+        keys = tuple(atoms)
+        if len(keys) != len(universe.atoms):
+            raise ValueError(f"expected {len(universe.atoms)} atom labels, got {len(keys)}")
         ids = dict(zip(dict.fromkeys(keys), count()))
-        defs: list[tuple[int, int] | None] = [None] * len(ids)
-        for key, pair in self.defs.items() if hasattr(self.defs, "items") else enumerate(self.defs):
-            c = ids.get(key)
-            if c is not None and pair is not None:
-                left, right = ids.get(pair[0]), ids.get(pair[1])
-                if left is not None and right is not None:
-                    defs[c] = (left, right)
-        defined = [pair for pair in defs if pair is not None]
-        if len(set(defined)) != len(defined):
+        get = ids.get
+        out: list[tuple[int, int] | None] = [None] * len(ids)
+        for key, pair in defs.items() if hasattr(defs, "items") else enumerate(defs):
+            if pair is not None:
+                left, right = pair
+                c, left, right = get(key), get(left), get(right)
+                if c is not None and left is not None and right is not None:
+                    out[c] = (left, right)
+        # the definitions are distinct exactly when only None repeats in out
+        if len(set(out)) + out.count(None) - (None in out) != len(out):
             raise ValueError("two atom classes share a definition")
-        object.__setattr__(self, "atoms", tuple(map(ids.__getitem__, keys)))
-        object.__setattr__(self, "defs", tuple(defs))
-        object.__setattr__(self, "_hash", hash((self.atoms, self.defs)))
+        labels, pairs = tuple(map(get, keys)), tuple(out)
+        self.__dict__.update(universe=universe, atoms=labels, defs=pairs, _hash=hash((labels, pairs)))
 
     def __hash__(self) -> int:
         # equal partitions have equal labels and definitions; the generated

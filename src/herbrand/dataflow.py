@@ -152,14 +152,14 @@ def composite_step(
     """
     out = list(state)
     for k in range(1, graph.n + 1) if nodes is None else nodes:
-        kind = graph.kind(k)
+        kind = graph.kinds[k - 1]
         if isinstance(kind, Entry):
             out[k - 1] = bottom(universe)
         elif isinstance(kind, Confluence):
-            i, j = graph.pred(k)
+            i, j = graph.preds[k - 1]
             out[k - 1] = meet(state[i - 1], state[j - 1])
         else:
-            (j,) = graph.pred(k)
+            (j,) = graph.preds[k - 1]
             out[k - 1] = apply_statement(state[j - 1], kind)
     return tuple(out)
 
@@ -199,7 +199,7 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
         nxt = composite_step(state, graph, universe, nodes)
         if iterates is not None:
             iterates.append(nxt)
-        changed = [k for k in nodes if nxt[k - 1] != state[k - 1]]
+        changed = [k for k in nodes if nxt[k - 1] is not state[k - 1] and nxt[k - 1] != state[k - 1]]
         if not changed:
             assert not any(is_top(v) for v in nxt)
             return SolveResult(state=nxt, iterations=step - 1, trace=iterates)

@@ -11,6 +11,14 @@ substituting two distinct fresh constants; that moves ``y`` into a fresh
 class of its own. When ``y`` was the last atom of its old class, the
 constructor drops that class and every definition that uses it. Both
 transfers map ``TOP`` to ``TOP`` without looking at the statement.
+
+Each transfer returns its input itself, building no value, when the moved
+partition would equal it: an assignment when ``y`` already has the class
+of ``beta``, and an input statement when ``y`` is already alone in a class
+that has no definition and is no definition's operand. Otherwise it builds
+one value through the ``Partition`` constructor. An assignment looks up
+each right-hand-side atom's position once; that one lookup also finds an
+undeclared atom and a right-hand side that names ``y``.
 """
 
 from __future__ import annotations
@@ -20,12 +28,7 @@ from typing import Union
 
 from .congruence import LatticeElem, Partition, is_top
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, Term, TermUniverse, VARIABLE, occurs
-
-
-def _check_not_self_referential(y: Atom, beta: Term) -> None:
-    if occurs(beta, y):
-        raise SelfReferenceError(f"{y.name!r} appears in its own right-hand side")
+from .terms import Atom, Sum, Term, TermUniverse, VARIABLE, occurs
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,8 @@ class Assign:
     rhs: Term
 
     def __post_init__(self) -> None:
-        _check_not_self_referential(self.target, self.rhs)
+        if occurs(self.rhs, self.target):
+            raise SelfReferenceError(f"{self.target.name!r} appears in its own right-hand side")
 
 
 @dataclass(frozen=True)
@@ -59,39 +63,53 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     for a pair ``a+b`` it is the atom class defined as (class a, class b) if
     there is one, else a fresh class with that definition. Every other atom
     keeps its class, and every pair follows its operands' classes by C2.
+    When ``y`` already has that class, ``elem`` itself is returned.
     """
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
-    universe = elem.universe
-    yi = _variable_position(universe, y)
-    if beta not in universe:
+    yi = _variable_position(elem.universe, y)
+    # one position lookup per right-hand-side atom: None marks an undeclared
+    # atom or an operand that is no atom, and y's own position marks y in beta
+    get = elem.universe.index.get
+    pos = (get(beta.left), get(beta.right)) if isinstance(beta, Sum) else (get(beta),)
+    if None in pos:
         if isinstance(beta, Atom):
             raise DeclarationError(f"undeclared atom {beta.name!r}")
         raise UniverseMismatchError("right-hand side must be an atom or a sum of two atoms")
-    _check_not_self_referential(y, beta)
-    atoms = list(elem.atoms)
-    defs = elem.defs
-    if isinstance(beta, Atom):
-        atoms[yi] = atoms[universe.index[beta]]
+    if yi in pos:
+        raise SelfReferenceError(f"{y.name!r} appears in its own right-hand side")
+    atoms, defs = elem.atoms, elem.defs
+    if len(pos) == 1:
+        c = atoms[pos[0]]
     else:
-        pair = (atoms[universe.index[beta.left]], atoms[universe.index[beta.right]])
-        if pair not in defs:
-            defs = (*defs, pair)
-        atoms[yi] = defs.index(pair)
-    return Partition(universe, atoms, defs)
+        pair = (atoms[pos[0]], atoms[pos[1]])
+        defs = defs if pair in defs else (*defs, pair)
+        c = defs.index(pair)
+    if atoms[yi] == c:
+        return elem
+    moved = list(atoms)
+    moved[yi] = c
+    return Partition(elem.universe, moved, defs)
 
 
 def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
     """Semantics of ``y := *``: ``y`` moves to a fresh class with no
     definition, which is the meet of ``elem`` with ``y := $nd1`` and
-    ``y := $nd2`` over the two reserved constants."""
+    ``y := $nd2`` over the two reserved constants. When ``y`` is already
+    alone in a class that has no definition and is no definition's operand,
+    ``elem`` itself is returned."""
     if is_top(elem):
         return elem
     assert isinstance(elem, Partition)
-    atoms = list(elem.atoms)
-    atoms[_variable_position(elem.universe, y)] = len(elem.defs)
-    return Partition(elem.universe, atoms, elem.defs)
+    atoms, defs = elem.atoms, elem.defs
+    yi = _variable_position(elem.universe, y)
+    c = atoms[yi]
+    if defs[c] is None and atoms.count(c) == 1 and all(d is None or c not in d for d in defs):
+        return elem
+    moved = list(atoms)
+    moved[yi] = len(defs)
+    return Partition(elem.universe, moved, defs)
 
 
 def apply_statement(elem: LatticeElem, stmt: Statement) -> LatticeElem:

@@ -92,6 +92,18 @@ def make_partition(universe: TermUniverse, groups: list[list[str]]) -> Partition
     return Partition(universe, keys, defs)
 
 
+def counting_inits(monkeypatch) -> list[int]:
+    """Counts ``Partition.__init__`` calls from here on in ``built[0]``."""
+    built, init = [0], Partition.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Partition, "__init__", counting_init)
+    return built
+
+
 def make_grid(universe: TermUniverse, groups: list[list[str]]) -> GridPartition:
     """Grid partition with the given classes (term texts); everything else
     singleton. Congruence or not."""

@@ -34,6 +34,7 @@ from helpers import (
     classes,
     cls,
     congruence_violations,
+    counting_inits,
     full_corpus,
     grid,
     grid_meet,
@@ -206,20 +207,12 @@ def test_meet_exit_the_finest_operand_absorbs_the_meet(u, monkeypatch):
     others += [p for p in (rand_partition(u, rng, steps=4) for _ in range(20)) if p != bottom(u)]
     finest = [bottom(u), _relabeled(bottom(u), lambda c: ("raw", -c))]
     assert finest[0] == finest[1] and finest[0] is not finest[1]
-    built = 0
-    init = Partition.__init__
-
-    def counting_init(self, *args, **kwargs):
-        nonlocal built
-        built += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Partition, "__init__", counting_init)
+    built = counting_inits(monkeypatch)
     for b in finest:
         for p in others:
             assert meet(p, b) is b
             assert meet(b, p) is b
-    assert built == 0
+    assert built[0] == 0
 
 
 def test_degenerate_universe_without_variables():
@@ -583,6 +576,20 @@ def test_two_atom_classes_cannot_share_a_definition():
     # a definition over a class with no atom is dropped, so no clash remains
     p = Partition(universe, [0, 1, 2, 2], {0: (3, 3), 1: (2, 2)})
     assert p.defs == (None, (2, 2), None)
+
+
+def test_malformed_definitions_raise_value_error():
+    universe = build_universe(["x", "y"], [])
+    m = len(universe.atoms)
+    for defs in ({0: (1,)}, [(1, 2, 3)], {"no class": (1, 2, 3)}):
+        with pytest.raises(ValueError, match="values to unpack"):
+            Partition(universe, range(m), defs)
+    with pytest.raises(ValueError, match=f"expected {m} atom labels, got {m - 1}"):
+        Partition(universe, range(m - 1), {})
+    # keyword arguments, as ``dataclasses.replace`` passes them
+    p = Partition(universe=universe, atoms=["k"] * m, defs={"k": ("k", "k")})
+    assert (p.atoms, p.defs) == ((0,) * m, ((0, 0),))
+    assert dataclasses.replace(p, atoms=range(m)) == Partition(universe, range(m), p.defs)
 
 
 def test_queries_match_the_grid_on_corpus_iterates():

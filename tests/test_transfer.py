@@ -6,6 +6,7 @@ from herbrand import (
     Assign,
     DeclarationError,
     NonDet,
+    Partition,
     SelfReferenceError,
     Sum,
     TOP,
@@ -22,6 +23,7 @@ from herbrand import (
 from helpers import (
     GridPartition,
     cls,
+    counting_inits,
     grid,
     grid_assign_transfer,
     is_congruence,
@@ -118,6 +120,8 @@ def test_transfer_diagnostics_keep_their_types_messages_and_order(u):
         ((p, y, Sum(q, a)), bad_rhs),
         ((p, y, "a"), bad_rhs),
         ((p, y, parse_term("y+a", u)), (SelfReferenceError, "'y' appears in its own right-hand side")),
+        ((p, y, y), (SelfReferenceError, "'y' appears in its own right-hand side")),
+        ((p, y, parse_term("a+y", u)), (SelfReferenceError, "'y' appears in its own right-hand side")),
         # the target is checked first, then the right-hand side, then self-reference
         ((p, q, q), not_declared("q")),
         ((p, a, deep), not_declared("a")),
@@ -130,7 +134,88 @@ def test_transfer_diagnostics_keep_their_types_messages_and_order(u):
 
 
 def test_nondet_on_bottom_is_bottom(u):
+    p = bottom(u)
+    assert nondet_transfer(p, u.resolve("y")) is p
     assert nondet_transfer(bottom(u), u.resolve("y")) == bottom(u)
+
+
+def test_assign_exit_returns_the_input_when_y_has_the_class_already(u, monkeypatch):
+    x, y, a, b = (u.resolve(name) for name in "xyab")
+    by_atom = assign_transfer(bottom(u), y, x)
+    by_pair = assign_transfer(bottom(u), y, parse_term("a+b", u))
+    built = counting_inits(monkeypatch)
+    assert assign_transfer(by_atom, y, x) is by_atom
+    assert assign_transfer(by_atom, x, y) is by_atom
+    assert assign_transfer(by_pair, y, Sum(a, b)) is by_pair
+    assert built[0] == 0
+    # a pair class with no atom yet, or another atom's class, moves y
+    assert assign_transfer(by_pair, y, Sum(b, a)) != by_pair
+    assert assign_transfer(by_atom, y, a) != by_atom
+    assert built[0] == 2
+
+
+def test_nondet_exit_returns_the_input_when_y_is_alone_and_unused(u, monkeypatch):
+    x, y = u.resolve("x"), u.resolve("y")
+    # y alone, undefined and no operand: x's class is defined over (a, b)
+    p = assign_transfer(bottom(u), x, parse_term("a+b", u))
+    built = counting_inits(monkeypatch)
+    assert nondet_transfer(p, y) is p
+    assert built[0] == 0
+    # x is alone, but its class has a definition, which y := * drops
+    q = nondet_transfer(p, x)
+    assert built[0] == 1
+    assert q == bottom(u) and cls(q, "x") == {"x"}
+
+
+def test_nondet_drops_a_definition_over_y_alone(u):
+    x, y = u.resolve("x"), u.resolve("y")
+    # y's singleton class is the left operand of x's definition
+    p = assign_transfer(bottom(u), x, parse_term("y+a", u))
+    assert cls(p, "x") == {"x", "y+a"} and cls(p, "y") == {"y"}
+    q = nondet_transfer(p, y)
+    assert q is not p and q != p
+    assert any(p.defs) and not any(q.defs)
+    assert cls(q, "x") == {"x"} and cls(q, "y+a") == {"y+a"}
+
+
+def _rand_labeling(universe, rng) -> Partition:
+    """Random atom labels with random distinct definitions, congruence or not."""
+    m = len(universe.atoms)
+    k = rng.randrange(1, m + 1)
+    pairs = rng.sample([(l, r) for l in range(k) for r in range(k)], rng.randrange(k + 1))
+    defs = dict(zip(rng.sample(range(k), len(pairs)), pairs))
+    return Partition(universe, [rng.randrange(k) for _ in range(m)], defs)
+
+
+def test_transfers_equal_the_general_constructor_on_random_labelings():
+    # the exits and the position lookups give what the general constructor
+    # gives for y moved by hand: to beta's class, to a fresh key defined by
+    # beta's operand classes, or to a fresh undefined key
+    rng = random.Random(30)
+    exits = {"assign": 0, "nondet": 0}
+    for _ in range(60):
+        universe = rand_universe(rng)
+        p = _rand_labeling(universe, rng) if rng.random() < 0.5 else rand_partition(universe, rng)
+        index, atoms = universe.index, universe.atoms
+        for y in universe.variables:
+            yi = index[y]
+            moved = list(p.atoms)
+            moved[yi] = "fresh"
+            got = nondet_transfer(p, y)
+            assert got == Partition(universe, moved, p.defs), (p, y)
+            exits["nondet"] += got is p
+            for beta in [a for a in atoms if a != y] + [Sum(a, b) for a in atoms for b in atoms if y not in (a, b)]:
+                defs = dict(enumerate(p.defs))
+                if isinstance(beta, Sum):
+                    pair = (p.atoms[index[beta.left]], p.atoms[index[beta.right]])
+                    moved[yi] = p.defs.index(pair) if pair in p.defs else "fresh"
+                    defs.setdefault(moved[yi], pair)
+                else:
+                    moved[yi] = p.atoms[index[beta]]
+                got = assign_transfer(p, y, beta)
+                assert got == Partition(universe, moved, defs), (p, y, beta)
+                exits["assign"] += got is p
+    assert min(exits.values()) > 20, exits
 
 
 def test_nondet_clobbers_copy_relation(u):
