@@ -16,10 +16,8 @@ strong equivalence DAG of Gulwani and Necula, SAS 2004, cut to depth 1).
 Every undefined operand class pair is a class of pairs only. Queries number
 the classes as first occurrence over the universe would: the k atom classes
 0..k-1, then the undefined pair classes (l, r) in lexicographic order.
-Classes are listed here and nowhere else: ``Partition.members`` lists them
-as index data, each atom class's group of atom indices and one ``(c, l, r)``
-label triple per listed class, and formats no names (the report does);
-``get_class`` reads one class from the same labels and definitions.
+``get_class`` reads one class from the labels and definitions; the report
+lists a value's classes from the same two tuples itself.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -36,7 +34,13 @@ O(k) over the left side's definitions. The running path meet of
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 label or a pair (tuple) of operand values, collapsing each operand pair of
 atom classes into its pair class. Two terms of any depth are equivalent
-exactly when their values coincide.
+under a value exactly when their values coincide.
+
+Equivalence under a value is exact for that value, and the value is a
+sound under-approximation of Herbrand equivalence: a definition is dropped
+once its operand class has no atom, and the depth-2 fact it carried cannot
+come back. In the README's 7-line program, y+c ≡ z holds at node 5 on the
+only path, but ``equivalent`` returns ``False`` there.
 """
 
 from __future__ import annotations
@@ -133,31 +137,6 @@ class Partition:
             raise DeclarationError(f"term not in universe: {t}")
         return term_value(t, self)
 
-    def members(self, count: int, least: int = 1) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
-        """The classes as index data: the atom groups, where group c holds
-        the indices below ``count`` of atom class c's atoms and a last, empty
-        group is the group of label -1; and one label triple ``(c, l, r)``
-        per listed class, in label order. An atom class c is listed as
-        ``(c, l, r)`` over its definition (l, r), or ``(c, -1, -1)`` without
-        one; each undefined operand class pair (l, r), in lexicographic
-        order, as ``(-1, l, r)``. A class's members are the atoms of group c
-        and the pairs over group l × group r, and a class with fewer than
-        ``least`` (1 or 2) of them is left out."""
-        atoms: list[list[int]] = [[] for _ in range(len(self.defs) + 1)]
-        for i, c in zip(range(count), self.atoms):
-            atoms[c].append(i)
-        groups = list(map(tuple, atoms))
-        sizes = list(map(len, groups))
-        labels = enumerate(pair or (-1, -1) for pair in self.defs)
-        out = [(c, l, r) for c, (l, r) in labels if sizes[c] + sizes[l] * sizes[r] >= least]
-        # an undefined operand class pair (l, r) has |l| * |r| counted
-        # members, so below ``least`` a one-atom l needs an r of two or more
-        shown = [c for c, size in enumerate(sizes) if size]
-        shared = [c for c in shown if sizes[c] > 1]
-        defined = set(self.defs)
-        out += [(-1, l, r) for l in shown for r in (shown if sizes[l] >= least else shared) if (l, r) not in defined]
-        return groups, out
-
 
 LatticeElem = Union[Top, Partition]
 
@@ -174,7 +153,9 @@ def bottom(universe: TermUniverse) -> Partition:
 def term_value(t: Term, p: Partition) -> int | tuple:
     """Canonical class value of a term of arbitrary depth under ``p``: an
     ``int`` class label, or the pair of the operand values of a sum whose
-    operands are not both atom classes."""
+    operands are not both atom classes. Equal values mean equivalence under
+    ``p``, which is exact for ``p`` but may miss a Herbrand equivalence that
+    ``p``'s depth-1 definitions could not keep (see the module docstring)."""
     index, k = p.universe.index, len(p.defs)
     label = p._pair_class
 

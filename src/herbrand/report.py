@@ -10,14 +10,17 @@ One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
 * per universe, the visible names (all atoms with ``full``; otherwise those
-  below the reserved constants) and one row memo. ``Partition.members``
-  lists a value's classes as atom groups and ``(c, l, r)`` label triples.
-  The memo is keyed by a row's groups, interned per universe, and holds its
-  least member and its text. A miss formats only that row's members (the
-  atoms of group c and ``a+b`` over groups l × r) and sorts them, so no
-  table of the m² pair names is built, and a row that recurs across the
-  values of a report is formatted once. A value's rows sort by their least
-  members, since classes are disjoint;
+  below the reserved constants), the interned atom groups and one row memo.
+  ``rows`` lists a value's classes itself, in one pass over its labels and
+  definitions: it groups the visible atoms by class, interns each distinct
+  group once per render as its id and sorted names, lists each atom class
+  over its definition's operand groups and then each undefined pair of
+  operand groups as a class of pairs only. The memo is keyed by a row's
+  group ids and holds its least member and its text. A miss formats only
+  that row's members (the atoms of group c and ``a+b`` over groups l × r)
+  and sorts them, so no table of the m² pair names is built, and a row that
+  recurs across the values of a report is formatted once. A value's rows
+  sort by their least members, since classes are disjoint;
 * one entry memo keyed by depth and value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   top-level entry is rendered once from its class rows, and a ``--trace``
@@ -69,11 +72,13 @@ def _json_array(items: list[str], indent: str) -> str:
 # a class row: its least member, its text in the render's format and its
 # sorted members
 _Row = tuple[str, str, list[str]]
+# an interned atom group: its id in the render and its sorted visible names
+_Group = tuple[int, list[str]]
 
 
 class _Render:
-    """One render call: per universe its visible names, atom group ids and
-    row memo, and each value's entry."""
+    """One render call: per universe its visible names, interned atom groups
+    and row memo, and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
@@ -101,20 +106,49 @@ class _Render:
             known = self.universes[elem.universe] = (names, {}, {})
         names, ids, memo = known
         head, sep, tail = self.row
+
+        def miss(key: tuple, members: list[str]) -> _Row:
+            members.sort()
+            row = memo[key] = (members[0], head + sep.join(members) + tail, members)
+            return row
+
+        # each atom class's visible atoms, interned as (id, sorted names)
+        indices: list[list[int]] = [[] for _ in elem.defs]
+        for i, c in zip(range(len(names)), elem.atoms):
+            indices[c].append(i)
+        groups = []
+        for group in map(tuple, indices):
+            interned = ids.get(group)
+            if interned is None:
+                interned = ids[group] = (len(ids), sorted([names[i] for i in group]))
+            groups.append(interned)
         # a shown class has at least this many visible members
-        groups, labels = elem.members(len(names), 1 if self.full else 2)
-        gid = [ids.setdefault(group, len(ids)) for group in groups]
+        least = 1 if self.full else 2
         rows = []
-        for c, l, r in labels:
-            key = (gid[c], gid[l], gid[r])
-            row = memo.get(key)
-            if row is None:
-                members = [f"{names[a]}+{names[b]}" for a in groups[l] for b in groups[r]]
-                if c >= 0:  # not a class of pairs only
-                    members += [names[i] for i in groups[c]]
-                members.sort()
-                row = memo[key] = (members[0], head + sep.join(members) + tail, members)
-            rows.append(row)
+        defined = set()
+        for (c, own), pair in zip(groups, elem.defs):
+            if pair is None:
+                if len(own) >= least:
+                    key = (c, -1, -1)
+                    rows.append(memo.get(key) or miss(key, own[:]))
+                continue
+            defined.add(pair)
+            (l, left), (r, right) = groups[pair[0]], groups[pair[1]]
+            if len(own) + len(left) * len(right) >= least:
+                key = (c, l, r)
+                rows.append(memo.get(key) or miss(key, [f"{a}+{b}" for a in left for b in right] + own))
+        # every undefined operand class pair (l, r) is a class of pairs only,
+        # of |l| * |r| members, so below ``least`` a one-atom l needs an r of
+        # two or more
+        shown = [c for c, (_, own) in enumerate(groups) if own]
+        shared = [c for c in shown if len(groups[c][1]) > 1]
+        for lc in shown:
+            l, left = groups[lc]
+            for rc in shown if len(left) >= least else shared:
+                if (lc, rc) not in defined:
+                    r, right = groups[rc]
+                    key = (l, r)
+                    rows.append(memo.get(key) or miss(key, [f"{a}+{b}" for a in left for b in right]))
         # classes are disjoint, so rows sort by their least members
         rows.sort(key=itemgetter(0))
         return rows

@@ -31,9 +31,15 @@ IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 RESERVED_NAMES = ("$nd1", "$nd2")
 
 # The most parenthesis levels ``parse_term`` reads. It recurses once per
-# level, as do ``format_term`` and ``term_value`` on what it returns, so a
-# deeper text raises ``ParseError`` before any recursion.
+# level, so a deeper text raises ``ParseError`` before any recursion.
 MAX_TERM_DEPTH = 100
+
+# The most nested sums a term may have: a top-level sum over MAX_TERM_DEPTH
+# parenthesised ones, the deepest term ``parse_term`` returns.
+# ``format_term``, ``occurs``, ``congruence.term_value`` and ``hash`` recurse
+# once per level, so ``Sum`` raises ``ValueError`` on a deeper term, however
+# it is built.
+MAX_SUM_DEPTH = MAX_TERM_DEPTH + 1
 
 
 @dataclass(frozen=True)
@@ -41,14 +47,27 @@ class Atom:
     kind: str
     name: str
 
+    # the number of nested sums, 0 for an atom; not a field
+    depth = 0
+
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sum:
+    """An ordered sum. Its ``depth``, one more than its deeper operand's, is
+    kept outside the fields, so ``==``, ``hash`` and ``repr`` read only the
+    operands."""
+
     left: Term
     right: Term
+
+    def __init__(self, left: Term, right: Term) -> None:
+        depth = max(left.depth, right.depth) + 1
+        if depth > MAX_SUM_DEPTH:
+            raise ValueError(f"term nests sums more than {MAX_SUM_DEPTH} deep")
+        self.__dict__.update(left=left, right=right, depth=depth)
 
 
 Term = Union[Atom, Sum]

@@ -123,13 +123,38 @@ def universe_pairs(universe: TermUniverse) -> tuple[tuple[Sum, ...], ...]:
     return tuple(terms[m + i * m : m + (i + 1) * m] for i in range(m))
 
 
+def members(p: Partition, count: int, least: int = 1) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
+    """The classes of ``p`` as index data: the atom groups, where group c
+    holds the indices below ``count`` of atom class c's atoms and a last,
+    empty group is the group of label -1; and one label triple ``(c, l, r)``
+    per listed class, in label order. An atom class c is listed as
+    ``(c, l, r)`` over its definition (l, r), or ``(c, -1, -1)`` without
+    one; each undefined operand class pair (l, r), in lexicographic order,
+    as ``(-1, l, r)``. A class's members are the atoms of group c and the
+    pairs over group l × group r, and a class with fewer than ``least`` (1
+    or 2) of them is left out."""
+    atoms: list[list[int]] = [[] for _ in range(len(p.defs) + 1)]
+    for i, c in zip(range(count), p.atoms):
+        atoms[c].append(i)
+    groups = list(map(tuple, atoms))
+    sizes = list(map(len, groups))
+    labels = enumerate(pair or (-1, -1) for pair in p.defs)
+    out = [(c, l, r) for c, (l, r) in labels if sizes[c] + sizes[l] * sizes[r] >= least]
+    # an undefined operand class pair (l, r) has |l| * |r| counted members,
+    # so below ``least`` a one-atom l needs an r of two or more
+    shown = [c for c, size in enumerate(sizes) if size]
+    shared = [c for c in shown if sizes[c] > 1]
+    defined = set(p.defs)
+    out += [(-1, l, r) for l in shown for r in (shown if sizes[l] >= least else shared) if (l, r) not in defined]
+    return groups, out
+
+
 def classes(p: Partition) -> list[list[Term]]:
     """Class member lists of ``p`` over the universe terms, ordered by class
     label, members in term order: a class's atoms, then its pairs row by
-    row, expanded from the atom groups and label triples of
-    ``Partition.members``."""
+    row, expanded from the atom groups and label triples of ``members``."""
     atoms, pairs = p.universe.atoms, universe_pairs(p.universe)
-    groups, labels = p.members(len(atoms))
+    groups, labels = members(p, len(atoms))
     return [[atoms[i] for i in groups[c]] + [pairs[i][j] for i in groups[l] for j in groups[r]] for c, l, r in labels]
 
 

@@ -26,7 +26,7 @@ from herbrand import (
     visible_classes,
 )
 from herbrand.cli import build_parser, main
-from herbrand.report import FORMATS, render_points, render_verify
+from herbrand.report import FORMATS, _Render, render_points, render_verify
 from herbrand.terms import IDENT_RE, RESERVED, VARIABLE
 from helpers import (
     CORPUS_FILES,
@@ -35,6 +35,8 @@ from helpers import (
     ROOT,
     full_corpus,
     load_program,
+    make_partition,
+    members,
     rand_partition,
     reference_emit_report,
     reference_mop_report,
@@ -158,7 +160,7 @@ def test_one_report_over_values_sharing_atom_groups_matches_reference():
     state = tuple(p for _, p in _arbitrary_labelings() if p is not None) + (TOP,)
     labels, as_atoms, as_operands = {}, {}, {}
     for p in state[:-1]:
-        groups, triples = p.members(len(p.universe.atoms))
+        groups, triples = members(p, len(p.universe.atoms))
         for c, group in enumerate(groups[:-1]):
             labels.setdefault((p.universe, group), set()).add(c)
         for c, l, r in triples:
@@ -175,6 +177,46 @@ def test_one_report_over_values_sharing_atom_groups_matches_reference():
         _assert_same(got, reference_emit_report(state, 3, fmt, full, iterates), (fmt, full, with_trace))
 
 
+def test_rows_sort_names_that_prefix_one_another():
+    # "v1" < "v10" but "v1+v10" < "v10+v1", and "$nd1" (shown with ``full``)
+    # sorts first; one value's class mixes atoms and pairs, and the group
+    # {v1, v10} is an atom class of one value and an operand of the other's
+    universe = build_universe(["v1", "v10", "v1_", "V1", "_v"], ["c"])
+    mixed = make_partition(universe, [["v1", "v10", "_v+V1"], ["v1_", "V1"]])
+    operand = make_partition(universe, [["v1", "v10"], ["_v", "V1", "v1+v10"]])
+    moved = assign_transfer(mixed, universe.resolve("v1_"), universe.resolve("c"))
+    state = (bottom(universe), mixed, operand, TOP, moved)
+    trace = [state[::-1], (operand, mixed)]
+    for fmt, full, with_trace in VARIANTS:
+        iterates = trace if with_trace else None
+        got = emit_report(state, 2, fmt, full, iterates)
+        _assert_same(got, reference_emit_report(state, 2, fmt, full, iterates), (fmt, full, with_trace))
+    assert "\n  [V1, _v, v1+v1, v1+v10, v10+v1, v10+v10]\n" in emit_report(state, 2)
+
+
+def test_rows_sort_names_below_the_operator_sign():
+    # in a hand-built universe a name may hold characters that sort below
+    # "+": "a" < "a!", but "a!+b" < "a+b", so a row is sorted after its
+    # members are joined from the sorted names of its groups
+    names = ["a", "a!", "a-", "b", "c", "$nd1", "$nd2"]
+    atoms = tuple(Atom(VARIABLE, name) for name in names[:5]) + tuple(Atom(RESERVED, name) for name in names[5:])
+    universe = TermUniverse(
+        variables=atoms[:5],
+        constants=(),
+        reserved=atoms[5:],
+        atoms=atoms,
+        index={atom: i for i, atom in enumerate(atoms)},
+        by_name={atom.name: atom for atom in atoms},
+    )
+    # {a, a!} and {a-, b}, and c defined as the class of their pairs
+    p = Partition(universe, [0, 0, 1, 1, 2, 3, 4], {2: (0, 1)})
+    state = (p, bottom(universe), p)
+    for full in (False, True):
+        _assert_same(emit_report(state, 0, "text", full), reference_emit_report(state, 0, "text", full), full)
+    listed = [["a", "a!"], ["a!+a", "a!+a!", "a+a", "a+a!"], ["a!+a-", "a!+b", "a+a-", "a+b", "c"]]
+    assert visible_classes(p)[:3] == listed
+
+
 def test_nodes_sharing_a_value_render_it_identically():
     universe, graph = load_program("diamond.dfg")
     state = solve(graph, universe).state
@@ -187,13 +229,14 @@ def test_nodes_sharing_a_value_render_it_identically():
 
 def test_a_report_lists_the_classes_of_each_distinct_value_once(monkeypatch):
     calls = []
-    members = Partition.members
+    rows = _Render.rows
 
-    def counted(p, *args):
-        calls.append(p)
-        return members(p, *args)
+    def counted(render, elem):
+        if elem is not TOP:
+            calls.append(elem)
+        return rows(render, elem)
 
-    monkeypatch.setattr(Partition, "members", counted)
+    monkeypatch.setattr(_Render, "rows", counted)
     programs = list(CORPUS.items())
     programs.append(("analyze-deep[0]", workloads.build("analyze-deep", 3)[0].program.text()))
     for name, text in programs:

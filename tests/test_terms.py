@@ -20,7 +20,7 @@ from herbrand import (
     term_value,
     verify_mop_mfp,
 )
-from herbrand.terms import MAX_TERM_DEPTH
+from herbrand.terms import MAX_SUM_DEPTH, MAX_TERM_DEPTH
 from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs
 
 
@@ -226,7 +226,42 @@ def test_parse_term_bounds_its_nesting(universe):
             parse_term("(" * n + "x" + ")" * n, universe)
         assert str(info.value) == message
     with pytest.raises(ParseError, match=message):
-        parse_term(format_term(Sum(deepest, a)), universe)
+        parse_term(f"({text})+a", universe)
+
+
+def test_sum_bounds_its_depth(universe):
+    # the deepest parsed term, 100 parenthesised sums under a top-level one,
+    # is exactly as deep as a Sum may be
+    x, y, a = (universe.resolve(name) for name in ("x", "y", "a"))
+    text = "x+(" * MAX_TERM_DEPTH + "x+a" + ")" * MAX_TERM_DEPTH
+    assert parse_term(text, universe).depth == MAX_SUM_DEPTH == MAX_TERM_DEPTH + 1
+    p = bottom(universe)
+    for left in (True, False):
+        term = x
+        for _ in range(MAX_SUM_DEPTH - 1):
+            term = Sum(term, a) if left else Sum(a, term)
+        # just below the bound and at it, every recursive term function works
+        for term in (term, Sum(term, a) if left else Sum(a, term)):
+            text = format_term(term)
+            parsed = parse_term(text, universe)
+            assert parsed == term and hash(parsed) == hash(term)
+            assert occurs(term, x) and not occurs(term, y)
+            assert term_value(term, p) == term_value(parsed, p)
+        assert term.depth == MAX_SUM_DEPTH
+        # one level more raises before the term exists
+        with pytest.raises(ValueError, match=f"term nests sums more than {MAX_SUM_DEPTH} deep"):
+            Sum(term, a) if left else Sum(a, term)
+    # a 3,000-deep chain stops at the bound instead of building a term that
+    # hash, format_term, occurs and term_value cannot walk
+    term = x
+    with pytest.raises(ValueError):
+        for _ in range(3000):
+            term = Sum(term, a)
+    assert term.depth == MAX_SUM_DEPTH
+    # the depth is not a field: equality, hash and repr read the operands
+    assert Sum(x, a) == Sum(x, a) and hash(Sum(x, a)) == hash((x, a))
+    assert repr(Sum(x, a)) == f"Sum(left={x!r}, right={a!r})"
+    assert (x.depth, Sum(x, a).depth, Sum(Sum(x, a), a).depth) == (0, 1, 2)
 
 
 def test_universe_stores_its_atoms_only():
