@@ -124,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
         return 2
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error[E_IO]: {err}", file=sys.stderr)
         return 2
 
 

@@ -10,14 +10,23 @@ A congruence on the universe (atoms plus ordered atom pairs) satisfies:
       variables.
 
 By C2 a pair's class is a function of its operands' classes. So a
-``Partition`` holds m atom labels and, per atom class, at most one
+``Partition`` holds m atom labels and, per defined atom class, one
 definition: the operand class pair whose pairs lie in that class (the
 strong equivalence DAG of Gulwani and Necula, SAS 2004, cut to depth 1).
-Every undefined operand class pair is a class of pairs only. Queries number
-the classes as first occurrence over the universe would: the k atom classes
-0..k-1, then the undefined pair classes (l, r) in lexicographic order.
-``get_class`` reads one class from the labels and definitions; the report
-lists a value's classes from the same two tuples itself.
+An atom's label is the least atom index of its class, its representative,
+and a definition is a ``(c, l, r)`` triple of representatives. Both are
+canonical as built, so equal congruences have equal fields with no
+renumbering. Every undefined operand class pair is a class of pairs only.
+An anonymous class, a class of pairs with no atom that an analysis keeping
+deeper terms would add as a definition's operand, has no representative;
+such classes can take labels m and above.
+
+Queries number the classes as first occurrence over the universe would:
+the k atom classes 0..k-1, in the order of their representatives, then the
+undefined pair classes (l, r) in lexicographic order. That numbering is
+built on a value's first query and kept with it; the solver never asks for
+it. ``get_class`` reads one class from it; the report lists a value's
+classes from the labels and triples itself.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -25,11 +34,10 @@ hash equal. The meet is the product of the two partitions (Kildall, POPL
 1973). ``meet`` builds it only when six cheap exits fail, in this order:
 the same object on both sides, ``TOP`` on either side, the universe check,
 equal labels and definitions, the finest congruence on either side, and a
-left operand that refines the right. All but the last cost O(1), two tuple
-compares or one pass over k definitions; the refinement test is O(m) plus
-O(k) over the left side's definitions. The running path meet of
-``mop_table`` rarely gets past them; the README gives the counts on the
-``perfbench`` chains.
+left operand that refines the right. All but the last cost O(1) or one
+tuple compare; the refinement test is one O(m) map and compare plus one
+lookup per left definition. The running path meet of ``mop_table`` rarely
+gets past them; the README gives the counts on the ``perfbench`` chains.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 label or a pair (tuple) of operand values, collapsing each operand pair of
@@ -46,7 +54,7 @@ only path, but ``equivalent`` returns ``False`` there.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Hashable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -74,43 +82,43 @@ TOP = Top()
 
 @dataclass(frozen=True, init=False)
 class Partition:
-    """A congruence of the universe terms, canonically labeled.
+    """A congruence of the universe terms, labeled by representatives.
 
-    ``atoms[i]`` is the class of ``universe.atoms[i]``, and ``defs[c]`` is
-    ``None`` or the operand class pair ``(l, r)`` of the pairs in atom class
-    ``c``. The constructor accepts any hashable keys for the atoms and, for
-    the definitions, a mapping from key to a pair of keys or a sequence read
-    as the mapping from each index to its entry. It renumbers the
-    keys densely in first-occurrence order and drops a definition whose class
-    or operand key no atom has, since no universe pair can then reach it.
-    A definition other than ``None`` that is not two keys raises
-    ``ValueError``, and so do two classes with one definition, which would
-    be one class. The hand-written ``__init__`` does all of this in one
-    pass and computes the hash there, once per value.
+    ``atoms[i]`` is the least atom index of the class of
+    ``universe.atoms[i]``, its representative label, and ``defs`` is the
+    sorted tuple of ``(c, l, r)`` triples, one per defined atom class c,
+    whose pairs are those over the operand classes l and r. The constructor
+    takes any m hashable keys for the atoms and an iterable of
+    ``(key, left key, right key)`` triples, so ``Partition(u, p.atoms,
+    p.defs) == p``. It labels each key by its first position, in one pass,
+    and drops a triple whose class or operand key no atom has, since no
+    universe pair can then reach it. A triple that is not three keys raises
+    ``ValueError``, and so do two triples for one class and two classes with
+    one definition, which would be one class. The hash is computed once per
+    value, in the constructor.
     """
 
     universe: TermUniverse
     atoms: tuple[int, ...]
-    defs: tuple[tuple[int, int] | None, ...]
+    defs: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, universe: TermUniverse, atoms: Iterable[Hashable], defs: Mapping | Sequence) -> None:
-        keys = tuple(atoms)
-        if len(keys) != len(universe.atoms):
-            raise ValueError(f"expected {len(universe.atoms)} atom labels, got {len(keys)}")
-        ids = dict(zip(dict.fromkeys(keys), count()))
+    def __init__(self, universe: TermUniverse, atoms: Iterable[Hashable], defs: Iterable[tuple]) -> None:
+        ids: dict[Hashable, int] = {}
+        labels = tuple(map(ids.setdefault, atoms, count()))
+        if len(labels) != len(universe.atoms):
+            raise ValueError(f"expected {len(universe.atoms)} atom labels, got {len(labels)}")
         get = ids.get
-        out: list[tuple[int, int] | None] = [None] * len(ids)
-        for key, pair in defs.items() if hasattr(defs, "items") else enumerate(defs):
-            if pair is not None:
-                left, right = pair
-                c, left, right = get(key), get(left), get(right)
-                if c is not None and left is not None and right is not None:
-                    out[c] = (left, right)
-        # the definitions are distinct exactly when only None repeats in out
-        if len(set(out)) + out.count(None) - (None in out) != len(out):
-            raise ValueError("two atom classes share a definition")
-        labels, pairs = tuple(map(get, keys)), tuple(out)
-        self.__dict__.update(universe=universe, atoms=labels, defs=pairs, _hash=hash((labels, pairs)))
+        out = []
+        for c, left, right in defs:
+            triple = (get(c), get(left), get(right))
+            if None not in triple:
+                out.append(triple)
+        if len(out) > 1:
+            out.sort()
+            if len({triple[0] for triple in out}) != len(out) or len({triple[1:] for triple in out}) != len(out):
+                raise ValueError("two atom classes share a definition, or one class has two")
+        triples = tuple(out)
+        self.__dict__.update(universe=universe, atoms=labels, defs=triples, _hash=hash((labels, triples)))
 
     def __hash__(self) -> int:
         # equal partitions have equal labels and definitions; the generated
@@ -118,19 +126,25 @@ class Partition:
         return self._hash
 
     @cached_property
-    def _pair_class(self) -> Callable[[int, int], int]:
-        """Maps operand atom classes ``(l, r)`` to the label of their pair
-        class. Built once per partition, on the first query, from the O(k)
-        definitions."""
-        k = len(self.defs)
-        defined = {pair: c for c, pair in enumerate(self.defs) if pair is not None}
+    def _dense(self) -> tuple[tuple[int, ...], list[tuple[int, int] | None], Callable[[int, int], int]]:
+        """The queries' first-occurrence numbering, built once per value on
+        its first query: each atom's class number (its representative's
+        rank), each atom class's definition over those numbers or ``None``,
+        and the map from operand atom classes ``(l, r)`` to their pair
+        class."""
+        rank = {c: n for n, c in enumerate(dict.fromkeys(self.atoms))}
+        k = len(rank)
+        defs: list[tuple[int, int] | None] = [None] * k
+        for c, left, right in self.defs:
+            defs[rank[c]] = (rank[left], rank[right])
+        defined = {pair: c for c, pair in enumerate(defs) if pair is not None}
         below = sorted(defined)
 
         def label(left: int, right: int) -> int:
             c = defined.get((left, right))
             return k + left * k + right - bisect_left(below, (left, right)) if c is None else c
 
-        return label
+        return tuple(map(rank.__getitem__, self.atoms)), defs, label
 
     def class_of(self, t: Term) -> int:
         if t not in self.universe:
@@ -147,7 +161,7 @@ def is_top(elem: LatticeElem) -> bool:
 
 def bottom(universe: TermUniverse) -> Partition:
     """The finest partition: every universe term in its own class."""
-    return Partition(universe, range(len(universe.atoms)), {})
+    return Partition(universe, universe.positions, ())
 
 
 def term_value(t: Term, p: Partition) -> int | tuple:
@@ -156,15 +170,16 @@ def term_value(t: Term, p: Partition) -> int | tuple:
     operands are not both atom classes. Equal values mean equivalence under
     ``p``, which is exact for ``p`` but may miss a Herbrand equivalence that
     ``p``'s depth-1 definitions could not keep (see the module docstring)."""
-    index, k = p.universe.index, len(p.defs)
-    label = p._pair_class
+    index = p.universe.index
+    labels, defs, label = p._dense
+    k = len(defs)
 
     def value(t: Term) -> int | tuple:
         if isinstance(t, Atom):
             pos = index.get(t)
             if pos is None:
                 raise DeclarationError(f"undeclared atom {t.name!r}")
-            return p.atoms[pos]
+            return labels[pos]
         assert isinstance(t, Sum)
         left, right = value(t.left), value(t.right)
         if type(left) is int and type(right) is int and left < k and right < k:
@@ -192,14 +207,14 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     2. ``TOP`` on either side: the other side, one type test each.
     3. Different universes raise ``UniverseMismatchError``.
     4. Equal ``atoms`` and ``defs`` tuples: ``l1``, two tuple compares.
-    5. The finest congruence, m atom classes and no definition, on either
-       side: that side, ``l1`` tested first. It is the least element, so it
-       is the product. One length compare and one ``any`` over the k
-       definitions per side.
-    6. ``l1`` refines ``l2``: ``l1``. One map from each ``l1`` atom class to
-       an ``l2`` class, checked against ``l2``'s labels in O(m); when ``l1``
-       defines some class, its O(k) definitions are also checked against
-       ``l2``'s.
+    5. The finest congruence, no definition and every atom its own
+       representative, on either side: that side, ``l1`` tested first. It
+       is the least element, so it is the product. One emptiness test and
+       one tuple compare per side.
+    6. ``l1`` refines ``l2``: ``l1``. Each atom's ``l1`` representative must
+       have the atom's ``l2`` label, one O(m) map and tuple compare; then
+       each ``l1`` triple, read through ``l2``'s labels, must be an ``l2``
+       triple.
     """
     if l1 is l2:
         return l1
@@ -214,26 +229,19 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
         return l1
     # the finest congruence is the least element: its product with any
     # congruence has m singleton atom classes and no definition, so is itself
-    if len(defs1) == len(atoms1) and not any(defs1):
+    finest = l1.universe.positions
+    if not defs1 and atoms1 == finest:
         return l1
-    if len(defs2) == len(atoms2) and not any(defs2):
+    if not defs2 and atoms2 == finest:
         return l2
-    image = dict(zip(atoms1, atoms2))
-    if tuple(map(image.__getitem__, atoms1)) == atoms2:
-        # the product has l1's atom classes, each inside its image in l2; it
-        # keeps l1's definitions when l2 defines each image by the images of
-        # the operand classes (a definition is a pair, so ``any`` finds one)
-        if not any(defs1) or all(
-            d is None or defs2[image[c]] == (image[d[0]], image[d[1]]) for c, d in enumerate(defs1)
-        ):
-            return l1
-    keys = list(zip(atoms1, atoms2))
-    defs = {
-        (c1, c2): tuple(zip(defs1[c1], defs2[c2]))
-        for c1, c2 in dict.fromkeys(keys)
-        if defs1[c1] is not None and defs2[c2] is not None
-    }
-    return Partition(l1.universe, keys, defs)
+    # the product has l1's atom classes, each inside one l2 class; it keeps
+    # l1's definitions when l2 defines each such class by the operands' ones
+    if tuple(map(atoms2.__getitem__, atoms1)) == atoms2 and all(
+        (atoms2[c], atoms2[l], atoms2[r]) in defs2 for c, l, r in defs1
+    ):
+        return l1
+    defs = [((c1, c2), (a1, a2), (b1, b2)) for c1, a1, b1 in defs1 for c2, a2, b2 in defs2]
+    return Partition(l1.universe, zip(atoms1, atoms2), defs)
 
 
 def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
@@ -244,15 +252,16 @@ def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
 def get_class(t: Term, p: Partition) -> set[Term]:
     """All universe terms sharing the class of ``t``: the atoms labeled with
     its class and the pairs over the class's operand class pair, read from
-    ``p``'s labels and definitions in O(m + |class|)."""
+    ``p``'s query numbering in O(m + |class|)."""
     c = p.class_of(t)
+    labels, defs, _ = p._dense
 
     def atoms(d: int) -> list[Atom]:
-        return [a for a, label in zip(p.universe.atoms, p.atoms) if label == d]
+        return [a for a, label in zip(p.universe.atoms, labels) if label == d]
 
     # a class past the atom classes has no atoms, and its pairs are those
     # over the classes of ``t``'s own operands
-    pair = p.defs[c] if c < len(p.defs) else (p.class_of(t.left), p.class_of(t.right))
+    pair = defs[c] if c < len(defs) else (p.class_of(t.left), p.class_of(t.right))
     members: set[Term] = set(atoms(c))
     if pair is not None:
         members.update(Sum(a, b) for a in atoms(pair[0]) for b in atoms(pair[1]))

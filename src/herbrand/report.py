@@ -12,10 +12,11 @@ after it:
 * per universe, the visible names (all atoms with ``full``; otherwise those
   below the reserved constants), the interned atom groups and one row memo.
   ``rows`` lists a value's classes itself, in one pass over its labels and
-  definitions: it groups the visible atoms by class, interns each distinct
-  group once per render as its id and sorted names, lists each atom class
-  over its definition's operand groups and then each undefined pair of
-  operand groups as a class of pairs only. The memo is keyed by a row's
+  definition triples: it groups the visible atoms by representative label,
+  interns each distinct group once per render as its id and sorted names,
+  lists each defined class from its triple, over its operand groups, then
+  each undefined atom class alone and each undefined pair of operand groups
+  as a class of pairs only. The memo is keyed by a row's
   group ids and holds its least member and its text. A miss formats only
   that row's members (the atoms of group c and ``a+b`` over groups l × r)
   and sorts them, so no table of the m² pair names is built, and a row that
@@ -103,7 +104,7 @@ class _Render:
             for name in names if self.json else ():
                 if encode_basestring_ascii(name) != f'"{name}"':
                     raise ValueError(f"atom name {name!r} needs a JSON escape")
-            known = self.universes[elem.universe] = (names, {}, {})
+            known = self.universes[elem.universe] = (names, {(): (0, [])}, {})
         names, ids, memo = known
         head, sep, tail = self.row
 
@@ -112,39 +113,42 @@ class _Render:
             row = memo[key] = (members[0], head + sep.join(members) + tail, members)
             return row
 
-        # each atom class's visible atoms, interned as (id, sorted names)
-        indices: list[list[int]] = [[] for _ in elem.defs]
-        for i, c in zip(range(len(names)), elem.atoms):
+        # each shown class's visible atoms, interned as (id, sorted names) and
+        # keyed by its representative, in ascending order; a visible atom's
+        # representative is at most its own index, so is visible too
+        atoms = elem.atoms
+        indices: list[list[int]] = [[] for _ in names]
+        for i, c in zip(range(len(names)), atoms):
             indices[c].append(i)
-        groups = []
-        for group in map(tuple, indices):
+        groups: dict[int, _Group] = {}
+        for c in dict.fromkeys(atoms[: len(names)]):
+            group = tuple(indices[c])
             interned = ids.get(group)
             if interned is None:
                 interned = ids[group] = (len(ids), sorted([names[i] for i in group]))
-            groups.append(interned)
+            groups[c] = interned
+        # a class with no visible atom has the empty group
+        empty = ids[()]
         # a shown class has at least this many visible members
         least = 1 if self.full else 2
         rows = []
-        defined = set()
-        for (c, own), pair in zip(groups, elem.defs):
-            if pair is None:
-                if len(own) >= least:
-                    key = (c, -1, -1)
-                    rows.append(memo.get(key) or miss(key, own[:]))
-                continue
-            defined.add(pair)
-            (l, left), (r, right) = groups[pair[0]], groups[pair[1]]
+        owned, defined = set(), set()
+        for c, lc, rc in elem.defs:
+            owned.add(c)
+            defined.add((lc, rc))
+            (c, own), (l, left), (r, right) = groups.get(c, empty), groups.get(lc, empty), groups.get(rc, empty)
             if len(own) + len(left) * len(right) >= least:
                 key = (c, l, r)
                 rows.append(memo.get(key) or miss(key, [f"{a}+{b}" for a in left for b in right] + own))
-        # every undefined operand class pair (l, r) is a class of pairs only,
-        # of |l| * |r| members, so below ``least`` a one-atom l needs an r of
-        # two or more
-        shown = [c for c, (_, own) in enumerate(groups) if own]
-        shared = [c for c in shown if len(groups[c][1]) > 1]
-        for lc in shown:
-            l, left = groups[lc]
-            for rc in shown if len(left) >= least else shared:
+        # each undefined atom class is its atoms alone, and every undefined
+        # operand class pair (l, r) is a class of pairs only, of |l| * |r|
+        # members, so below ``least`` a one-atom l needs an r of two or more
+        shared = [c for c, (_, own) in groups.items() if len(own) > 1]
+        for lc, (l, left) in groups.items():
+            if len(left) >= least and lc not in owned:
+                key = (l, -1, -1)
+                rows.append(memo.get(key) or miss(key, left[:]))
+            for rc in groups if len(left) >= least else shared:
                 if (lc, rc) not in defined:
                     r, right = groups[rc]
                     key = (l, r)

@@ -88,8 +88,9 @@ class TermUniverse:
     ``index`` maps each of the m atoms to its position; ``len(universe)`` is
     |U| = m + m². ``terms`` is every atom and then, row by row, the pair of
     atoms i and j at position m + i*m + j; it is built on first read, by
-    tests and the benchmark, never by the CLI. Universes compare by
-    identity; one run shares one universe.
+    tests and the benchmark, never by the CLI. ``positions`` is the tuple
+    0..m-1, built on first read by ``bottom`` or ``meet``. Universes compare
+    by identity; one run shares one universe.
     """
 
     variables: tuple[Atom, ...]
@@ -104,6 +105,11 @@ class TermUniverse:
 
     def __contains__(self, t: object) -> bool:
         return t.left in self.index and t.right in self.index if type(t) is Sum else t in self.index
+
+    @cached_property
+    def positions(self) -> tuple[int, ...]:
+        """The atom positions 0..m-1: the labels of the finest congruence."""
+        return tuple(range(len(self.atoms)))
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:

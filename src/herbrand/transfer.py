@@ -16,8 +16,13 @@ Each transfer returns its input itself, building no value, when the moved
 partition would equal it: an assignment when ``y`` already has the class
 of ``beta``, and an input statement when ``y`` is already alone in a class
 that has no definition and is no definition's operand. Otherwise it builds
-one value through the ``Partition`` constructor. An assignment looks up
-each right-hand-side atom's position once; that one lookup also finds an
+one value through the ``Partition`` constructor: it copies the input's
+representative labels with ``y``'s one entry changed, to the label of
+``beta``'s class or to the fresh key -1, and passes the input's definition
+triples, plus one ``(-1, l, r)`` for a new pair class. No transfer re-picks
+a representative. When ``y`` was one, or moves below its new class's, the
+constructor's first-position labeling does it. An assignment looks up each
+right-hand-side atom's position once; that one lookup also finds an
 undeclared atom and a right-hand side that names ``y``.
 """
 
@@ -83,9 +88,10 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     if len(pos) == 1:
         c = atoms[pos[0]]
     else:
-        pair = (atoms[pos[0]], atoms[pos[1]])
-        defs = defs if pair in defs else (*defs, pair)
-        c = defs.index(pair)
+        # the class defined by beta's operand classes, or a fresh key -1
+        left, right = atoms[pos[0]], atoms[pos[1]]
+        c = next((d for d, l, r in defs if l == left and r == right), -1)
+        defs = defs if c >= 0 else (*defs, (c, left, right))
     if atoms[yi] == c:
         return elem
     moved = list(atoms)
@@ -105,10 +111,10 @@ def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
     atoms, defs = elem.atoms, elem.defs
     yi = _variable_position(elem.universe, y)
     c = atoms[yi]
-    if defs[c] is None and atoms.count(c) == 1 and all(d is None or c not in d for d in defs):
+    if atoms.count(c) == 1 and all(c not in d for d in defs):
         return elem
     moved = list(atoms)
-    moved[yi] = len(defs)
+    moved[yi] = -1
     return Partition(elem.universe, moved, defs)
 
 

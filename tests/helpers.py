@@ -88,7 +88,7 @@ def make_partition(universe: TermUniverse, groups: list[list[str]]) -> Partition
                 pairs[("group", gi)] = t
             else:
                 keys[universe.index[t]] = ("group", gi)
-    defs = {key: (keys[universe.index[t.left]], keys[universe.index[t.right]]) for key, t in pairs.items()}
+    defs = [(key, keys[universe.index[t.left]], keys[universe.index[t.right]]) for key, t in pairs.items()]
     return Partition(universe, keys, defs)
 
 
@@ -123,28 +123,41 @@ def universe_pairs(universe: TermUniverse) -> tuple[tuple[Sum, ...], ...]:
     return tuple(terms[m + i * m : m + (i + 1) * m] for i in range(m))
 
 
+def dense(p: Partition) -> tuple[list[int], list[tuple[int, int] | None]]:
+    """``p`` in first-occurrence numbering: each atom's class number, the
+    rank of its representative label, and per atom class its definition
+    (l, r) over those numbers or ``None``."""
+    rank = {c: n for n, c in enumerate(dict.fromkeys(p.atoms))}
+    defs: list[tuple[int, int] | None] = [None] * len(rank)
+    for c, l, r in p.defs:
+        defs[rank[c]] = (rank[l], rank[r])
+    return [rank[c] for c in p.atoms], defs
+
+
 def members(p: Partition, count: int, least: int = 1) -> tuple[list[tuple[int, ...]], list[tuple[int, int, int]]]:
-    """The classes of ``p`` as index data: the atom groups, where group c
-    holds the indices below ``count`` of atom class c's atoms and a last,
-    empty group is the group of label -1; and one label triple ``(c, l, r)``
-    per listed class, in label order. An atom class c is listed as
+    """The classes of ``p`` as index data over its first-occurrence numbers
+    (``dense``): the atom groups, where group c holds the indices below
+    ``count`` of atom class c's atoms and a last, empty group is the group
+    of label -1; and one label triple ``(c, l, r)`` per listed class, in
+    label order. An atom class c is listed as
     ``(c, l, r)`` over its definition (l, r), or ``(c, -1, -1)`` without
     one; each undefined operand class pair (l, r), in lexicographic order,
     as ``(-1, l, r)``. A class's members are the atoms of group c and the
     pairs over group l × group r, and a class with fewer than ``least`` (1
     or 2) of them is left out."""
-    atoms: list[list[int]] = [[] for _ in range(len(p.defs) + 1)]
-    for i, c in zip(range(count), p.atoms):
+    labels, defs = dense(p)
+    atoms: list[list[int]] = [[] for _ in range(len(defs) + 1)]
+    for i, c in zip(range(count), labels):
         atoms[c].append(i)
     groups = list(map(tuple, atoms))
     sizes = list(map(len, groups))
-    labels = enumerate(pair or (-1, -1) for pair in p.defs)
-    out = [(c, l, r) for c, (l, r) in labels if sizes[c] + sizes[l] * sizes[r] >= least]
+    labeled = enumerate(pair or (-1, -1) for pair in defs)
+    out = [(c, l, r) for c, (l, r) in labeled if sizes[c] + sizes[l] * sizes[r] >= least]
     # an undefined operand class pair (l, r) has |l| * |r| counted members,
     # so below ``least`` a one-atom l needs an r of two or more
     shown = [c for c, size in enumerate(sizes) if size]
     shared = [c for c in shown if sizes[c] > 1]
-    defined = set(p.defs)
+    defined = set(defs)
     out += [(-1, l, r) for l in shown for r in (shown if sizes[l] >= least else shared) if (l, r) not in defined]
     return groups, out
 
@@ -159,11 +172,11 @@ def classes(p: Partition) -> list[list[Term]]:
 
 
 def num_classes(p: Partition) -> int:
-    """The class count of ``p``, from its definitions alone: k atom classes
-    and k² operand class pairs, less the defined pairs, which lie in atom
-    classes."""
-    k = len(p.defs)
-    return k + k * k - (k - p.defs.count(None))
+    """The class count of ``p``, from its labels and definitions alone: k
+    atom classes and k² operand class pairs, less the defined pairs, which
+    lie in atom classes."""
+    k = len(set(p.atoms))
+    return k + k * k - len(p.defs)
 
 
 def cls(p: Partition | GridPartition, text: str) -> set[str]:

@@ -286,7 +286,7 @@ def test_meet_is_the_greatest_lower_bound(u):
 
 def _relabeled(p: Partition, f) -> Partition:
     """``p`` built again from the keys ``f(label)``."""
-    defs = {f(c): (f(pair[0]), f(pair[1])) for c, pair in enumerate(p.defs) if pair is not None}
+    defs = [(f(c), f(l), f(r)) for c, l, r in p.defs]
     return Partition(p.universe, [f(c) for c in p.atoms], defs)
 
 
@@ -562,7 +562,7 @@ def test_num_classes_when_the_last_term_joins_an_earlier_class():
     size = len(universe.terms)
     # the last term is $nd2+$nd2: x is defined as it, and on the grid
     # reference it joins $nd1
-    p = Partition(universe, (0, 1, 2), {0: (2, 2)})
+    p = Partition(universe, (0, 1, 2), [(0, 2, 2)])
     g = GridPartition(universe, (0, 1, *range(2, size - 1), 1))
     for count, listed in ((num_classes(p), classes(p)), (g.num_classes, g.classes())):
         assert count == size - 1
@@ -572,23 +572,25 @@ def test_num_classes_when_the_last_term_joins_an_earlier_class():
 def test_two_atom_classes_cannot_share_a_definition():
     universe = build_universe(["x", "y"], [])
     with pytest.raises(ValueError, match="two atom classes share a definition"):
-        Partition(universe, [0, 1, 2, 3], {0: (2, 2), 1: (2, 2)})
+        Partition(universe, [0, 1, 2, 3], [(0, 2, 2), (1, 2, 2)])
     # a definition over a class with no atom is dropped, so no clash remains
-    p = Partition(universe, [0, 1, 2, 2], {0: (3, 3), 1: (2, 2)})
-    assert p.defs == (None, (2, 2), None)
+    p = Partition(universe, [0, 1, 2, 2], [(0, 3, 3), (1, 2, 2)])
+    assert p.defs == ((1, 2, 2),)
+    with pytest.raises(ValueError, match="or one class has two"):
+        Partition(universe, [0, 1, 2, 3], [(0, 2, 2), (0, 3, 3)])
 
 
 def test_malformed_definitions_raise_value_error():
     universe = build_universe(["x", "y"], [])
     m = len(universe.atoms)
-    for defs in ({0: (1,)}, [(1, 2, 3)], {"no class": (1, 2, 3)}):
+    for defs in ([(0, 1)], [(1, 2, 3, 0)], [("no class", 1, 2, 3)]):
         with pytest.raises(ValueError, match="values to unpack"):
             Partition(universe, range(m), defs)
     with pytest.raises(ValueError, match=f"expected {m} atom labels, got {m - 1}"):
-        Partition(universe, range(m - 1), {})
+        Partition(universe, range(m - 1), ())
     # keyword arguments, as ``dataclasses.replace`` passes them
-    p = Partition(universe=universe, atoms=["k"] * m, defs={"k": ("k", "k")})
-    assert (p.atoms, p.defs) == ((0,) * m, ((0, 0),))
+    p = Partition(universe=universe, atoms=["k"] * m, defs=[("k", "k", "k")])
+    assert (p.atoms, p.defs) == ((0,) * m, ((0, 0, 0),))
     assert dataclasses.replace(p, atoms=range(m)) == Partition(universe, range(m), p.defs)
 
 
@@ -624,3 +626,37 @@ def test_a_partition_is_rebuilt_from_its_own_fields():
             assert dataclasses.replace(p) == p, name
             defined += any(p.defs)
     assert defined > 0
+
+
+def test_representative_labels_are_canonical():
+    # random keyed labelings with random triples, some over a key that no
+    # atom has: each atom is labeled by the least index of its class, the
+    # kept triples are sorted and over those labels, and neither the key
+    # names nor the order of the triples changes the value
+    rng = random.Random(34)
+    dropped = 0
+    for _ in range(300):
+        universe = rand_universe(rng)
+        m = len(universe.atoms)
+        names = [f"k{i}" for i in range(rng.randrange(1, m + 1))]
+        keys = [rng.choice(names) for _ in range(m)]
+        pool = names + ["no atom"]
+        classes = rng.sample(pool, rng.randrange(len(pool) + 1))
+        pairs = rng.sample([(l, r) for l in pool for r in pool], len(classes))
+        triples = [(c, l, r) for c, (l, r) in zip(classes, pairs)]
+        p = Partition(universe, keys, triples)
+        assert all(p.atoms[p.atoms[i]] == p.atoms[i] <= i for i in range(m))
+        assert all(keys[p.atoms[i]] == keys[i] and keys.index(keys[i]) == p.atoms[i] for i in range(m))
+        representatives = set(p.atoms)
+        assert all(set(triple) <= representatives for triple in p.defs)
+        assert list(p.defs) == sorted(p.defs)
+        kept = [triple for triple in triples if set(triple) <= set(keys)]
+        assert len(p.defs) == len(kept)
+        dropped += len(triples) - len(kept)
+        rename = dict(zip(pool, rng.sample(range(-50, 50), len(pool))))
+        renamed = [(rename[c], rename[l], rename[r]) for c, l, r in triples]
+        q = Partition(universe, [rename[k] for k in keys], rng.sample(renamed, len(renamed)))
+        assert q == p and hash(q) == hash(p)
+        assert Partition(universe, p.atoms, p.defs) == p
+        assert Partition(universe, p.atoms, p.defs[::-1]) == p
+    assert dropped > 100

@@ -539,8 +539,14 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
     code, out, err = _run(capsys, "check", str(bad))
     assert code == 2
     assert "E_GRAPH" in err and out == ""
-    code, _, err = _run(capsys, "check", str(tmp_path / "missing.dfg"))
-    assert code == 2
+    # a file that cannot be read: the error's own text under the E_IO code
+    missing = tmp_path / "missing.dfg"
+    assert _run(capsys, "check", str(missing)) == (
+        2,
+        "",
+        f"error[E_IO]: [Errno 2] No such file or directory: '{missing}'\n",
+    )
+    assert _run(capsys, "analyze", str(tmp_path)) == (2, "", f"error[E_IO]: [Errno 21] Is a directory: '{tmp_path}'\n")
 
 
 _HEAD = "vars x y\nconsts a\nnode 1 entry\n"

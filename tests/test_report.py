@@ -209,7 +209,7 @@ def test_rows_sort_names_below_the_operator_sign():
         by_name={atom.name: atom for atom in atoms},
     )
     # {a, a!} and {a-, b}, and c defined as the class of their pairs
-    p = Partition(universe, [0, 0, 1, 1, 2, 3, 4], {2: (0, 1)})
+    p = Partition(universe, [0, 0, 1, 1, 2, 3, 4], [(2, 0, 1)])
     state = (p, bottom(universe), p)
     for full in (False, True):
         _assert_same(emit_report(state, 0, "text", full), reference_emit_report(state, 0, "text", full), full)

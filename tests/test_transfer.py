@@ -183,7 +183,7 @@ def _rand_labeling(universe, rng) -> Partition:
     m = len(universe.atoms)
     k = rng.randrange(1, m + 1)
     pairs = rng.sample([(l, r) for l in range(k) for r in range(k)], rng.randrange(k + 1))
-    defs = dict(zip(rng.sample(range(k), len(pairs)), pairs))
+    defs = [(c, l, r) for c, (l, r) in zip(rng.sample(range(k), len(pairs)), pairs)]
     return Partition(universe, [rng.randrange(k) for _ in range(m)], defs)
 
 
@@ -205,11 +205,13 @@ def test_transfers_equal_the_general_constructor_on_random_labelings():
             assert got == Partition(universe, moved, p.defs), (p, y)
             exits["nondet"] += got is p
             for beta in [a for a in atoms if a != y] + [Sum(a, b) for a in atoms for b in atoms if y not in (a, b)]:
-                defs = dict(enumerate(p.defs))
+                defs = list(p.defs)
                 if isinstance(beta, Sum):
                     pair = (p.atoms[index[beta.left]], p.atoms[index[beta.right]])
-                    moved[yi] = p.defs.index(pair) if pair in p.defs else "fresh"
-                    defs.setdefault(moved[yi], pair)
+                    defined = {(l, r): c for c, l, r in p.defs}
+                    moved[yi] = defined.get(pair, "fresh")
+                    if pair not in defined:
+                        defs.append(("fresh", *pair))
                 else:
                     moved[yi] = p.atoms[index[beta]]
                 got = assign_transfer(p, y, beta)
