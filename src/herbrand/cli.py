@@ -17,7 +17,7 @@ from .dataflow import FlowGraph, solve
 from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import LINE_END_RE, parse_program
-from .report import FORMATS, emit_report, render_check, render_mop, render_verify
+from .report import FORMATS, emit_report, render_check, render_mop, verify_lines
 from .terms import TermUniverse
 
 
@@ -56,7 +56,7 @@ def _cmd_mop(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace)
 
 def _cmd_verify(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     report = verify_mop_mfp(graph, universe, args.max_len, cap=args.path_cap)
-    sys.stdout.write(render_verify(report, args.format))
+    sys.stdout.writelines(verify_lines(report, args.format))
     return 0 if report.ok else 1
 
 

@@ -10,8 +10,12 @@ characterizations against each other:
     they equal the solver's fixpoint exactly.
 
 ``mop_table`` enumerates the paths breadth-first and carries each path's
-congruence along, extending it one edge at a time and memoizing repeated
-(node, value) steps; ``verify_mop_mfp`` compares its rows with the solver's
+congruence along, one edge at a time. A path's state is its end node and its
+congruence. Every path in one state refers to one shared record, which lists
+its successor states' records on its first expansion, so each statement
+transfers each of its input values once. The frontier still holds one entry
+per path: each path is met into its node's value and counts against the
+path cap. ``verify_mop_mfp`` compares the table's rows with the solver's
 iterates. The literal definitions, which rebuild every path from scratch,
 live with the tests and cross-check ``mop_table`` there.
 """
@@ -42,28 +46,54 @@ def mop_table(
     """Bounded path meets for every node: ``table[l][k - 1]`` covers paths
     of length below ``l``. The table stops one row after the paths run out,
     as every later row would repeat that row, so ``table[-1]`` is the row
-    for ``max_len`` and stands for every row past the end."""
+    for ``max_len`` and stands for every row past the end.
+
+    Each level meets every path's value into its end node's running meet,
+    then expands the paths, and raises ``PathLimitError`` when the next
+    level holds more than ``cap`` paths. Paths that share a state share its
+    record, and equal values are one object, so a running meet already set
+    to a path's value meets it in one identity test."""
     n = graph.n
+    kinds = graph.kinds
+    succ = graph.succ
     cum: list[LatticeElem] = [TOP] * n
     rows: list[tuple[LatticeElem, ...]] = [tuple(cum)]
-    frontier: list[tuple[int, LatticeElem]] = [(1, bottom(universe))]
-    step_memo: dict[tuple[int, LatticeElem], LatticeElem] = {}
+    # one record [node, value, successor records or None] per path state.
+    # Equal values are one object, kept alive by ``values`` for the whole
+    # call, so each node's records are keyed by the ids of their values.
+    start = bottom(universe)
+    values: dict[LatticeElem, LatticeElem] = {start: start}
+    states: list[dict[int, list]] = [{} for _ in range(n)]
+    frontier: list[list] = [[1, start, None]]
     for _ in range(max_len):
-        for end, value in frontier:
+        for end, value, _ in frontier:
             cum[end - 1] = meet(cum[end - 1], value)
         rows.append(tuple(cum))
         if not frontier:
             break
-        nxt: list[tuple[int, LatticeElem]] = []
-        for end, value in frontier:
-            for s in graph.succ(end):
-                key = (s, value)
-                out = step_memo.get(key)
-                if out is None:
-                    kind = graph.kind(s)
-                    out = value if isinstance(kind, Confluence) else apply_statement(value, kind)
-                    step_memo[key] = out
-                nxt.append((s, out))
+        nxt: list[list] = []
+        for state in frontier:
+            # one succ call per path, after all of the level's meets:
+            # perfbench's tracer pairs the two to count distinct states
+            targets = succ(state[0])
+            out = state[2]
+            if out is None:
+                # a state's first expansion; a statement node has one
+                # predecessor, so it transfers each of its input values once
+                value = state[1]
+                out = state[2] = []
+                for s in targets:
+                    kind = kinds[s - 1]
+                    step = value
+                    if type(kind) is not Confluence:
+                        step = apply_statement(value, kind)
+                        step = values.setdefault(step, step)
+                    here = states[s - 1]
+                    record = here.get(id(step))
+                    if record is None:
+                        record = here[id(step)] = [s, step, None]
+                    out.append(record)
+            nxt += out
         if len(nxt) > cap:
             raise PathLimitError(f"more than {cap} paths of one length")
         frontier = nxt

@@ -46,7 +46,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .congruence import LatticeElem, Partition, is_top
 from .dataflow import FlowGraph
@@ -245,32 +245,40 @@ def render_mop(rows: list[tuple[LatticeElem, ...]], max_len: int, fmt: str = "te
 def render_verify(report: VerifyReport, fmt: str = "text") -> str:
     """Render a ``verify_mop_mfp`` report: in text, one line per length, the
     nodes that mismatch at it sorted, then the fixpoint check and the verdict."""
-    if _is_json(fmt):
-        return render_json(
-            {
-                "solver": "verify",
-                "max_len": report.max_len,
-                "nodes": report.node_count,
-                "checks": report.checks,
-                "stabilized": report.stabilized,
-                "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
-                "fixpoint_mismatches": report.fixpoint_mismatches,
-                "ok": report.ok,
-            }
-        )
+    return "".join(verify_lines(report, fmt))
+
+
+def verify_lines(report: VerifyReport, fmt: str = "text") -> Iterator[str]:
+    """``render_verify``'s text in order, one line at a time, so a report of
+    any length is written without being held whole; JSON is one piece. An
+    unknown ``fmt`` raises here, before the first piece."""
+    if not _is_json(fmt):
+        return _verify_text(report)
+    fields = {
+        "solver": "verify",
+        "max_len": report.max_len,
+        "nodes": report.node_count,
+        "checks": report.checks,
+        "stabilized": report.stabilized,
+        "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
+        "fixpoint_mismatches": report.fixpoint_mismatches,
+        "ok": report.ok,
+    }
+    return iter([render_json(fields)])
+
+
+def _verify_text(report: VerifyReport) -> Iterator[str]:
     bad: dict[int, list[int]] = {}
     for k, l in report.iterate_mismatches:
         bad.setdefault(l, []).append(k)
-    lines = [
-        f"length {l}: MISMATCH at nodes {sorted(bad[l])}" if l in bad else f"length {l}: ok ({report.node_count} nodes)"
-        for l in range(report.max_len + 1)
-    ]
-    lines.append(f"stabilized within bound: {'yes' if report.stabilized else 'no'}")
+    ok = f"ok ({report.node_count} nodes)\n"
+    for l in range(report.max_len + 1):
+        yield f"length {l}: MISMATCH at nodes {sorted(bad[l])}\n" if l in bad else f"length {l}: {ok}"
+    yield f"stabilized within bound: {'yes' if report.stabilized else 'no'}\n"
     if report.stabilized:
         fixpoint = report.fixpoint_mismatches
-        lines.append(f"path meet vs fixpoint: {f'MISMATCH at nodes {fixpoint}' if fixpoint else 'ok'}")
-    lines.append("ok" if report.ok else "FAILED")
-    return "\n".join(lines) + "\n"
+        yield f"path meet vs fixpoint: {f'MISMATCH at nodes {fixpoint}' if fixpoint else 'ok'}\n"
+    yield "ok\n" if report.ok else "FAILED\n"
 
 
 def render_check(universe: TermUniverse, graph: FlowGraph) -> str:

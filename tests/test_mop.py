@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import sys
 
 import pytest
 
@@ -22,6 +24,7 @@ from herbrand import (
 from herbrand.cli import main
 from helpers import (
     PROGRAMS_DIR,
+    ROOT,
     cls,
     enum_paths,
     full_corpus,
@@ -30,6 +33,10 @@ from helpers import (
     mop,
     path_congruence,
 )
+
+# the benchmark's program generator, read only
+sys.path.append(str(ROOT / "perfbench"))
+import gen  # noqa: E402
 
 
 def test_no_paths_below_length_zero():
@@ -261,3 +268,56 @@ def test_mop_table_meets_once_per_path(name, monkeypatch):
     mop_table(graph, universe, 12)
     paths = sum(len(enum_paths(graph, k, 12)) for k in range(1, graph.n + 1))
     assert calls == paths > graph.n
+
+
+def _shared_chain():
+    # the benchmark's 4-diamond shared-state chain: path lengths 0..8 hold
+    # 1, 2, 2, 4, 4, 8, 8, 16, 16 paths, at 1 or 2 distinct states per node
+    program = gen.shared_chain(random.Random(0), 4)
+    return program, *parse_program(program.text())
+
+
+def test_mop_table_shares_one_state_per_node_and_value(monkeypatch):
+    _, universe, graph = _shared_chain()
+    met: list = []
+    transfers: list = []
+
+    def counting_meet(l1, l2):
+        met.append(l2)
+        return meet(l1, l2)
+
+    def counting_apply(value, kind):
+        transfers.append((kind, value))
+        return apply_statement(value, kind)
+
+    monkeypatch.setattr("herbrand.mop.meet", counting_meet)
+    monkeypatch.setattr("herbrand.mop.apply_statement", counting_apply)
+    mop_table(graph, universe, 15)
+    # equal frontier values are one object: 61 path meets over 7 values
+    assert (len(met), len(set(map(id, met))), len(set(met))) == (61, 7, 7)
+    # one transfer per distinct (statement node, input value), counted
+    # independently from the paths one node longer than the table's
+    inputs = {
+        (path[-1], path_congruence(path[:-1], graph, universe))
+        for k in range(2, graph.n + 1)
+        if not isinstance(graph.kind(k), Confluence)
+        for path in enum_paths(graph, k, 16)
+    }
+    assert len(transfers) == len(inputs) == 14
+
+
+def test_path_cap_counts_paths_not_states(tmp_path, capsys):
+    program, universe, graph = _shared_chain()
+    paths = [p for k in range(1, graph.n + 1) for p in enum_paths(graph, k, 16)]
+    widest = max(sum(len(p) == size for p in paths) for size in range(1, 17))
+    states = max(len({path_congruence(p, graph, universe) for p in paths if p[-1] == k}) for k in range(1, graph.n + 1))
+    assert (widest, states) == (16, 2)
+    mop_table(graph, universe, 15, cap=widest)
+    with pytest.raises(PathLimitError):
+        mop_table(graph, universe, 15, cap=widest - 1)
+    path = tmp_path / "chain.dfg"
+    path.write_text(program.text())
+    assert main(["mop", str(path), "--max-len", "15", "--path-cap", str(widest - 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"error[E_PATH_LIMIT]: more than {widest - 1} paths of one length"]

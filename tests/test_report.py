@@ -1,10 +1,13 @@
 """Differential tests of the report renderer against ``reference_emit_report``
 and ``reference_mop_report`` (tests/helpers.py), byte for byte."""
 
+import hashlib
+import io
 import random
 import string
 import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from json.encoder import encode_basestring_ascii
 
 import pytest
@@ -324,6 +327,37 @@ def test_render_verify_rejects_an_unknown_format():
     assert report.ok
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
         render_verify(report, "xml")
+
+
+class _DigestSink(io.TextIOBase):
+    """A text stream that keeps only the SHA-256 of what is written to it."""
+
+    def __init__(self) -> None:
+        self.sha = hashlib.sha256()
+
+    def write(self, text: str) -> int:
+        self.sha.update(text.encode("utf-8"))
+        return len(text)
+
+
+def test_verify_writes_a_long_report_in_bounded_memory():
+    # 200,001 length lines, written one at a time: the write peaks near
+    # 10 KiB, where a list of the lines and their joined string took 26 MiB
+    path = str(PROGRAMS_DIR / "straight_line.dfg")
+    universe, graph = load_program("straight_line.dfg")
+    want = render_verify(verify_mop_mfp(graph, universe, 200_000))
+    assert want.count("\n") == 200_004
+    sink = _DigestSink()
+    build_parser()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            assert main(["verify", path, "--max-len", "200000"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.sha.hexdigest() == hashlib.sha256(want.encode("utf-8")).hexdigest()
+    assert peak < 2**18, peak
 
 
 def test_cli_formats_are_the_report_formats():
