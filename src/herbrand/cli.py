@@ -14,7 +14,7 @@ from functools import cache
 from pathlib import Path
 
 from .dataflow import FlowGraph, solve
-from .errors import AnalysisError, IterationLimitError, ParseError, PathLimitError
+from .errors import AnalysisError, ParseError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import LINE_END_RE, parse_program
 from .report import FORMATS, emit_report, render_check, render_mop, verify_lines
@@ -117,12 +117,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(*_load(args.program), args)
-    except (PathLimitError, IterationLimitError) as err:
-        print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return 3
     except AnalysisError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
-        return 2
+        return err.exit_status
     except OSError as err:
         print(f"error[E_IO]: {err}", file=sys.stderr)
         return 2

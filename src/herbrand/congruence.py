@@ -17,16 +17,16 @@ An atom's label is the least atom index of its class, its representative,
 and a definition is a ``(c, l, r)`` triple of representatives. Both are
 canonical as built, so equal congruences have equal fields with no
 renumbering. Every undefined operand class pair is a class of pairs only.
-An anonymous class, a class of pairs with no atom that an analysis keeping
-deeper terms would add as a definition's operand, has no representative;
-such classes can take labels m and above.
 
-Queries number the classes as first occurrence over the universe would:
-the k atom classes 0..k-1, in the order of their representatives, then the
-undefined pair classes (l, r) in lexicographic order. That numbering is
-built on a value's first query and kept with it; the solver never asks for
-it. ``get_class`` reads one class from it; the report lists a value's
-classes from the labels and triples itself.
+Every class is named by the universe position of its least member (atom i
+at i, pair (i, j) at m + i*m + j), read off the labels: an atom class by
+its representative, a defined pair class by its atom class, and a class of
+pairs only, over the operand classes l and r, by m + l*m + r, the position
+of its least pair. So an anonymous class, a class of pairs with no atom
+that an analysis keeping deeper terms would add as a definition's operand,
+is named too. The solver never queries a class; ``get_class`` reads one
+class from the labels and triples, and the report lists a value's classes
+from them itself.
 
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
@@ -40,7 +40,7 @@ lookup per left definition. The running path meet of ``mop_table`` rarely
 gets past them; the README gives the counts on the ``perfbench`` chains.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
-label or a pair (tuple) of operand values, collapsing each operand pair of
+name or a pair (tuple) of operand values, collapsing each operand pair of
 atom classes into its pair class. Two terms of any depth are equivalent
 under a value exactly when their values coincide.
 
@@ -53,8 +53,7 @@ only path, but ``equivalent`` returns ``False`` there.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from collections.abc import Callable, Hashable, Iterable
+from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
@@ -87,7 +86,9 @@ class Partition:
     ``atoms[i]`` is the least atom index of the class of
     ``universe.atoms[i]``, its representative label, and ``defs`` is the
     sorted tuple of ``(c, l, r)`` triples, one per defined atom class c,
-    whose pairs are those over the operand classes l and r. The constructor
+    whose pairs are those over the operand classes l and r; a class of
+    pairs only over l and r, anonymous or not, is named m + l*m + r, the
+    universe position of its least pair. The constructor
     takes any m hashable keys for the atoms and an iterable of
     ``(key, left key, right key)`` triples, so ``Partition(u, p.atoms,
     p.defs) == p``. It labels each key by its first position, in one pass,
@@ -126,25 +127,10 @@ class Partition:
         return self._hash
 
     @cached_property
-    def _dense(self) -> tuple[tuple[int, ...], list[tuple[int, int] | None], Callable[[int, int], int]]:
-        """The queries' first-occurrence numbering, built once per value on
-        its first query: each atom's class number (its representative's
-        rank), each atom class's definition over those numbers or ``None``,
-        and the map from operand atom classes ``(l, r)`` to their pair
-        class."""
-        rank = {c: n for n, c in enumerate(dict.fromkeys(self.atoms))}
-        k = len(rank)
-        defs: list[tuple[int, int] | None] = [None] * k
-        for c, left, right in self.defs:
-            defs[rank[c]] = (rank[left], rank[right])
-        defined = {pair: c for c, pair in enumerate(defs) if pair is not None}
-        below = sorted(defined)
-
-        def label(left: int, right: int) -> int:
-            c = defined.get((left, right))
-            return k + left * k + right - bisect_left(below, (left, right)) if c is None else c
-
-        return tuple(map(rank.__getitem__, self.atoms)), defs, label
+    def _defined(self) -> dict[tuple[int, int], int]:
+        """Each defined operand class pair's atom class, built on a value's
+        first query and kept with it."""
+        return {(left, right): c for c, left, right in self.defs}
 
     def class_of(self, t: Term) -> int:
         if t not in self.universe:
@@ -165,14 +151,14 @@ def bottom(universe: TermUniverse) -> Partition:
 
 
 def term_value(t: Term, p: Partition) -> int | tuple:
-    """Canonical class value of a term of arbitrary depth under ``p``: an
-    ``int`` class label, or the pair of the operand values of a sum whose
-    operands are not both atom classes. Equal values mean equivalence under
-    ``p``, which is exact for ``p`` but may miss a Herbrand equivalence that
-    ``p``'s depth-1 definitions could not keep (see the module docstring)."""
-    index = p.universe.index
-    labels, defs, label = p._dense
-    k = len(defs)
+    """Canonical class value of a term of arbitrary depth under ``p``: the
+    ``int`` universe position of its class's least member, or the pair of
+    the operand values of a sum whose operands are not both atom classes.
+    Equal values mean equivalence under ``p``, which is exact for ``p`` but
+    may miss a Herbrand equivalence that ``p``'s depth-1 definitions could
+    not keep (see the module docstring)."""
+    index, labels, defined = p.universe.index, p.atoms, p._defined
+    m = len(labels)
 
     def value(t: Term) -> int | tuple:
         if isinstance(t, Atom):
@@ -182,8 +168,8 @@ def term_value(t: Term, p: Partition) -> int | tuple:
             return labels[pos]
         assert isinstance(t, Sum)
         left, right = value(t.left), value(t.right)
-        if type(left) is int and type(right) is int and left < k and right < k:
-            return label(left, right)
+        if type(left) is int and type(right) is int and left < m and right < m:
+            return defined.get((left, right), m + left * m + right)
         return (left, right)
 
     return value(t)
@@ -251,17 +237,16 @@ def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
 
 def get_class(t: Term, p: Partition) -> set[Term]:
     """All universe terms sharing the class of ``t``: the atoms labeled with
-    its class and the pairs over the class's operand class pair, read from
-    ``p``'s query numbering in O(m + |class|)."""
+    its name and the pairs over its operand class pair, the pair a triple
+    gives an atom class and the one a pair-only class's name encodes, read
+    in O(m + |class|)."""
     c = p.class_of(t)
-    labels, defs, _ = p._dense
+    m = len(p.atoms)
+    pair = divmod(c - m, m) if c >= m else next(((l, r) for d, l, r in p.defs if d == c), None)
 
     def atoms(d: int) -> list[Atom]:
-        return [a for a, label in zip(p.universe.atoms, labels) if label == d]
+        return [a for a, label in zip(p.universe.atoms, p.atoms) if label == d]
 
-    # a class past the atom classes has no atoms, and its pairs are those
-    # over the classes of ``t``'s own operands
-    pair = defs[c] if c < len(defs) else (p.class_of(t.left), p.class_of(t.right))
     members: set[Term] = set(atoms(c))
     if pair is not None:
         members.update(Sum(a, b) for a in atoms(pair[0]) for b in atoms(pair[1]))

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by every layer of the analyzer.
 
-Each class carries a stable machine-readable ``code``; the CLI maps codes
-to exit statuses (input errors vs resource limits).
+Each class carries a stable machine-readable ``code`` and the CLI's
+``exit_status`` for it: 2 for an input error, 3 for a resource limit.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ class AnalysisError(Exception):
     """Base class for all analyzer errors."""
 
     code = "E_ERROR"
+    exit_status = 2
 
     def __init__(self, message: str, *, line: int | None = None):
         if line is not None:
@@ -51,7 +52,9 @@ class UniverseMismatchError(AnalysisError):
 
 class IterationLimitError(AnalysisError):
     code = "E_ITER_LIMIT"
+    exit_status = 3
 
 
 class PathLimitError(AnalysisError):
     code = "E_PATH_LIMIT"
+    exit_status = 3

@@ -37,6 +37,7 @@ from helpers import (
     counting_inits,
     full_corpus,
     grid,
+    grid_index,
     grid_meet,
     grid_refines,
     grid_term_value,
@@ -601,8 +602,16 @@ def test_queries_match_the_grid_on_corpus_iterates():
         universe = p.universe
         labels = tuple(map(p.class_of, universe.terms))
         g = GridPartition(universe, labels)
-        # class_of already gives the grid's first-occurrence labels
-        assert g.labels == labels
+        # class_of names each class by the least grid position with its
+        # grid label, and term_value renames the grid's values likewise
+        least: dict[int, int] = {}
+        for pos, label in enumerate(g.labels):
+            least.setdefault(label, pos)
+        assert labels == tuple(least[label] for label in g.labels)
+
+        def renamed(value):
+            return least[value] if type(value) is int else tuple(map(renamed, value))
+
         assert num_classes(p) == g.num_classes
         assert classes(p) == g.classes()
         for t in universe.terms:
@@ -611,9 +620,37 @@ def test_queries_match_the_grid_on_corpus_iterates():
         for _ in range(20):
             a, b, c, d = (rng.choice(atoms) for _ in range(4))
             for t in (Sum(Sum(a, b), c), Sum(a, Sum(b, c)), Sum(Sum(a, b), Sum(c, d)), Sum(Sum(Sum(a, b), c), d)):
-                assert term_value(t, p) == grid_term_value(t, g), (p, t)
+                assert term_value(t, p) == renamed(grid_term_value(t, g)), (p, t)
                 checked += 1
     assert checked > 5000
+
+
+def test_class_of_names_each_class_by_its_least_member():
+    checked = 0
+    for p in iterate_values():
+        position = grid_index(p.universe)
+        for t in p.universe.terms:
+            assert p.class_of(t) == min(map(position.__getitem__, get_class(t, p))), (p, t)
+            checked += 1
+    assert checked > 3000
+
+
+def test_class_names_by_hand(u):
+    # x is declared before a, so x's position 0 names the class {x, a}
+    x, y, a, b = (u.resolve(name) for name in "xyab")
+    m = len(u.atoms)
+    assert u.index[x] < u.index[a]
+    p = assign_transfer(bottom(u), x, a)
+    q = assign_transfer(p, y, Sum(a, b))
+    for value in (p, q):
+        assert value.class_of(a) == value.class_of(x) == u.index[x]
+    # an undefined pair: the grid position of its least pair, x+y
+    name = m + u.index[x] * m + u.index[y]
+    assert p.class_of(Sum(a, y)) == name
+    assert u.terms[name] == Sum(x, y)
+    assert get_class(Sum(a, y), p) == {Sum(x, y), Sum(a, y)}
+    # a pair in a defined class: that atom class's representative, y
+    assert q.class_of(Sum(a, b)) == q.class_of(Sum(x, b)) == q.class_of(y) == u.index[y]
 
 
 def test_a_partition_is_rebuilt_from_its_own_fields():

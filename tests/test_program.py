@@ -735,6 +735,22 @@ def test_cli_path_cap_exit_3(capsys):
     assert "E_PATH_LIMIT" in err
 
 
+def test_cli_exit_status_of_every_error_class(monkeypatch, capsys):
+    from herbrand import cli as cli_module, errors
+
+    limits = {"E_ITER_LIMIT", "E_PATH_LIMIT"}
+    raised = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, AnalysisError)]
+    assert len(raised) == 8
+    for error in raised:
+
+        def load(path, error=error):
+            raise error("boom")
+
+        monkeypatch.setattr(cli_module, "_load", load)
+        expected = 3 if error.code in limits else 2
+        assert _run(capsys, "check", str(PROGRAMS_DIR / "diamond.dfg")) == (expected, "", f"error[{error.code}]: boom\n")
+
+
 def test_cli_trace_includes_iterates(capsys):
     code, out, _ = _run(
         capsys,
