@@ -41,7 +41,7 @@ from .errors import (
 )
 from .mop import VerifyReport, mop_table, verify_mop_mfp
 from .program import parse_program
-from .report import emit_report, visible_classes
+from .report import emit_report
 from .terms import (
     Atom,
     Sum,
@@ -76,7 +76,7 @@ __all__ = [
     # program
     "parse_program",
     # report
-    "emit_report", "visible_classes",
+    "emit_report",
     # terms
     "Atom", "Sum", "Term", "TermUniverse", "build_universe", "format_term",
     "occurs", "parse_term",

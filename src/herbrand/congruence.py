@@ -96,7 +96,8 @@ class Partition:
     universe pair can then reach it. A triple that is not three keys raises
     ``ValueError``, and so do two triples for one class and two classes with
     one definition, which would be one class. The hash is computed once per
-    value, in the constructor.
+    value, in the constructor. The repr shows the labels and the triples,
+    not the universe.
     """
 
     universe: TermUniverse
@@ -125,6 +126,10 @@ class Partition:
         # equal partitions have equal labels and definitions; the generated
         # __eq__ still tells partitions over different universes apart
         return self._hash
+
+    def __repr__(self) -> str:
+        # the labels and triples, not the universe's atoms and maps
+        return f"Partition(atoms={self.atoms!r}, defs={self.defs!r})"
 
     @cached_property
     def _defined(self) -> dict[tuple[int, int], int]:

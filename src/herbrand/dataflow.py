@@ -61,11 +61,14 @@ class FlowGraph:
 
     @cached_property
     def succs(self) -> tuple[tuple[int, ...], ...]:
+        """Each node's successors, ascending, read once from ``preds``: a
+        node is appended to its predecessors' lists in node order, twice to
+        a predecessor it names twice."""
         out: list[list[int]] = [[] for _ in range(self.n)]
-        for k in range(1, self.n + 1):
-            for p in self.pred(k):
+        for k, ps in enumerate(self.preds, start=1):
+            for p in ps:
                 out[p - 1].append(k)
-        return tuple(tuple(sorted(s)) for s in out)
+        return tuple(map(tuple, out))
 
     def succ(self, k: int) -> tuple[int, ...]:
         return self.succs[k - 1]
@@ -123,11 +126,12 @@ def validate_graph(
 
     graph = FlowGraph(n=n, kinds=tuple(kinds[k] for k in range(1, n + 1)), preds=tuple(pred_tuples))
 
+    succs = graph.succs
     reached = {1}
     frontier = [1]
     while frontier:
         node = frontier.pop()
-        for s in graph.succ(node):
+        for s in succs[node - 1]:
             if s not in reached:
                 reached.add(s)
                 frontier.append(s)

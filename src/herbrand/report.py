@@ -10,18 +10,23 @@ One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
 * per universe, the visible names (all atoms with ``full``; otherwise those
-  below the reserved constants), the interned atom groups and one row memo.
-  ``rows`` lists a value's classes itself, in one pass over its labels and
-  definition triples: it groups the visible atoms by representative label,
-  interns each distinct group once per render as its id and sorted names,
-  lists each defined class from its triple, over its operand groups, then
-  each undefined atom class alone and each undefined pair of operand groups
-  as a class of pairs only. The memo is keyed by a row's
-  group ids and holds its least member and its text. A miss formats only
-  that row's members (the atoms of group c and ``a+b`` over groups l × r)
-  and sorts them, so no table of the m² pair names is built, and a row that
-  recurs across the values of a report is formatted once. A value's rows
-  sort by their least members, since classes are disjoint;
+  below the reserved constants), the interned atom groups, one row memo and,
+  per distinct labels tuple (``Partition.atoms``), that tuple's groups and
+  rows. The labels alone fix which atoms share a class, so ``_base`` works
+  once per labels tuple, however many values share it: it groups the
+  visible atoms by representative label, interns each distinct group once
+  per render as its id and sorted names, and lists, sorted, each atom class
+  alone and each pair of operand groups as a class of pairs only, the rows
+  of a value with those labels and no definition. ``rows`` lists a value's
+  classes from them: a copy of that list less the rows its definition
+  triples own (a triple's atom class and its operand pair), plus one row per
+  triple, the class's atoms and the pairs over its operand groups, sorted
+  again. The memo is keyed by a row's group ids and holds its least member
+  and its text. A miss formats only that row's members (the atoms of group
+  c and ``a+b`` over groups l × r) and sorts them, so no table of the m²
+  pair names is built, and a row that recurs across the values of a report
+  is formatted once. A value's rows sort by their least members, since
+  classes are disjoint, and those members tell its rows apart;
 * one entry memo keyed by depth and value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   top-level entry is rendered once from its class rows, and a ``--trace``
@@ -75,11 +80,16 @@ def _json_array(items: list[str], indent: str) -> str:
 _Row = tuple[str, str, list[str]]
 # an interned atom group: its id in the render and its sorted visible names
 _Group = tuple[int, list[str]]
+# one labels tuple's groups, keyed by representative, and the sorted rows of
+# a value with those labels and no definition
+_Base = tuple[dict[int, _Group], list[_Row]]
+# one universe's visible names, interned groups, row memo and labels' bases
+_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base]]
 
 
 class _Render:
-    """One render call: per universe its visible names, interned atom groups
-    and row memo, and each value's entry."""
+    """One render call: per universe its visible names, interned atom groups,
+    row memo and labels' bases, and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
@@ -88,11 +98,14 @@ class _Render:
         self.step = "    " if self.json else "  "
         # a class row's text: its sorted members, joined and wrapped
         self.row = ('[\n          "', '",\n          "', '"\n        ]') if self.json else ("\n  [", ", ", "]")
-        self.universes: dict[TermUniverse, tuple[list[str], dict[tuple[int, ...], int], dict[tuple, _Row]]] = {}
+        # a shown class has at least this many visible members
+        self.least = 1 if full else 2
+        self.universes: dict[TermUniverse, _Known] = {}
         self.entries: dict[tuple[bool, LatticeElem], str] = {}
 
     def rows(self, elem: LatticeElem) -> list[_Row] | None:
-        """The shown class rows of ``elem``, sorted; ``None`` for ``TOP``."""
+        """The shown class rows of ``elem``, sorted, in a new list; ``None``
+        for ``TOP``."""
         if is_top(elem):
             return None
         assert isinstance(elem, Partition)
@@ -104,19 +117,45 @@ class _Render:
             for name in names if self.json else ():
                 if encode_basestring_ascii(name) != f'"{name}"':
                     raise ValueError(f"atom name {name!r} needs a JSON escape")
-            known = self.universes[elem.universe] = (names, {(): (0, [])}, {})
-        names, ids, memo = known
-        head, sep, tail = self.row
+            known = self.universes[elem.universe] = (names, {(): (0, [])}, {}, {})
+        names, ids, memo, bases = known
+        base = bases.get(elem.atoms)
+        if base is None:
+            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo)
+        groups, shown = base
+        if not elem.defs:
+            return shown[:]
+        # a class with no visible atom has the empty group
+        empty = ids[()]
+        least = self.least
+        # each triple (c, l, r) owns atom class c and the operand pair (l, r):
+        # it drops their rows from the labels' rows and adds its own
+        dropped, rows = set(), []
+        for c, lc, rc in elem.defs:
+            (c, own), (l, left), (r, right) = groups.get(c, empty), groups.get(lc, empty), groups.get(rc, empty)
+            if len(own) >= least:
+                dropped.add(memo[c, -1, -1][0])
+            pairs = len(left) * len(right)
+            if pairs >= least:
+                dropped.add(memo[l, r][0])
+            if len(own) + pairs >= least:
+                key = (c, l, r)
+                rows.append(memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right] + own))
+        # classes are disjoint, so rows sort by their least members
+        rows += [row for row in shown if row[0] not in dropped]
+        rows.sort(key=itemgetter(0))
+        return rows
 
-        def miss(key: tuple, members: list[str]) -> _Row:
-            members.sort()
-            row = memo[key] = (members[0], head + sep.join(members) + tail, members)
-            return row
-
+    def _base(
+        self, atoms: tuple[int, ...], names: list[str], ids: dict[tuple[int, ...], _Group], memo: dict[tuple, _Row]
+    ) -> _Base:
+        """The interned atom groups of one labels tuple, keyed by
+        representative, and the sorted rows of a value with those labels
+        and no definition: each atom class alone, and each operand class
+        pair as a class of pairs only."""
         # each shown class's visible atoms, interned as (id, sorted names) and
         # keyed by its representative, in ascending order; a visible atom's
         # representative is at most its own index, so is visible too
-        atoms = elem.atoms
         indices: list[list[int]] = [[] for _ in names]
         for i, c in zip(range(len(names)), atoms):
             indices[c].append(i)
@@ -127,35 +166,27 @@ class _Render:
             if interned is None:
                 interned = ids[group] = (len(ids), sorted([names[i] for i in group]))
             groups[c] = interned
-        # a class with no visible atom has the empty group
-        empty = ids[()]
-        # a shown class has at least this many visible members
-        least = 1 if self.full else 2
+        # a class of pairs over (l, r) has |l| * |r| members, so below
+        # ``least`` a one-atom l needs an r of two or more
+        least = self.least
+        shared = [group for group in groups.values() if len(group[1]) > 1]
         rows = []
-        owned, defined = set(), set()
-        for c, lc, rc in elem.defs:
-            owned.add(c)
-            defined.add((lc, rc))
-            (c, own), (l, left), (r, right) = groups.get(c, empty), groups.get(lc, empty), groups.get(rc, empty)
-            if len(own) + len(left) * len(right) >= least:
-                key = (c, l, r)
-                rows.append(memo.get(key) or miss(key, [f"{a}+{b}" for a in left for b in right] + own))
-        # each undefined atom class is its atoms alone, and every undefined
-        # operand class pair (l, r) is a class of pairs only, of |l| * |r|
-        # members, so below ``least`` a one-atom l needs an r of two or more
-        shared = [c for c, (_, own) in groups.items() if len(own) > 1]
-        for lc, (l, left) in groups.items():
-            if len(left) >= least and lc not in owned:
+        for l, left in groups.values():
+            if len(left) >= least:
                 key = (l, -1, -1)
-                rows.append(memo.get(key) or miss(key, left[:]))
-            for rc in groups if len(left) >= least else shared:
-                if (lc, rc) not in defined:
-                    r, right = groups[rc]
-                    key = (l, r)
-                    rows.append(memo.get(key) or miss(key, [f"{a}+{b}" for a in left for b in right]))
-        # classes are disjoint, so rows sort by their least members
+                rows.append(memo.get(key) or self._miss(memo, key, left[:]))
+            for r, right in groups.values() if len(left) >= least else shared:
+                key = (l, r)
+                rows.append(memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right]))
         rows.sort(key=itemgetter(0))
-        return rows
+        return groups, rows
+
+    def _miss(self, memo: dict[tuple, _Row], key: tuple, members: list[str]) -> _Row:
+        """Format and keep a row not yet in ``memo``, from its members."""
+        members.sort()
+        head, sep, tail = self.row
+        row = memo[key] = (members[0], head + sep.join(members) + tail, members)
+        return row
 
     def entry(self, elem: LatticeElem, deep: bool) -> str:
         entry = self.entries.get((deep, elem))
@@ -180,11 +211,6 @@ class _Render:
         pad = self.step if deep else ""
         head = '{{\n{}      "id": {},' if self.json else "{}node {}: "
         return [head.format(pad, k) + self.entry(e, deep) for k, e in enumerate(state, start=1)]
-
-
-def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
-    """Class lists for one node, or ``None`` for a ``TOP`` node."""
-    return None if is_top(elem) else [row[2] for row in _Render("text", full).rows(elem)]
 
 
 def render_json(payload: dict) -> str:
@@ -242,16 +268,12 @@ def render_mop(rows: list[tuple[LatticeElem, ...]], max_len: int, fmt: str = "te
     return render_points({"solver": "mop", "max_len": max_len, "stabilized": stabilized(rows)}, rows[-1], fmt, full)
 
 
-def render_verify(report: VerifyReport, fmt: str = "text") -> str:
-    """Render a ``verify_mop_mfp`` report: in text, one line per length, the
-    nodes that mismatch at it sorted, then the fixpoint check and the verdict."""
-    return "".join(verify_lines(report, fmt))
-
-
 def verify_lines(report: VerifyReport, fmt: str = "text") -> Iterator[str]:
-    """``render_verify``'s text in order, one line at a time, so a report of
-    any length is written without being held whole; JSON is one piece. An
-    unknown ``fmt`` raises here, before the first piece."""
+    """A ``verify_mop_mfp`` report in pieces. Text comes one line at a time,
+    so a report of any length is written without being held whole: one line
+    per length, the nodes that mismatch at it sorted, then the fixpoint
+    check and the verdict. JSON is one piece. An unknown ``fmt`` raises
+    here, before the first piece."""
     if not _is_json(fmt):
         return _verify_text(report)
     fields = {

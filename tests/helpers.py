@@ -47,7 +47,8 @@ from herbrand import (
 )
 from herbrand.cli import main as cli_main
 from herbrand.dataflow import default_iteration_limit
-from herbrand.mop import DEFAULT_PATH_CAP
+from herbrand.mop import DEFAULT_PATH_CAP, VerifyReport
+from herbrand.report import _Render, verify_lines
 from herbrand.terms import VARIABLE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -632,6 +633,18 @@ def mop(
 # report reference (test oracle for the renderer: one dict per node, grouped
 # position by position, encoded by ``json.dumps``)
 # ---------------------------------------------------------------------------
+
+
+def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
+    """The renderer's class lists for one node, or ``None`` for a ``TOP``
+    node."""
+    return None if is_top(elem) else [row[2] for row in _Render("text", full).rows(elem)]
+
+
+def render_verify(report: VerifyReport, fmt: str = "text") -> str:
+    """The whole ``verify`` report as one string, joined from
+    ``verify_lines``."""
+    return "".join(verify_lines(report, fmt))
 
 
 def reference_visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:

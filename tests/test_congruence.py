@@ -216,6 +216,20 @@ def test_meet_exit_the_finest_operand_absorbs_the_meet(u, monkeypatch):
     assert built[0] == 0
 
 
+def test_partition_repr_shows_labels_and_triples_not_the_universe():
+    # at m = 40 the generated repr printed the universe's atoms, index and
+    # name map, 6,225 characters; a failed assertion now prints the fields
+    universe = build_universe([f"v{i}" for i in range(38)], [])
+    x, y, z = universe.variables[:3]
+    p = assign_transfer(bottom(universe), x, Sum(y, z))
+    assert len(p.atoms) == 40 and p.defs
+    text = repr(p)
+    assert text == f"Partition(atoms={p.atoms!r}, defs={p.defs!r})"
+    assert len(text) < 250
+    assert "atoms=" in text and "defs=" in text
+    assert "v37" not in text and "variable" not in text
+
+
 def test_degenerate_universe_without_variables():
     empty = build_universe([], [])
     bot = bottom(empty)

@@ -116,6 +116,17 @@ def test_confluence_may_repeat_a_predecessor():
     assert g.pred(2) == (1, 1)
 
 
+def test_successors_ascend_and_repeat_a_doubled_predecessor():
+    g = validate_graph({1: Entry(), 2: Confluence(), 3: Confluence()}, {2: [1, 1], 3: [2, 1]})
+    assert g.succs == ((2, 2, 3), (3,), ())
+    # every corpus graph: node k is listed once per time it names p
+    for _, text in full_corpus():
+        _, graph = parse_program(text)
+        for p in range(1, graph.n + 1):
+            want = tuple(k for k in range(1, graph.n + 1) for q in graph.preds[k - 1] if q == p)
+            assert graph.succ(p) == want
+
+
 def test_dangling_predecessor_rejected():
     u = build_universe(["x"], ["a"])
     stmt = Assign(u.resolve("x"), u.resolve("a"))

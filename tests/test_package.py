@@ -40,6 +40,18 @@ def test_term_level_oracles_are_not_exported():
     assert not hasattr(herbrand.TermUniverse, "pairs")
 
 
+def test_report_oracles_are_test_helpers():
+    # the whole-string verify report and the class lists live in
+    # tests/helpers.py; the command line writes verify_lines
+    import herbrand.report as report_module
+
+    for name in ("visible_classes", "render_verify"):
+        assert name not in herbrand.__all__
+        assert not hasattr(herbrand, name)
+        assert not hasattr(report_module, name)
+    assert hasattr(report_module, "verify_lines")
+
+
 def test_mop_submodule_is_not_shadowed():
     import herbrand.mop as mop_module
 

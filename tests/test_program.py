@@ -20,12 +20,11 @@ from herbrand import (
     build_universe,
     format_term,
     parse_program,
-    visible_classes,
 )
 from herbrand import program
 from herbrand.cli import main
 from herbrand.terms import RESERVED
-from helpers import CORPUS_FILES, GOLDEN_DIR, PROGRAMS_DIR, ROOT, grid, program_text, rand_partition
+from helpers import CORPUS_FILES, GOLDEN_DIR, PROGRAMS_DIR, ROOT, grid, program_text, rand_partition, visible_classes
 
 # the benchmark's program generator, read only
 sys.path.append(str(ROOT / "perfbench"))
@@ -94,6 +93,41 @@ def test_undeclared_names_are_positioned():
     assert exc.value.line == 3
     with pytest.raises(DeclarationError):
         parse_program("vars x\nnode 1 entry\nnode 2 assign x := b pred 1\n")
+
+
+def test_nodes_with_equal_statements_share_one_object():
+    # one statement object per distinct (form, names), whichever reader
+    # took the line: node 4's 19-digit id sends it to the cursor
+    text = (
+        "vars x y\nconsts a\nnode 1 entry\nnode 2 assign x := a pred 1\nnode 3 assign x:=a pred 2\n"
+        "node 0000000000000000004 assign x := a pred 3\nnode 5 nondet y pred 4\nnode 6 nondet y pred 5\n"
+        "node 7 confluence pred 5 6\nnode 8 confluence pred 7 7\nnode 9 assign y := x + a pred 8\n"
+        "node 10 assign y := x+a pred 9\nnode 11 assign y := a + x pred 10\nnode 12 assign y := x pred 11\n"
+        "node 13 assign y := a pred 12\n"
+    )
+    _, graph = parse_program(text)
+    kinds = graph.kinds
+    assert kinds[1] is kinds[2] is kinds[3]
+    assert kinds[4] is kinds[5] and kinds[6] is kinds[7]
+    assert kinds[8] is kinds[9] and kinds[10] is not kinds[8] and kinds[11] is not kinds[1]
+    assert kinds[12] != kinds[1] and kinds[12].target.name == "y"
+    assert len({id(kind) for kind in kinds}) == len(set(kinds)) == 8
+    for case in workloads.build("analyze-deep", 3):
+        kinds = parse_program(case.program.text())[1].kinds
+        assert len({id(kind) for kind in kinds}) == len(set(kinds)) < len(kinds)
+
+
+def test_a_repeated_bad_statement_raises_on_its_first_line():
+    # a statement that fails is not kept, so the first node naming it
+    # raises, with its own line, whatever its node id
+    for text in (
+        "vars x\nnode 1 entry\nnode 2 assign q := x pred 1\nnode 3 assign q := x pred 2\n",
+        "vars x\nnode 1 entry\nnode 3 assign q := x pred 2\nnode 2 assign q := x pred 1\n",
+        "vars x\nnode 1 entry\nnode 2 nondet q pred 1\nnode 3 assign x := x pred 2\nnode 4 nondet q pred 3\n",
+    ):
+        with pytest.raises(DeclarationError) as exc:
+            parse_program(text)
+        assert exc.value.line == 3 and "'q'" in str(exc.value), text
 
 
 def test_assigning_to_a_constant_is_rejected():

@@ -26,10 +26,9 @@ from herbrand import (
     parse_term,
     solve,
     verify_mop_mfp,
-    visible_classes,
 )
 from herbrand.cli import build_parser, main
-from herbrand.report import FORMATS, _Render, render_points, render_verify
+from herbrand.report import FORMATS, _Render, render_points, verify_lines
 from herbrand.terms import IDENT_RE, RESERVED, VARIABLE
 from helpers import (
     CORPUS_FILES,
@@ -44,6 +43,8 @@ from helpers import (
     reference_emit_report,
     reference_mop_report,
     reference_visible_classes,
+    render_verify,
+    visible_classes,
 )
 
 # the benchmark's program generator, read only
@@ -178,6 +179,40 @@ def test_one_report_over_values_sharing_atom_groups_matches_reference():
         iterates = trace if with_trace else None
         got = emit_report(state, 3, fmt, full, iterates)
         _assert_same(got, reference_emit_report(state, 3, fmt, full, iterates), (fmt, full, with_trace))
+
+
+def test_one_report_over_values_sharing_labels_but_not_triples_matches_reference(monkeypatch):
+    # x, y, z, w, a, $nd1, $nd2 with {x, y} one class: p0 has no definition,
+    # p1 defines z as the pairs of {x, y}, a pair-only row in p0, p2 defines
+    # w as z+$nd1, a class of one visible member hidden below ``full``, and
+    # p3 defines {x, y} and w over z; q0 and q1 have other labels
+    universe = build_universe(["x", "y", "z", "w"], ["a"])
+    labels, other = (0, 0, 2, 3, 4, 5, 6), (0, 1, 0, 3, 4, 5, 6)
+    p0, p1, p2, p3 = (Partition(universe, labels, defs) for defs in ([], [(2, 0, 0)], [(3, 2, 5)], [(0, 3, 2), (3, 2, 2)]))
+    q0, q1 = Partition(universe, other, []), Partition(universe, other, [(1, 0, 3)])
+    state = (p0, p1, q1, p2, TOP, p3, q0, p0)
+    values = [p for p in state if p is not TOP]
+    assert len({p.atoms for p in values}) < len(set(values))
+    bases = []
+    base = _Render._base
+    monkeypatch.setattr(_Render, "_base", lambda render, atoms, *args: bases.append(atoms) or base(render, atoms, *args))
+    trace = [state[::-1], (p3, p0, q1)]
+    for fmt, full, with_trace in VARIANTS:
+        iterates = trace if with_trace else None
+        bases.clear()
+        got = emit_report(state, 1, fmt, full, iterates)
+        _assert_same(got, reference_emit_report(state, 1, fmt, full, iterates), (fmt, full, with_trace))
+        assert sorted(bases) == [labels, other]
+    assert "\n  [w, z+$nd1]" in emit_report(state, 1, "text", True)
+    assert "$nd1" not in emit_report(state, 1) and "\n  [w]" not in emit_report(state, 1)
+    # a value's rows are a new list: a caller that edits one changes no
+    # later value's rows, nor the same value's rows asked for again
+    for full in (False, True):
+        render = _Render("text", full)
+        want = [render.rows(p) for p in values]
+        for rows in want:
+            rows.clear()
+        assert [render.rows(p) for p in values] == [_Render("text", full).rows(p) for p in values]
 
 
 def test_rows_sort_names_that_prefix_one_another():
@@ -326,7 +361,7 @@ def test_render_verify_rejects_an_unknown_format():
     report = verify_mop_mfp(graph, universe, 4)
     assert report.ok
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
-        render_verify(report, "xml")
+        verify_lines(report, "xml")
 
 
 class _DigestSink(io.TextIOBase):
