@@ -16,7 +16,6 @@ from .congruence import (
     get_class,
     is_top,
     meet,
-    refines,
     term_value,
 )
 from .dataflow import (
@@ -64,7 +63,7 @@ from .transfer import (
 __all__ = [
     # congruence
     "LatticeElem", "Partition", "TOP", "Top", "bottom", "equivalent",
-    "get_class", "is_top", "meet", "refines", "term_value",
+    "get_class", "is_top", "meet", "term_value",
     # dataflow
     "Confluence", "Entry", "FlowGraph", "NodeKind",
     "SolveResult", "composite_step", "solve", "validate_graph",

@@ -31,10 +31,10 @@ from them itself.
 ``TOP`` is an artificial greatest element, so that the meet of an empty
 collection is defined. Lattice values compare with ``==``, and equal values
 hash equal. The meet is the product of the two partitions (Kildall, POPL
-1973). ``meet`` builds it only when six cheap exits fail, in this order:
+1973). ``meet`` builds it only when five cheap exits fail, in this order:
 the same object on both sides, ``TOP`` on either side, the universe check,
-equal labels and definitions, the finest congruence on either side, and a
-left operand that refines the right. All but the last cost O(1) or one
+the finest congruence on either side, and a left operand that refines the
+right, which an equal left operand does. All but the last cost O(1) or one
 tuple compare; the refinement test is one O(m) map and compare plus one
 lookup per left definition. The running path meet of ``mop_table`` rarely
 gets past them; the README gives the counts on the ``perfbench`` chains.
@@ -197,15 +197,15 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     1. ``l1 is l2``: ``l1``, one identity test.
     2. ``TOP`` on either side: the other side, one type test each.
     3. Different universes raise ``UniverseMismatchError``.
-    4. Equal ``atoms`` and ``defs`` tuples: ``l1``, two tuple compares.
-    5. The finest congruence, no definition and every atom its own
+    4. The finest congruence, no definition and every atom its own
        representative, on either side: that side, ``l1`` tested first. It
        is the least element, so it is the product. One emptiness test and
        one tuple compare per side.
-    6. ``l1`` refines ``l2``: ``l1``. Each atom's ``l1`` representative must
+    5. ``l1`` refines ``l2``: ``l1``. Each atom's ``l1`` representative must
        have the atom's ``l2`` label, one O(m) map and tuple compare; then
        each ``l1`` triple, read through ``l2``'s labels, must be an ``l2``
-       triple.
+       triple. An ``l1`` equal to ``l2`` refines it, so equal values
+       return ``l1`` here.
     """
     if l1 is l2:
         return l1
@@ -216,8 +216,6 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     if l1.universe is not l2.universe:
         raise UniverseMismatchError("partitions built over different universes")
     atoms1, atoms2, defs1, defs2 = l1.atoms, l2.atoms, l1.defs, l2.defs
-    if atoms1 == atoms2 and defs1 == defs2:
-        return l1
     # the finest congruence is the least element: its product with any
     # congruence has m singleton atom classes and no definition, so is itself
     finest = l1.universe.positions
@@ -233,11 +231,6 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
         return l1
     defs = [((c1, c2), (a1, a2), (b1, b2)) for c1, a1, b1 in defs1 for c2, a2, b2 in defs2]
     return Partition(l1.universe, zip(atoms1, atoms2), defs)
-
-
-def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
-    """True iff every class of ``l1`` is contained in a class of ``l2``."""
-    return meet(l1, l2) == l1
 
 
 def get_class(t: Term, p: Partition) -> set[Term]:

@@ -53,12 +53,6 @@ class FlowGraph:
     kinds: tuple[NodeKind, ...]
     preds: tuple[tuple[int, ...], ...]
 
-    def kind(self, k: int) -> NodeKind:
-        return self.kinds[k - 1]
-
-    def pred(self, k: int) -> tuple[int, ...]:
-        return self.preds[k - 1]
-
     @cached_property
     def succs(self) -> tuple[tuple[int, ...], ...]:
         """Each node's successors, ascending, read once from ``preds``: a

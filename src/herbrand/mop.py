@@ -145,6 +145,7 @@ def verify_mop_mfp(
         node_count=graph.n,
         max_len=max_len,
         stabilized=stabilized(rows),
+        checks=graph.n * max(max_len + 1, 0),
     )
     # from length ``last`` on, both tables repeat their last rows, which
     # are compared once and stand for every remaining length
@@ -152,12 +153,10 @@ def verify_mop_mfp(
     for l in range(min(max_len, last) + 1):
         row, iterate = _row(rows, l), _row(trace, l)
         for k in range(1, graph.n + 1):
-            report.checks += 1
             if row[k - 1] != iterate[k - 1]:
                 report.iterate_mismatches.append((k, l))
     at_last = [k for k, l in report.iterate_mismatches if l == last]
     report.iterate_mismatches += [(k, l) for l in range(last + 1, max_len + 1) for k in at_last]
-    report.checks += graph.n * max(max_len - last, 0)
     if report.stabilized:
         for k in range(1, graph.n + 1):
             if rows[-1][k - 1] != solved.state[k - 1]:

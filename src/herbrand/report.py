@@ -75,9 +75,8 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
-# a class row: its least member, its text in the render's format and its
-# sorted members
-_Row = tuple[str, str, list[str]]
+# a class row: its least member and its text in the render's format
+_Row = tuple[str, str]
 # an interned atom group: its id in the render and its sorted visible names
 _Group = tuple[int, list[str]]
 # one labels tuple's groups, keyed by representative, and the sorted rows of
@@ -185,7 +184,7 @@ class _Render:
         """Format and keep a row not yet in ``memo``, from its members."""
         members.sort()
         head, sep, tail = self.row
-        row = memo[key] = (members[0], head + sep.join(members) + tail, members)
+        row = memo[key] = (members[0], head + sep.join(members) + tail)
         return row
 
     def entry(self, elem: LatticeElem, deep: bool) -> str:

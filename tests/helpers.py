@@ -482,6 +482,12 @@ def is_congruence(p) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def refines(l1: LatticeElem, l2: LatticeElem) -> bool:
+    """True iff every class of ``l1`` is contained in a class of ``l2``: the
+    lattice order, read off ``meet``."""
+    return meet(l1, l2) == l1
+
+
 def reference_refines(l1: LatticeElem, l2: LatticeElem) -> bool:
     """True iff every class of ``l1`` lies inside one class of ``l2``, by a
     position-by-position scan of the grids that records where each class of
@@ -537,12 +543,12 @@ def reference_round_robin(graph: FlowGraph, universe: TermUniverse) -> SolveResu
     for sweep in range(1, limit + 1):
         changed = False
         for k in range(2, graph.n + 1):
-            kind = graph.kind(k)
+            kind = graph.kinds[k - 1]
             if isinstance(kind, (Assign, NonDet)):
-                (j,) = graph.pred(k)
+                (j,) = graph.preds[k - 1]
                 new = apply_statement(state[j - 1], kind)
             else:
-                i, j = graph.pred(k)
+                i, j = graph.preds[k - 1]
                 new = meet(state[i - 1], state[j - 1])
             if state[k - 1] != new:
                 changed = True
@@ -595,7 +601,7 @@ def path_congruence(path: Path, graph: FlowGraph, universe: TermUniverse) -> Par
     """
     elem: LatticeElem = bottom(universe)
     for v in path[1:]:
-        kind = graph.kind(v)
+        kind = graph.kinds[v - 1]
         if isinstance(kind, (Assign, NonDet)):
             elem = apply_statement(elem, kind)
     assert isinstance(elem, Partition)
@@ -637,8 +643,11 @@ def mop(
 
 def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
     """The renderer's class lists for one node, or ``None`` for a ``TOP``
-    node."""
-    return None if is_top(elem) else [row[2] for row in _Render("text", full).rows(elem)]
+    node, read back from the text of its rows: ``[a, b+c]`` after a newline
+    and two spaces."""
+    if is_top(elem):
+        return None
+    return [text.removeprefix("\n  [").removesuffix("]").split(", ") for _, text in _Render("text", full).rows(elem)]
 
 
 def render_verify(report: VerifyReport, fmt: str = "text") -> str:
@@ -884,7 +893,7 @@ def large_looping_programs(number: int = 8, seed: int = 4242) -> list[tuple[str,
         universe, graph = parse_program(text)
         assert graph.n > 20
         # a predecessor at or after the node closes a loop
-        assert any(p >= k for k in range(1, graph.n + 1) for p in graph.pred(k)), i
+        assert any(p >= k for k in range(1, graph.n + 1) for p in graph.preds[k - 1]), i
         out.append((f"large_{i}", universe, graph))
     return out
 

@@ -22,7 +22,6 @@ from herbrand import (
     occurs,
     parse_program,
     parse_term,
-    refines,
     solve,
     term_value,
     assign_transfer,
@@ -52,6 +51,7 @@ from helpers import (
     rand_universe,
     reference_meet,
     reference_refines,
+    refines,
     substitute,
 )
 
@@ -174,11 +174,21 @@ def test_meet_exit_same_object(u):
     assert meet(p, p) is p
 
 
-def test_meet_exit_equal_partitions_return_the_left_object(u):
+def test_meet_exit_equal_partitions_return_the_left_object(u, monkeypatch):
     p, q = (make_partition(u, [["x", "a+b"], ["y", "b"]]) for _ in range(2))
     assert p == q and p is not q
     assert meet(p, q) is p
     assert meet(q, p) is q
+    # every corpus iterate against an equal copy, another object: the
+    # refinement exit takes equal values, so nothing is built
+    values = iterate_values()
+    copies = [_relabeled(p, lambda c: c) for p in values]
+    assert all(p == c and p is not c for p, c in zip(values, copies))
+    built = counting_inits(monkeypatch)
+    for p, c in zip(values, copies):
+        assert meet(p, c) is p
+        assert meet(c, p) is c
+    assert built[0] == 0
 
 
 def test_meet_exit_left_definition_refines_the_right(u):

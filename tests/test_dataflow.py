@@ -14,7 +14,6 @@ from herbrand import (
     build_universe,
     composite_step,
     is_top,
-    refines,
     solve,
     validate_graph,
 )
@@ -25,13 +24,14 @@ from helpers import (
     large_looping_programs,
     load_program,
     reference_round_robin,
+    refines,
 )
 from herbrand import parse_program
 
 
 def test_single_entry_graph_is_valid():
     g = validate_graph({1: Entry()}, {})
-    assert g.n == 1 and g.pred(1) == ()
+    assert g.n == 1 and g.preds[0] == ()
 
 
 def test_entry_must_not_have_predecessors():
@@ -113,7 +113,7 @@ def test_malformed_ids_and_predecessor_lists_rejected(kinds, preds, message, nod
 
 def test_confluence_may_repeat_a_predecessor():
     g = validate_graph({1: Entry(), 2: Confluence()}, {2: [1, 1]})
-    assert g.pred(2) == (1, 1)
+    assert g.preds[1] == (1, 1)
 
 
 def test_successors_ascend_and_repeat_a_doubled_predecessor():
@@ -328,7 +328,7 @@ def test_nodes_with_unchanged_predecessors_keep_their_value_object():
         for l in range(2, len(trace)):
             changed = {k for k in range(1, graph.n + 1) if trace[l - 1][k - 1] is not trace[l - 2][k - 1]}
             for k in range(1, graph.n + 1):
-                if not changed.intersection(graph.pred(k)):
+                if not changed.intersection(graph.preds[k - 1]):
                     assert trace[l][k - 1] is trace[l - 1][k - 1], (name, l, k)
 
 

@@ -17,7 +17,6 @@ from herbrand import (
     meet,
     mop_table,
     parse_program,
-    refines,
     solve,
     verify_mop_mfp,
 )
@@ -32,6 +31,7 @@ from helpers import (
     m_l,
     mop,
     path_congruence,
+    refines,
 )
 
 # the benchmark's program generator, read only
@@ -64,7 +64,7 @@ def test_paths_are_ordered_by_length_then_lexicographically():
     # consecutive vertices are edges
     for p in paths:
         for a, b in zip(p, p[1:]):
-            assert a in graph.pred(b)
+            assert a in graph.preds[b - 1]
 
 
 def test_path_count_cap_is_enforced():
@@ -80,7 +80,7 @@ def test_prefixes_of_bounded_paths_are_bounded_paths_to_predecessors():
             for bound in range(1, 7):
                 prefixes = {p[:-1] for p in enum_paths(graph, k, bound) if len(p) > 1}
                 expected = set()
-                for j in graph.pred(k):
+                for j in graph.preds[k - 1]:
                     expected.update(enum_paths(graph, j, bound - 1))
                 assert prefixes == expected
 
@@ -89,7 +89,7 @@ def test_path_congruence_examples():
     universe, graph = load_program("diamond.dfg")
     assert path_congruence((1,), graph, universe) == bottom(universe)
     one_step = path_congruence((1, 2), graph, universe)
-    kind = graph.kind(2)
+    kind = graph.kinds[1]
     assert isinstance(kind, Assign)
     assert one_step == apply_statement(bottom(universe), kind)
     via_join = path_congruence((1, 2, 3, 5), graph, universe)
@@ -112,13 +112,13 @@ def test_bounded_meets_satisfy_one_step_recurrences():
         for length in range(1, 7):
             assert m_l(graph, universe, 1, length) == bottom(universe)
             for k in range(2, graph.n + 1):
-                kind = graph.kind(k)
+                kind = graph.kinds[k - 1]
                 if isinstance(kind, (Assign, NonDet)):
-                    (j,) = graph.pred(k)
+                    (j,) = graph.preds[k - 1]
                     expected = apply_statement(m_l(graph, universe, j, length - 1), kind)
                 else:
                     assert isinstance(kind, Confluence)
-                    i, j = graph.pred(k)
+                    i, j = graph.preds[k - 1]
                     expected = meet(
                         m_l(graph, universe, i, length - 1),
                         m_l(graph, universe, j, length - 1),
@@ -300,7 +300,7 @@ def test_mop_table_shares_one_state_per_node_and_value(monkeypatch):
     inputs = {
         (path[-1], path_congruence(path[:-1], graph, universe))
         for k in range(2, graph.n + 1)
-        if not isinstance(graph.kind(k), Confluence)
+        if not isinstance(graph.kinds[k - 1], Confluence)
         for path in enum_paths(graph, k, 16)
     }
     assert len(transfers) == len(inputs) == 14

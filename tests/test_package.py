@@ -52,6 +52,18 @@ def test_report_oracles_are_test_helpers():
     assert hasattr(report_module, "verify_lines")
 
 
+def test_lattice_order_and_node_lookups_are_test_helpers():
+    # ``refines`` is ``meet(a, b) == a`` and lives in tests/helpers.py; tests
+    # index ``graph.kinds`` and ``graph.preds`` directly
+    import herbrand.congruence as congruence_module
+
+    assert "refines" not in herbrand.__all__
+    assert not hasattr(herbrand, "refines")
+    assert not hasattr(congruence_module, "refines")
+    assert not hasattr(herbrand.FlowGraph, "kind")
+    assert not hasattr(herbrand.FlowGraph, "pred")
+
+
 def test_mop_submodule_is_not_shadowed():
     import herbrand.mop as mop_module
 

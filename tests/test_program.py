@@ -54,8 +54,8 @@ def test_minimal_program_parses():
         "vars x\nconsts a\nnode 1 entry\nnode 2 assign x := a pred 1\n"
     )
     assert graph.n == 2
-    assert isinstance(graph.kind(1), Entry)
-    assert isinstance(graph.kind(2), Assign)
+    assert isinstance(graph.kinds[0], Entry)
+    assert isinstance(graph.kinds[1], Assign)
     assert [a.name for a in universe.atoms] == ["x", "a", "$nd1", "$nd2"]
 
 
@@ -77,7 +77,7 @@ def test_comments_and_blank_lines_are_ignored():
     assert [a.name for a in universe.variables] == ["x"]
     assert graph.n == 3 and graph.preds == ((), (1,), (2,))
     a = universe.resolve("a")
-    assert graph.kind(2) == Assign(universe.resolve("x"), Sum(a, a))
+    assert graph.kinds[1] == Assign(universe.resolve("x"), Sum(a, a))
 
 
 def test_self_referential_assignment_is_positioned():
@@ -163,8 +163,8 @@ def test_syntax_errors():
 
 def test_confluence_with_repeated_predecessor_is_accepted():
     _, graph = parse_program(program_text("self_confluence.dfg"))
-    assert graph.pred(3) == (2, 2)
-    assert isinstance(graph.kind(3), Confluence)
+    assert graph.preds[2] == (2, 2)
+    assert isinstance(graph.kinds[2], Confluence)
 
 
 def test_graph_errors_carry_the_node_line():

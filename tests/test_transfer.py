@@ -18,7 +18,6 @@ from herbrand import (
     meet,
     nondet_transfer,
     parse_term,
-    refines,
 )
 from helpers import (
     GridPartition,
@@ -35,6 +34,7 @@ from helpers import (
     rand_statement,
     rand_universe,
     reference_assign_transfer,
+    refines,
     y_free_universe_terms,
 )
 
