@@ -19,16 +19,19 @@ across temporaries by the author. Node 1 must be the unique entry. All
 structural rules are enforced, and every diagnostic carries a line number
 where one applies.
 
-Each line is read once by ``_LINE_RE``, which matches every well-formed
-line in its plain spelling: a blank line, ``vars`` or ``consts`` with one or
-more names, or a node line with blanks or tabs between all its words (they
-may be left out around ``:=`` and ``+``) and integers of at most 18 digits.
-That fast reader raises nothing: it declines a line it does not match, a
-node id already defined and a name already declared or repeated on its line.
-A declined line goes to the tokenizer and ``_Cursor``, which can read any
-line and are the one place that words and raises a diagnostic; so the
-errors do not depend on the fast reader, and legal lines it leaves out,
-such as ``node 1entry``, still parse.
+``_LINE_RE`` is the whole line grammar: it matches a blank line, ``vars``
+or ``consts`` with one or more names, or a node line, and every record
+``_scan`` keeps is built from its groups. Blanks or tabs must part two
+words that would otherwise run together; they may be left out between a
+node id and its kind and around ``:=`` and ``+``, and node ids may carry
+leading zeros. ``_scan`` raises a name already declared itself. Any other
+error goes to ``_diagnose``, which only words it: a line the regex
+declines, a node id already defined, or an integer past the interpreter's
+limit on digits per ``int()``. It tokenizes the line, so an unexpected
+character comes first, then walks the words that the head and the node
+kind call for and raises at the first one missing or out of place; a node
+id already defined is raised right after the id, so a too-long node id
+comes before it and a too-long predecessor after it.
 
 Nodes with equal statements share one statement object: ``parse_program``
 resolves and checks each distinct ``(form, names)`` once, on the first
@@ -40,80 +43,85 @@ was built is kept, so a bad one raises on the first line that names it.
 from __future__ import annotations
 
 import re
+from typing import NoReturn
 
-from .dataflow import ARITY, Confluence, Entry, FlowGraph, NodeKind, validate_graph
+from .dataflow import Confluence, Entry, FlowGraph, NodeKind, validate_graph
 from .errors import AnalysisError, DeclarationError, GraphError, ParseError
-from .terms import IDENT_RE, Sum, TermUniverse, VARIABLE, build_universe
+from .terms import IDENT, IDENT_RE, Sum, TermUniverse, VARIABLE, build_universe
 from .transfer import Assign, NonDet
 
-_ID = "[A-Za-z_][A-Za-z0-9_]*"
 # a token, or in the second group the first character that starts none;
 # blanks and tabs before either are skipped
-_TOKEN_RE = re.compile(rf"[ \t]*(?:({_ID}|[0-9]+|:=|\+)|([^ \t]))")
-_INT = "([0-9]{1,18})"  # far below the interpreter's limit on digits per int()
-# every well-formed line in its plain spelling: a blank line, a declaration
-# or a node, with blanks or tabs between words; its groups are (head, names,
-# node id, entry, confluence, nondet, target, assign, target, rhs, rhs, pred,
-# pred), and the second pred is read only after "confluence" (group 5)
+_TOKEN_RE = re.compile(rf"[ \t]*(?:({IDENT}|[0-9]+|:=|\+)|([^ \t]))")
+# every well-formed line: a blank line, a declaration or a node; its groups
+# are (head, names, node id, entry, confluence, nondet, target, assign,
+# target, rhs, rhs, pred, pred), and the second pred is read only after
+# "confluence" (group 5)
 _LINE_RE = re.compile(
-    rf"[ \t]*(?:(vars|consts)((?:[ \t]+{_ID})+)|node[ \t]+{_INT}[ \t]+(?:(entry)|(?:(confluence)"
-    rf"|(nondet)[ \t]+({_ID})|(assign)[ \t]+({_ID})[ \t]*:=[ \t]*({_ID})(?:[ \t]*\+[ \t]*({_ID}))?)"
-    rf"[ \t]+pred[ \t]+{_INT}(?(5)[ \t]+{_INT})))?[ \t]*"
+    rf"[ \t]*(?:(vars|consts)((?:[ \t]+{IDENT})+)|node[ \t]+([0-9]+)[ \t]*(?:(entry)|(?:(confluence)"
+    rf"|(nondet)[ \t]+({IDENT})|(assign)[ \t]+({IDENT})[ \t]*:=[ \t]*({IDENT})(?:[ \t]*\+[ \t]*({IDENT}))?)"
+    rf"[ \t]+pred[ \t]+([0-9]+)(?(5)[ \t]+([0-9]+))))?[ \t]*"
 )
 # the line ends of universal newlines, as the command line reads a file;
 # str.splitlines would also break at "\f", "\v", U+2028 and more
 LINE_END_RE = re.compile(r"\r\n?|\n")
 _KINDS = {"entry": Entry, "assign": Assign, "nondet": NonDet, "confluence": Confluence}
+# the words after each node kind, a literal one in quotes; an assignment's
+# "+" and the name after it may be left out
+_FOLLOW = {
+    "entry": (),
+    "assign": ("identifier", "':='", "identifier", "'+'", "identifier", "'pred'", "integer"),
+    "nondet": ("identifier", "'pred'", "integer"),
+    "confluence": ("'pred'", "integer", "integer"),
+}
+# the test of each word that names a class of tokens
+_CLASSES = {"identifier": IDENT_RE.match, "integer": str.isdigit}
 
 
-def _tokenize(text: str, line_no: int) -> list[str]:
+def _diagnose(body: str, line_no: int, nodes: dict[int, tuple[int, str, list[str], list[int]]]) -> NoReturn:
+    """Raise the ``ParseError`` of a line that ``_LINE_RE`` declines, that
+    defines a node id again or that has an integer past the interpreter's
+    digit limit: the first error in token order, where a node id already
+    defined comes right after the id."""
     tokens = []
-    for token, bad in _TOKEN_RE.findall(text):
+    for token, bad in _TOKEN_RE.findall(body):
         if bad:
             raise ParseError(f"unexpected character {bad!r}", line=line_no)
         tokens.append(token)
-    return tokens
-
-
-class _Cursor:
-    def __init__(self, tokens: list[str], line_no: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line_no
-
-    def done(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def take(self, what: str) -> str:
-        if self.done():
-            raise ParseError(f"expected {what} at end of line", line=self.line)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        tok = self.take(repr(literal))
-        if tok != literal:
-            raise ParseError(f"expected {literal!r}, got {tok!r}", line=self.line)
-
-    def ident(self) -> str:
-        tok = self.take("identifier")
-        if not IDENT_RE.match(tok):
-            raise ParseError(f"expected identifier, got {tok!r}", line=self.line)
-        return tok
-
-    def integer(self) -> int:
-        tok = self.take("integer")
-        if not (tok.isascii() and tok.isdigit()):
-            raise ParseError(f"expected integer, got {tok!r}", line=self.line)
-        try:
-            return int(tok)
-        except ValueError:  # past the interpreter's limit on digits per integer
-            raise ParseError(f"integer of {len(tok)} digits is too long", line=self.line) from None
-
-    def finish(self) -> None:
-        if not self.done():
-            raise ParseError(f"trailing input {' '.join(self.tokens[self.pos:])!r}", line=self.line)
+    head, *rest = tokens  # a blank line matches _LINE_RE
+    if head in ("vars", "consts"):
+        if not rest:
+            raise ParseError(f"{head!r} needs at least one name", line=line_no)
+        words = iter(["identifier"] * len(rest))
+    elif head == "node":
+        words = iter(("integer", "node kind", *_FOLLOW.get(rest[1] if len(rest) > 1 else "", ())))
+    else:
+        raise ParseError(f"unexpected {head!r} at start of line", line=line_no)
+    pos = 0
+    for what in words:
+        tok = rest[pos] if pos < len(rest) else None
+        if what == "'+'" and tok != "+":  # no sum: skip its right operand too
+            next(words)
+            continue
+        if tok is None:
+            raise ParseError(f"expected {what} at end of line", line=line_no)
+        if what == "node kind":
+            if tok not in _FOLLOW:
+                raise ParseError(
+                    f"unknown node kind {tok!r} (expected entry, assign, nondet or confluence)",
+                    line=line_no,
+                )
+        elif not (_CLASSES[what](tok) if what in _CLASSES else repr(tok) == what):
+            raise ParseError(f"expected {what}, got {tok!r}", line=line_no)
+        elif what == "integer":
+            try:
+                number = int(tok)
+            except ValueError:
+                raise ParseError(f"integer of {len(tok)} digits is too long", line=line_no) from None
+            if pos == 0 and number in nodes:
+                raise ParseError(f"node {number} already defined on line {nodes[number][0]}", line=line_no)
+        pos += 1
+    raise ParseError(f"trailing input {' '.join(rest[pos:])!r}", line=line_no)
 
 
 def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, list[str], list[int]]]]:
@@ -127,73 +135,34 @@ def _scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, li
     for line_no, raw in enumerate(LINE_END_RE.split(text), start=1):
         body = raw.split("#", 1)[0]
         match = _LINE_RE.fullmatch(body)
-        if match is not None:  # the fast reader; what it declines, the cursor reads
-            (head, names, node_id, entry, confluence, nondet, nd_target,
-             assign, target, left, right, pred, pred2) = match.groups()
-            if head is not None:
-                names = names.split()
-                if len(set(names)) == len(names) and decl_lines.keys().isdisjoint(names):
-                    decl_lines.update(dict.fromkeys(names, line_no))
-                    (variables if head == "vars" else constants).extend(names)
-                    continue
-            elif node_id is None:
-                continue
-            elif (node_id := int(node_id)) not in nodes:
-                if entry:
-                    nodes[node_id] = (line_no, entry, [], [])
-                elif confluence:
-                    nodes[node_id] = (line_no, confluence, [], [int(pred), int(pred2)])
-                elif nondet:
-                    nodes[node_id] = (line_no, nondet, [nd_target], [int(pred)])
-                else:
-                    names = [target, left] if right is None else [target, left, right]
-                    nodes[node_id] = (line_no, assign, names, [int(pred)])
-                continue
-        tokens = _tokenize(body, line_no)
-        if not tokens:
-            continue
-        cur = _Cursor(tokens, line_no)
-        head = cur.take("'vars', 'consts' or 'node'")
-        if head in ("vars", "consts"):
-            names = []
-            while not cur.done():
-                names.append(cur.ident())
-            if not names:
-                raise ParseError(f"{head!r} needs at least one name", line=line_no)
+        if match is None:
+            _diagnose(body, line_no, nodes)
+        (head, names, node_id, entry, confluence, nondet, nd_target,
+         assign, target, left, right, pred, pred2) = match.groups()
+        if head is not None:
+            names = names.split()
             for name in names:
                 if name in decl_lines:
-                    raise DeclarationError(
-                        f"{name!r} already declared on line {decl_lines[name]}", line=line_no
-                    )
+                    raise DeclarationError(f"{name!r} already declared on line {decl_lines[name]}", line=line_no)
                 decl_lines[name] = line_no
             (variables if head == "vars" else constants).extend(names)
-        elif head == "node":
-            node_id = cur.integer()
+        elif node_id is not None:
+            try:
+                node_id = int(node_id)
+                if entry:
+                    record = (line_no, entry, [], [])
+                elif confluence:
+                    record = (line_no, confluence, [], [int(pred), int(pred2)])
+                elif nondet:
+                    record = (line_no, nondet, [nd_target], [int(pred)])
+                else:
+                    names = [target, left] if right is None else [target, left, right]
+                    record = (line_no, assign, names, [int(pred)])
+            except ValueError:  # past the interpreter's limit on digits per integer
+                _diagnose(body, line_no, nodes)
             if node_id in nodes:
-                raise ParseError(
-                    f"node {node_id} already defined on line {nodes[node_id][0]}", line=line_no
-                )
-            form = cur.take("node kind")
-            if form not in _KINDS:
-                raise ParseError(
-                    f"unknown node kind {form!r} (expected entry, assign, nondet or confluence)",
-                    line=line_no,
-                )
-            names = [cur.ident()] if form in ("assign", "nondet") else []
-            if form == "assign":
-                cur.expect(":=")
-                names.append(cur.ident())
-                if not cur.done() and cur.tokens[cur.pos] == "+":
-                    cur.expect("+")
-                    names.append(cur.ident())
-            arity = ARITY[_KINDS[form]]
-            if arity:
-                cur.expect("pred")
-            preds = [cur.integer() for _ in range(arity)]
-            cur.finish()
-            nodes[node_id] = (line_no, form, names, preds)
-        else:
-            raise ParseError(f"unexpected {head!r} at start of line", line=line_no)
+                _diagnose(body, line_no, nodes)
+            nodes[node_id] = record
     return variables, constants, nodes
 
 

@@ -24,7 +24,9 @@ VARIABLE = "variable"
 CONSTANT = "constant"
 RESERVED = "reserved"
 
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# the spelling of a declared name; the program grammar is built from it too
+IDENT = "[A-Za-z_][A-Za-z0-9_]*"
+IDENT_RE = re.compile(rf"{IDENT}\Z")
 
 # Two constants that no source program can name ('$' is not a legal
 # identifier character), so a pair of fresh distinct constants always exists.

@@ -10,6 +10,7 @@ import hashlib
 import io
 import json
 import random
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -25,6 +26,7 @@ from herbrand import (
     LatticeElem,
     NonDet,
     Partition,
+    ParseError,
     PathLimitError,
     SelfReferenceError,
     SolveResult,
@@ -46,10 +48,11 @@ from herbrand import (
     solve,
 )
 from herbrand.cli import main as cli_main
-from herbrand.dataflow import default_iteration_limit
+from herbrand.dataflow import ARITY, default_iteration_limit
 from herbrand.mop import DEFAULT_PATH_CAP, VerifyReport
 from herbrand.report import _Render, verify_lines
-from herbrand.terms import VARIABLE
+from herbrand.program import _KINDS, LINE_END_RE
+from herbrand.terms import IDENT_RE, VARIABLE
 
 ROOT = Path(__file__).resolve().parent.parent
 PROGRAMS_DIR = ROOT / "programs"
@@ -751,6 +754,124 @@ def reference_mop_report(
     lines = ["solver: mop", f"max_len: {max_len}", f"stabilized: {'yes' if stabilized else 'no'}"]
     lines.extend(reference_points_text(points))
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the program reader before the line regex was the grammar: a tokenizer and
+# a cursor that read every line (the oracle for ``program._scan``)
+# ---------------------------------------------------------------------------
+
+# a token, or in the second group the first character that starts none;
+# blanks and tabs before either are skipped
+_TOKEN_RE = re.compile(r"[ \t]*(?:([A-Za-z_][A-Za-z0-9_]*|[0-9]+|:=|\+)|([^ \t]))")
+
+
+def _tokenize(text: str, line_no: int) -> list[str]:
+    tokens = []
+    for token, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise ParseError(f"unexpected character {bad!r}", line=line_no)
+        tokens.append(token)
+    return tokens
+
+
+class _Cursor:
+    def __init__(self, tokens: list[str], line_no: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line_no
+
+    def done(self) -> bool:
+        return self.pos >= len(self.tokens)
+
+    def take(self, what: str) -> str:
+        if self.done():
+            raise ParseError(f"expected {what} at end of line", line=self.line)
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, literal: str) -> None:
+        tok = self.take(repr(literal))
+        if tok != literal:
+            raise ParseError(f"expected {literal!r}, got {tok!r}", line=self.line)
+
+    def ident(self) -> str:
+        tok = self.take("identifier")
+        if not IDENT_RE.match(tok):
+            raise ParseError(f"expected identifier, got {tok!r}", line=self.line)
+        return tok
+
+    def integer(self) -> int:
+        tok = self.take("integer")
+        if not (tok.isascii() and tok.isdigit()):
+            raise ParseError(f"expected integer, got {tok!r}", line=self.line)
+        try:
+            return int(tok)
+        except ValueError:  # past the interpreter's limit on digits per integer
+            raise ParseError(f"integer of {len(tok)} digits is too long", line=self.line) from None
+
+    def finish(self) -> None:
+        if not self.done():
+            raise ParseError(f"trailing input {' '.join(self.tokens[self.pos:])!r}", line=self.line)
+
+
+def reference_scan(text: str) -> tuple[list[str], list[str], dict[int, tuple[int, str, list[str], list[int]]]]:
+    """``program._scan`` as the token cursor read every line before
+    ``_LINE_RE`` became the whole grammar: the oracle its records and errors
+    are checked against."""
+    variables: list[str] = []
+    constants: list[str] = []
+    decl_lines: dict[str, int] = {}
+    nodes: dict[int, tuple[int, str, list[str], list[int]]] = {}
+    for line_no, raw in enumerate(LINE_END_RE.split(text), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = _tokenize(body, line_no)
+        if not tokens:
+            continue
+        cur = _Cursor(tokens, line_no)
+        head = cur.take("'vars', 'consts' or 'node'")
+        if head in ("vars", "consts"):
+            names = []
+            while not cur.done():
+                names.append(cur.ident())
+            if not names:
+                raise ParseError(f"{head!r} needs at least one name", line=line_no)
+            for name in names:
+                if name in decl_lines:
+                    raise DeclarationError(
+                        f"{name!r} already declared on line {decl_lines[name]}", line=line_no
+                    )
+                decl_lines[name] = line_no
+            (variables if head == "vars" else constants).extend(names)
+        elif head == "node":
+            node_id = cur.integer()
+            if node_id in nodes:
+                raise ParseError(
+                    f"node {node_id} already defined on line {nodes[node_id][0]}", line=line_no
+                )
+            form = cur.take("node kind")
+            if form not in _KINDS:
+                raise ParseError(
+                    f"unknown node kind {form!r} (expected entry, assign, nondet or confluence)",
+                    line=line_no,
+                )
+            names = [cur.ident()] if form in ("assign", "nondet") else []
+            if form == "assign":
+                cur.expect(":=")
+                names.append(cur.ident())
+                if not cur.done() and cur.tokens[cur.pos] == "+":
+                    cur.expect("+")
+                    names.append(cur.ident())
+            arity = ARITY[_KINDS[form]]
+            if arity:
+                cur.expect("pred")
+            preds = [cur.integer() for _ in range(arity)]
+            cur.finish()
+            nodes[node_id] = (line_no, form, names, preds)
+        else:
+            raise ParseError(f"unexpected {head!r} at start of line", line=line_no)
+    return variables, constants, nodes
 
 
 # ---------------------------------------------------------------------------

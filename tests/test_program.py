@@ -1,6 +1,5 @@
 import json
 import random
-import re
 import sys
 
 import pytest
@@ -24,7 +23,17 @@ from herbrand import (
 from herbrand import program
 from herbrand.cli import main
 from herbrand.terms import RESERVED
-from helpers import CORPUS_FILES, GOLDEN_DIR, PROGRAMS_DIR, ROOT, grid, program_text, rand_partition, visible_classes
+from helpers import (
+    CORPUS_FILES,
+    GOLDEN_DIR,
+    PROGRAMS_DIR,
+    ROOT,
+    grid,
+    program_text,
+    rand_partition,
+    reference_scan,
+    visible_classes,
+)
 
 # the benchmark's program generator, read only
 sys.path.append(str(ROOT / "perfbench"))
@@ -96,8 +105,8 @@ def test_undeclared_names_are_positioned():
 
 
 def test_nodes_with_equal_statements_share_one_object():
-    # one statement object per distinct (form, names), whichever reader
-    # took the line: node 4's 19-digit id sends it to the cursor
+    # one statement object per distinct (form, names), however the line is
+    # spelled: unspaced, or with a 19-digit, zero-padded node id
     text = (
         "vars x y\nconsts a\nnode 1 entry\nnode 2 assign x := a pred 1\nnode 3 assign x:=a pred 2\n"
         "node 0000000000000000004 assign x := a pred 3\nnode 5 nondet y pred 4\nnode 6 nondet y pred 5\n"
@@ -216,7 +225,8 @@ def test_parser_raises_only_analysis_errors(lines, line_end):
 
 
 # ---------------------------------------------------------------------------
-# the fast reader (program._LINE_RE) against the cursor
+# the line reader (program._LINE_RE, with program._diagnose for the lines it
+# declines) against the token cursor it replaced (helpers.reference_scan)
 # ---------------------------------------------------------------------------
 
 # every program the corpus and the benchmark's workloads on seeds 0 to 2 parse
@@ -226,8 +236,8 @@ _PROGRAMS = [program_text(name) for name in CORPUS_FILES] + [
 
 
 def _outcome(text):
-    """The scanned lines, the universe's names and the graph, or the
-    error's type, message, line and node."""
+    """The lines ``program._scan`` reads, the universe's names and the
+    graph, or the error's type, message, line and node."""
     try:
         scanned = program._scan(text)
         universe, graph = parse_program(text)
@@ -237,12 +247,19 @@ def _outcome(text):
 
 
 def _assert_the_cursor_agrees(texts):
-    """Each text parses the same with the fast reader on and with every line
-    sent to the cursor."""
+    """Each text scans and parses the same with ``program._scan`` and with
+    ``reference_scan`` in its place, and ``_diagnose`` raises a
+    ``ParseError`` on each of its lines that ``_LINE_RE`` declines."""
     texts = list(texts)
+    for text in texts:
+        for line in program.LINE_END_RE.split(text):
+            body = line.split("#", 1)[0]
+            if program._LINE_RE.fullmatch(body) is None:
+                with pytest.raises(ParseError):
+                    program._diagnose(body, 1, {})
     fast = [_outcome(text) for text in texts]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(program, "_LINE_RE", re.compile(r"(?!)"))  # matches nothing
+        patch.setattr(program, "_scan", reference_scan)
         slow = [_outcome(text) for text in texts]
     for text, f, s in zip(texts, fast, slow):
         assert f == s, text
@@ -275,12 +292,17 @@ def _mutations(text, rng, count):
 
 
 def test_fast_reader_takes_every_corpus_and_workload_line(monkeypatch):
-    def cursor(body, line_no):
-        raise AssertionError(f"line {line_no} went to the cursor: {body!r}")
+    def diagnose(body, line_no, nodes):
+        raise AssertionError(f"line {line_no} went to _diagnose: {body!r}")
 
-    monkeypatch.setattr(program, "_tokenize", cursor)
+    monkeypatch.setattr(program, "_diagnose", diagnose)
     for text in _PROGRAMS:
         parse_program(text)
+    # legal spellings: words run together, leading zeros, 19 digits, tabs
+    program._scan(
+        "node 1entry\nnode 007 entry\nnode " + "9" * 19 + " entry\nnode 2 assign x:=a+y pred 1\n"
+        "node\t3\tnondet\tx\tpred\t1\nvars\tz\tw\n"
+    )
 
 
 def test_fast_reader_parses_corpus_and_workloads_like_the_cursor():
@@ -294,8 +316,10 @@ def test_fast_reader_parses_mutated_programs_like_the_cursor():
     _assert_the_cursor_agrees(texts)
 
 
-# lines next to the fast reader's edge: legal ones it leaves to the cursor,
-# and errors, which only the cursor words
+# lines next to the grammar's edge: legal spellings with words run together
+# or long or zero-padded ids, and errors, which only _diagnose words (a
+# node id defined again comes after a too-long id and before a too-long
+# predecessor)
 _EDGE_LINES = [
     "node 1 entry pred 1",
     "node 2 nondet x pred 1 2",
@@ -312,6 +336,11 @@ _EDGE_LINES = [
     "node " + "9" * 18 + " entry",
     "node " + "9" * 19 + " entry",
     "node 2 nondet x pred " + "7" * 19,
+    "node 1 nondet x pred " + "7" * 4400,
+    "node " + "7" * 4400 + " bogus",
+    "node 2 nondet xpred 1",
+    "node 3 confluence pred 23",
+    "node 1 entryx",
     "vars y y",
     "consts b a",
     "vars x",
