@@ -15,8 +15,10 @@ iterate history; the fixpoint is the per-point equivalence analysis answer.
 The Jacobi iteration is incremental: a node's value at step l + 1 depends
 only on its predecessors' values at step l, so a node none of whose
 predecessors changed at step l keeps its value object, and only the
-successors of the nodes that changed are recomputed. Every iterate is still
-exactly the full synchronous step's iterate.
+successors of the nodes that changed are recomputed. The first step
+recomputes only the entry: every other node's inputs are ``TOP`` in the
+all-``TOP`` vector, and both transfers and ``meet`` map ``TOP`` inputs to
+``TOP``. Every iterate is still exactly the full synchronous step's iterate.
 """
 
 from __future__ import annotations
@@ -149,15 +151,16 @@ def composite_step(
     keeps its value from ``state``.
     """
     out = list(state)
+    kinds, preds = graph.kinds, graph.preds
     for k in range(1, graph.n + 1) if nodes is None else nodes:
-        kind = graph.kinds[k - 1]
-        if isinstance(kind, Entry):
-            out[k - 1] = bottom(universe)
-        elif isinstance(kind, Confluence):
-            i, j = graph.preds[k - 1]
+        kind = kinds[k - 1]
+        if isinstance(kind, Confluence):
+            i, j = preds[k - 1]
             out[k - 1] = meet(state[i - 1], state[j - 1])
+        elif isinstance(kind, Entry):
+            out[k - 1] = bottom(universe)
         else:
-            (j,) = graph.preds[k - 1]
+            (j,) = preds[k - 1]
             out[k - 1] = apply_statement(state[j - 1], kind)
     return tuple(out)
 
@@ -178,11 +181,13 @@ def default_iteration_limit(graph: FlowGraph, universe: TermUniverse) -> int:
 def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> SolveResult:
     """Synchronous iteration from the all-``TOP`` vector to the fixpoint.
 
-    The first step recomputes every node; each later step recomputes only
-    the successors of the nodes whose value changed in the step before.
+    The first step recomputes only the entry; each later step recomputes
+    only the successors of the nodes whose value changed in the step before.
     That is exact, not an approximation: a node's next value is a function
     of its predecessors' current values alone, so if none of them changed,
-    recomputing it would give back its current value. The entry has no
+    recomputing it would give back its current value. In the all-``TOP``
+    vector every node but the entry has only ``TOP`` inputs, and a
+    transfer or ``meet`` of ``TOP`` inputs is ``TOP``. The entry has no
     predecessors and changes once, from ``TOP`` to the finest partition.
 
     ``iterations`` counts the steps needed to first reach the fixpoint value;
@@ -192,7 +197,8 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
     limit = default_iteration_limit(graph, universe)
     state: tuple[LatticeElem, ...] = (TOP,) * graph.n
     iterates = [state] if trace else None
-    nodes: Sequence[int] = range(1, graph.n + 1)
+    succs = graph.succs
+    nodes: Sequence[int] = (1,)
     for step in range(1, limit + 1):
         nxt = composite_step(state, graph, universe, nodes)
         if iterates is not None:
@@ -201,6 +207,6 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
         if not changed:
             assert not any(is_top(v) for v in nxt)
             return SolveResult(state=nxt, iterations=step - 1, trace=iterates)
-        nodes = sorted({s for k in changed for s in graph.succ(k)})
+        nodes = sorted({s for k in changed for s in succs[k - 1]})
         state = nxt
     raise IterationLimitError(f"no fixpoint within {limit} iterations")

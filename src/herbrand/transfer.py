@@ -21,9 +21,14 @@ representative labels with ``y``'s one entry changed, to the label of
 ``beta``'s class or to the fresh key -1, and passes the input's definition
 triples, plus one ``(-1, l, r)`` for a new pair class. No transfer re-picks
 a representative. When ``y`` was one, or moves below its new class's, the
-constructor's first-position labeling does it. An assignment looks up each
-right-hand-side atom's position once; that one lookup also finds an
-undeclared atom and a right-hand side that names ``y``.
+constructor's first-position labeling does it.
+
+Each transfer checks its statement on every call, in this order: the
+target, then the right-hand side's atoms, then self-reference. An
+assignment looks up the target's and each right-hand-side atom's position
+once, through one bound ``universe.index.get``; the atom lookups also find
+an undeclared atom and a right-hand side that names ``y``. A ``TOP`` input
+returns before any check, one type test; the solver passes none.
 """
 
 from __future__ import annotations
@@ -31,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .congruence import LatticeElem, Partition, is_top
+from .congruence import LatticeElem, Partition, Top
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, Sum, Term, TermUniverse, VARIABLE, occurs
+from .terms import Atom, Sum, Term, VARIABLE, occurs
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,8 @@ class NonDet:
 Statement = Union[Assign, NonDet]
 
 
-def _variable_position(universe: TermUniverse, y: Atom) -> int:
-    yi = universe.index.get(y)
-    if yi is None or y.kind != VARIABLE:
-        raise DeclarationError(f"{y.name!r} is not a declared variable")
-    return yi
+def _not_a_variable(y: Atom) -> DeclarationError:
+    return DeclarationError(f"{y.name!r} is not a declared variable")
 
 
 def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
@@ -70,13 +72,15 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     keeps its class, and every pair follows its operands' classes by C2.
     When ``y`` already has that class, ``elem`` itself is returned.
     """
-    if is_top(elem):
+    if type(elem) is Top:
         return elem
     assert isinstance(elem, Partition)
-    yi = _variable_position(elem.universe, y)
+    get = elem.universe.index.get
+    yi = get(y)
+    if yi is None or y.kind != VARIABLE:
+        raise _not_a_variable(y)
     # one position lookup per right-hand-side atom: None marks an undeclared
     # atom or an operand that is no atom, and y's own position marks y in beta
-    get = elem.universe.index.get
     pos = (get(beta.left), get(beta.right)) if isinstance(beta, Sum) else (get(beta),)
     if None in pos:
         if isinstance(beta, Atom):
@@ -90,8 +94,12 @@ def assign_transfer(elem: LatticeElem, y: Atom, beta: Term) -> LatticeElem:
     else:
         # the class defined by beta's operand classes, or a fresh key -1
         left, right = atoms[pos[0]], atoms[pos[1]]
-        c = next((d for d, l, r in defs if l == left and r == right), -1)
-        defs = defs if c >= 0 else (*defs, (c, left, right))
+        for c, l, r in defs:
+            if l == left and r == right:
+                break
+        else:
+            c = -1
+            defs = (*defs, (c, left, right))
     if atoms[yi] == c:
         return elem
     moved = list(atoms)
@@ -105,11 +113,13 @@ def nondet_transfer(elem: LatticeElem, y: Atom) -> LatticeElem:
     ``y := $nd2`` over the two reserved constants. When ``y`` is already
     alone in a class that has no definition and is no definition's operand,
     ``elem`` itself is returned."""
-    if is_top(elem):
+    if type(elem) is Top:
         return elem
     assert isinstance(elem, Partition)
+    yi = elem.universe.index.get(y)
+    if yi is None or y.kind != VARIABLE:
+        raise _not_a_variable(y)
     atoms, defs = elem.atoms, elem.defs
-    yi = _variable_position(elem.universe, y)
     c = atoms[yi]
     if atoms.count(c) == 1 and all(c not in d for d in defs):
         return elem

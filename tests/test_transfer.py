@@ -11,6 +11,7 @@ from herbrand import (
     Sum,
     TOP,
     UniverseMismatchError,
+    apply_statement,
     assign_transfer,
     bottom,
     build_universe,
@@ -44,11 +45,31 @@ def u():
     return build_universe(["x", "y"], ["a", "b"])
 
 
+def _unchecked_assign(y, beta):
+    """An ``Assign`` built without ``__post_init__``'s self-reference check."""
+    stmt = object.__new__(Assign)
+    object.__setattr__(stmt, "target", y)
+    object.__setattr__(stmt, "rhs", beta)
+    return stmt
+
+
 def test_transfers_map_top_to_top(u):
     y = u.resolve("y")
     assert is_top(assign_transfer(TOP, y, u.resolve("a")))
     assert is_top(nondet_transfer(TOP, y))
     assert is_top(nondet_definitional(TOP, y, []))
+    # TOP returns before any check of the statement
+    q = build_universe(["q"], []).resolve("q")
+    for target, beta in [
+        (q, u.resolve("a")),  # a target from another universe
+        (u.resolve("a"), u.resolve("b")),  # a constant target
+        (y, "a"),  # a right-hand side that is no term
+        (y, parse_term("y+a", u)),  # a self-referencing right-hand side
+    ]:
+        assert assign_transfer(TOP, target, beta) is TOP
+        assert nondet_transfer(TOP, target) is TOP
+        assert apply_statement(TOP, _unchecked_assign(target, beta)) is TOP
+        assert apply_statement(TOP, NonDet(target)) is TOP
 
 
 def test_assignment_from_bottom(u):
