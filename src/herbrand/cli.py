@@ -4,6 +4,12 @@ Subcommands: ``analyze`` (fixpoint solve and report), ``mop`` (path-meet
 reference values), ``verify`` (compare both, per length), ``check`` (parse
 and validate only). Exit codes: 0 success, 1 verification mismatch, 2 bad
 input, 3 resource limit exceeded.
+
+The command line is declared in one table: ``_FLAGS`` holds each flag's
+``add_argument`` keywords once, and ``_COMMANDS`` has one row per
+subcommand with its help, handler and flags in help order. Every
+subcommand takes the ``program`` positional first. A new flag or
+subcommand is a new entry or row.
 """
 
 from __future__ import annotations
@@ -65,51 +71,44 @@ def _cmd_check(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespac
     return 0
 
 
+# Every flag, declared once: its option string and its ``add_argument``
+# keywords.
+_FLAGS: dict[str, dict] = {
+    "--format": dict(choices=FORMATS, default="text"),
+    "--max-len": dict(type=_non_negative, default=12, help="path length bound (default %(default)s)"),
+    "--path-cap": dict(
+        type=_non_negative,
+        default=DEFAULT_PATH_CAP,
+        help="abort if one length level exceeds this many paths",
+    ),
+    "--full": dict(action="store_true", help="show singleton and reserved classes"),
+    "--trace": dict(action="store_true", help="include every iterate"),
+}
+
+# One row per subcommand: its name, help, handler and flags, in help order.
+_COMMANDS = (
+    ("analyze", "solve the fixpoint and report classes", _cmd_analyze, ("--format", "--full", "--trace")),
+    ("mop", "report bounded path-meet values", _cmd_mop, ("--format", "--max-len", "--path-cap", "--full")),
+    ("verify", "check path meets against the fixpoint", _cmd_verify, ("--format", "--max-len", "--path-cap")),
+    ("check", "parse and validate only", _cmd_check, ()),
+)
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared by every
-    later ``main`` call."""
+    """The argument parser, built from the table on the first call and
+    shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="herbrand",
         description="Per-point Herbrand equivalence classes of program expressions",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, max_len: bool) -> None:
+    for name, summary, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("program", help="path to a .dfg program")
-        p.add_argument("--format", choices=FORMATS, default="text")
-        if max_len:
-            p.add_argument(
-                "--max-len",
-                type=_non_negative,
-                default=12,
-                help="path length bound (default 12)",
-            )
-            p.add_argument(
-                "--path-cap",
-                type=_non_negative,
-                default=DEFAULT_PATH_CAP,
-                help="abort if one length level exceeds this many paths",
-            )
-
-    p_analyze = sub.add_parser("analyze", help="solve the fixpoint and report classes")
-    add_common(p_analyze, max_len=False)
-    p_analyze.add_argument("--full", action="store_true", help="show singleton and reserved classes")
-    p_analyze.add_argument("--trace", action="store_true", help="include every iterate")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_mop = sub.add_parser("mop", help="report bounded path-meet values")
-    add_common(p_mop, max_len=True)
-    p_mop.add_argument("--full", action="store_true", help="show singleton and reserved classes")
-    p_mop.set_defaults(func=_cmd_mop)
-
-    p_verify = sub.add_parser("verify", help="check path meets against the fixpoint")
-    add_common(p_verify, max_len=True)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_check = sub.add_parser("check", help="parse and validate only")
-    p_check.add_argument("program", help="path to a .dfg program")
-    p_check.set_defaults(func=_cmd_check)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=handler)
     return parser
 
 

@@ -19,6 +19,12 @@ successors of the nodes that changed are recomputed. The first step
 recomputes only the entry: every other node's inputs are ``TOP`` in the
 all-``TOP`` vector, and both transfers and ``meet`` map ``TOP`` inputs to
 ``TOP``. Every iterate is still exactly the full synchronous step's iterate.
+
+The solver keeps one vector of node values. A step computes the new values
+of its nodes from that vector and returns only those; the solver then
+writes them in, so the step stays synchronous and a step over a few nodes
+costs nothing for the rest. Only a traced solve copies the vector, once
+per iterate.
 """
 
 from __future__ import annotations
@@ -140,28 +146,26 @@ def validate_graph(
 
 
 def composite_step(
-    state: tuple[LatticeElem, ...],
+    state: Sequence[LatticeElem],
     graph: FlowGraph,
     universe: TermUniverse,
     nodes: Iterable[int] | None = None,
 ) -> tuple[LatticeElem, ...]:
-    """One synchronous update from the previous state.
-
-    Recomputes every node, or only ``nodes`` when given; every other node
-    keeps its value from ``state``.
-    """
-    out = list(state)
+    """One synchronous update from the previous state: the new values of
+    ``nodes``, in their order, or of every node when ``nodes`` is None.
+    Every value is computed from ``state`` alone, which is not changed."""
+    out = []
     kinds, preds = graph.kinds, graph.preds
     for k in range(1, graph.n + 1) if nodes is None else nodes:
         kind = kinds[k - 1]
         if isinstance(kind, Confluence):
             i, j = preds[k - 1]
-            out[k - 1] = meet(state[i - 1], state[j - 1])
+            out.append(meet(state[i - 1], state[j - 1]))
         elif isinstance(kind, Entry):
-            out[k - 1] = bottom(universe)
+            out.append(bottom(universe))
         else:
             (j,) = preds[k - 1]
-            out[k - 1] = apply_statement(state[j - 1], kind)
+            out.append(apply_statement(state[j - 1], kind))
     return tuple(out)
 
 
@@ -190,23 +194,28 @@ def solve(graph: FlowGraph, universe: TermUniverse, *, trace: bool = False) -> S
     transfer or ``meet`` of ``TOP`` inputs is ``TOP``. The entry has no
     predecessors and changes once, from ``TOP`` to the finest partition.
 
+    One vector holds the current values: each step's values are computed
+    from it by ``composite_step``, which returns only those, and are written
+    into it afterwards, so a step costs what it recomputes.
+
     ``iterations`` counts the steps needed to first reach the fixpoint value;
     with ``trace`` on, ``result.trace[l]`` is the l-th iterate
     (``result.trace[0]`` all ``TOP``) and the last two entries are equal.
     """
     limit = default_iteration_limit(graph, universe)
-    state: tuple[LatticeElem, ...] = (TOP,) * graph.n
-    iterates = [state] if trace else None
+    state: list[LatticeElem] = [TOP] * graph.n
+    iterates = [tuple(state)] if trace else None
     succs = graph.succs
     nodes: Sequence[int] = (1,)
     for step in range(1, limit + 1):
-        nxt = composite_step(state, graph, universe, nodes)
+        values = composite_step(state, graph, universe, nodes)
+        changed = [k for k, v in zip(nodes, values) if v is not state[k - 1] and v != state[k - 1]]
+        for k, v in zip(nodes, values):
+            state[k - 1] = v
         if iterates is not None:
-            iterates.append(nxt)
-        changed = [k for k in nodes if nxt[k - 1] is not state[k - 1] and nxt[k - 1] != state[k - 1]]
+            iterates.append(tuple(state))
         if not changed:
-            assert not any(is_top(v) for v in nxt)
-            return SolveResult(state=nxt, iterations=step - 1, trace=iterates)
+            assert not any(is_top(v) for v in state)
+            return SolveResult(state=tuple(state), iterations=step - 1, trace=iterates)
         nodes = sorted({s for k in changed for s in succs[k - 1]})
-        state = nxt
     raise IterationLimitError(f"no fixpoint within {limit} iterations")

@@ -156,7 +156,10 @@ def verify_mop_mfp(
             if row[k - 1] != iterate[k - 1]:
                 report.iterate_mismatches.append((k, l))
     at_last = [k for k, l in report.iterate_mismatches if l == last]
-    report.iterate_mismatches += [(k, l) for l in range(last + 1, max_len + 1) for k in at_last]
+    # the tail is walked only when it lists something, so an agreeing
+    # report takes no time per length past both ends
+    if at_last:
+        report.iterate_mismatches += [(k, l) for l in range(last + 1, max_len + 1) for k in at_last]
     if report.stabilized:
         for k in range(1, graph.n + 1):
             if rows[-1][k - 1] != solved.state[k - 1]:

@@ -115,6 +115,11 @@ def test_term_value_keeps_unmatched_structure(u):
     xy, a, cx = (bot.class_of(parse_term(text, u)) for text in ("x+y", "a", "x"))
     assert term_value(Sum(deep, x), bot) == ((xy, a), cx)
     assert term_value(Sum(x, Sum(deep, deep)), bot) == (cx, ((xy, a), (xy, a)))
+    # an atom of another universe, at any depth, is not declared in this one
+    q = build_universe(["q"], []).resolve("q")
+    for t in (q, Sum(deep, q)):
+        with pytest.raises(DeclarationError, match="undeclared atom 'q'"):
+            term_value(t, bot)
 
 
 def test_equivalent_is_reflexive(u):
@@ -141,6 +146,7 @@ def test_meet_top_absorbs(u):
     assert meet(TOP, p) is p
     assert meet(p, TOP) is p
     assert meet(TOP, TOP) == TOP
+    assert repr(TOP) == "TOP"
 
 
 def test_meet_with_bottom_is_bottom(u):

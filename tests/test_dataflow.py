@@ -302,13 +302,11 @@ def _solver_corpus():
     return named + large_looping_programs()
 
 
-def test_composite_step_on_a_node_subset_copies_the_rest():
+def test_composite_step_on_a_node_subset_returns_only_those_values():
     universe, graph = load_program("diamond.dfg")
     s1 = composite_step((TOP,) * graph.n, graph, universe)
     full = composite_step(s1, graph, universe)
-    part = composite_step(s1, graph, universe, [2])
-    assert part[1] == full[1]
-    assert all(part[k] is s1[k] for k in range(graph.n) if k != 1)
+    assert composite_step(s1, graph, universe, [2]) == (full[1],)
 
 
 def test_incremental_jacobi_matches_full_steps_iterate_by_iterate():
@@ -356,6 +354,29 @@ def test_jacobi_on_a_chain_makes_linearly_many_transfers(monkeypatch):
     # full steps would make n transfers in each of the n + 2 steps; the
     # incremental ones transfer each node once, when its predecessor changes
     assert calls == n
+
+
+def test_solve_on_a_long_chain_computes_each_node_once(monkeypatch):
+    # a step returns only the values it recomputed, so a chain of n nodes
+    # costs n values over its n + 1 steps, not one whole vector per step
+    n = 2000
+    lines = ["vars x", "consts a", "node 1 entry"]
+    lines += [f"node {k} assign x := a pred {k - 1}" for k in range(2, n + 1)]
+    universe, graph = parse_program("\n".join(lines) + "\n")
+    calls = values = 0
+    original = herbrand.dataflow.composite_step
+
+    def counting(*args):
+        nonlocal calls, values
+        out = original(*args)
+        calls += 1
+        values += len(out)
+        return out
+
+    monkeypatch.setattr(herbrand.dataflow, "composite_step", counting)
+    result = solve(graph, universe)
+    assert calls == result.iterations + 1 == n + 1
+    assert values == n
 
 
 def test_solve_never_transfers_or_meets_top_alone(monkeypatch):

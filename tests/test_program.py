@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -16,9 +17,12 @@ from herbrand import (
     ParseError,
     SelfReferenceError,
     Sum,
+    bottom,
     build_universe,
     format_term,
     parse_program,
+    solve,
+    verify_mop_mfp,
 )
 from herbrand import program
 from herbrand.cli import main
@@ -29,6 +33,7 @@ from helpers import (
     PROGRAMS_DIR,
     ROOT,
     grid,
+    load_program,
     program_text,
     rand_partition,
     reference_scan,
@@ -520,6 +525,24 @@ def test_cli_verify_exit_1_on_mismatch(monkeypatch, capsys):
         json_out = json.dumps(payload, indent=2) + "\n"
         assert _run(capsys, "verify", str(PROGRAMS_DIR / "diamond.dfg"), "--format", "json") == (exit_code, json_out, "")
 
+    # the real check, over a solver result whose fixpoint differs from its
+    # own last iterate, and so from the stabilized path meets, at node 2
+    def doctored(graph, universe, **kwargs):
+        solved = solve(graph, universe, **kwargs)
+        assert solved.state[1] != bottom(universe)
+        return dataclasses.replace(solved, state=(solved.state[0], bottom(universe), *solved.state[2:]))
+
+    monkeypatch.setattr(cli_module, "verify_mop_mfp", verify_mop_mfp)
+    monkeypatch.setattr("herbrand.mop.solve", doctored)
+    universe, graph = load_program("diamond.dfg")
+    report = verify_mop_mfp(graph, universe, 12)
+    assert (report.iterate_mismatches, report.fixpoint_mismatches, report.ok) == ([], [2], False)
+    code, out, _ = _run(capsys, "verify", str(PROGRAMS_DIR / "diamond.dfg"))
+    assert code == 1
+    assert out == "".join(f"length {l}: ok (5 nodes)\n" for l in range(13)) + (
+        "stabilized within bound: yes\npath meet vs fixpoint: MISMATCH at nodes [2]\nFAILED\n"
+    )
+
 
 def test_cli_main_calls_share_one_parser(capsys):
     from herbrand import cli as cli_module
@@ -758,6 +781,12 @@ def test_cli_negative_max_len_rejected(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --max-len: must not be negative, got -3" in captured.err
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(PROGRAMS_DIR / "loop.dfg"), "--max-len", "abc"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"herbrand {command}: error: argument --max-len: invalid int value: 'abc'" in captured.err
 
 
 @pytest.mark.parametrize("command", ["mop", "verify"])

@@ -3,8 +3,11 @@ and ``reference_mop_report`` (tests/helpers.py), byte for byte."""
 
 import hashlib
 import io
+import json
+import os
 import random
 import string
+import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stdout
@@ -395,9 +398,50 @@ def test_verify_writes_a_long_report_in_bounded_memory():
     assert peak < 2**18, peak
 
 
+def test_verify_json_past_both_tables_ends_takes_no_time_per_length():
+    # both tables of straight_line.dfg stop after a few rows and agree, so
+    # no length past them is listed and the JSON report is the same few
+    # lines at any bound; the mismatch tail once walked every length up to it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "herbrand.cli", "verify", "programs/straight_line.dfg",
+         "--max-len", "1000000000000", "--format", "json"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert '"checks": 3000000000003' in done.stdout
+    assert json.loads(done.stdout) == {
+        "solver": "verify", "max_len": 10**12, "nodes": 3, "checks": 3 * 10**12 + 3, "stabilized": True,
+        "iterate_mismatches": [], "fixpoint_mismatches": [], "ok": True,
+    }
+
+
 def test_cli_formats_are_the_report_formats():
     assert FORMATS == ("text", "json")
     (commands,) = [action for action in build_parser()._actions if action.dest == "command"]
     for name in ("analyze", "mop", "verify"):
         (option,) = [action for action in commands.choices[name]._actions if action.dest == "format"]
         assert option.choices is FORMATS
+    # each subcommand's arguments, in help order: option strings, default
+    # and help as printed
+    fmt = (["--format"], "text", None)
+    max_len = (["--max-len"], 12, "path length bound (default 12)")
+    path_cap = (["--path-cap"], 10**6, "abort if one length level exceeds this many paths")
+    full = (["--full"], False, "show singleton and reserved classes")
+    program = ([], None, "path to a .dfg program")
+    expected = {
+        "analyze": [program, fmt, full, (["--trace"], False, "include every iterate")],
+        "mop": [program, fmt, max_len, path_cap, full],
+        "verify": [program, fmt, max_len, path_cap],
+        "check": [program],
+    }
+    assert list(commands.choices) == list(expected)
+    for name, arguments in expected.items():
+        parser = commands.choices[name]
+        actions = parser._actions
+        shown = [a.help and parser._get_formatter()._expand_help(a) for a in actions[1:]]
+        assert actions[0].option_strings == ["-h", "--help"]
+        assert [(a.option_strings, a.default) for a in actions[1:]] == [arg[:2] for arg in arguments], name
+        assert shown == [arg[2] for arg in arguments], name
+        assert actions[1].dest == "program"
