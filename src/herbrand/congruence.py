@@ -41,8 +41,10 @@ gets past them; the README gives the counts on the ``perfbench`` chains.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 name or a pair (tuple) of operand values, collapsing each operand pair of
-atom classes into its pair class. Two terms of any depth are equivalent
-under a value exactly when their values coincide.
+atom classes into its pair class, which it finds by scanning the triples,
+as ``assign_transfer`` and ``get_class`` do. A value keeps no other copy of
+its definitions, so it gains no state after construction. Two terms of any
+depth are equivalent under a value exactly when their values coincide.
 
 Equivalence under a value is exact for that value, and the value is a
 sound under-approximation of Herbrand equivalence: a definition is dropped
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count
 from typing import Union
 
@@ -131,12 +132,6 @@ class Partition:
         # the labels and triples, not the universe's atoms and maps
         return f"Partition(atoms={self.atoms!r}, defs={self.defs!r})"
 
-    @cached_property
-    def _defined(self) -> dict[tuple[int, int], int]:
-        """Each defined operand class pair's atom class, built on a value's
-        first query and kept with it."""
-        return {(left, right): c for c, left, right in self.defs}
-
     def class_of(self, t: Term) -> int:
         if t not in self.universe:
             raise DeclarationError(f"term not in universe: {t}")
@@ -161,8 +156,9 @@ def term_value(t: Term, p: Partition) -> int | tuple:
     the operand values of a sum whose operands are not both atom classes.
     Equal values mean equivalence under ``p``, which is exact for ``p`` but
     may miss a Herbrand equivalence that ``p``'s depth-1 definitions could
-    not keep (see the module docstring)."""
-    index, labels, defined = p.universe.index, p.atoms, p._defined
+    not keep (see the module docstring). Each pair of atom classes is looked
+    up by a scan of the k triples of ``p.defs``, so a sum costs O(k)."""
+    index, labels, defs = p.universe.index, p.atoms, p.defs
     m = len(labels)
 
     def value(t: Term) -> int | tuple:
@@ -174,7 +170,7 @@ def term_value(t: Term, p: Partition) -> int | tuple:
         assert isinstance(t, Sum)
         left, right = value(t.left), value(t.right)
         if type(left) is int and type(right) is int and left < m and right < m:
-            return defined.get((left, right), m + left * m + right)
+            return next((c for c, l, r in defs if l == left and r == right), m + left * m + right)
         return (left, right)
 
     return value(t)

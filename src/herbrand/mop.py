@@ -15,9 +15,12 @@ congruence. Every path in one state refers to one shared record, which lists
 its successor states' records on its first expansion, so each statement
 transfers each of its input values once. The frontier still holds one entry
 per path: each path is met into its node's value and counts against the
-path cap. ``verify_mop_mfp`` compares the table's rows with the solver's
-iterates. The literal definitions, which rebuild every path from scratch,
-live with the tests and cross-check ``mop_table`` there.
+path cap. The walk ends when the paths run out, or at the first level that
+reaches no new state: from there on every path ends in a state already met,
+so the meet over all paths (Steffen 1990, p. 393) is reached, even on a
+program with a loop. ``verify_mop_mfp`` compares the table's rows with the
+solver's iterates. The literal definitions, which rebuild every path from
+scratch, live with the tests and cross-check ``mop_table`` there.
 """
 
 from __future__ import annotations
@@ -45,14 +48,16 @@ def mop_table(
 ) -> list[tuple[LatticeElem, ...]]:
     """Bounded path meets for every node: ``table[l][k - 1]`` covers paths
     of length below ``l``. The table stops one row after the paths run out,
-    as every later row would repeat that row, so ``table[-1]`` is the row
-    for ``max_len`` and stands for every row past the end.
+    or after the first level whose expansion reaches no new (node, value)
+    state, as every later row would repeat that row, so ``table[-1]`` is the
+    row for ``max_len`` and stands for every row past the end.
 
     Each level meets every path's value into its end node's running meet,
     then expands the paths, and raises ``PathLimitError`` when the next
-    level holds more than ``cap`` paths. Paths that share a state share its
-    record, and equal values are one object, so a running meet already set
-    to a path's value meets it in one identity test."""
+    level holds more than ``cap`` paths, before the stop is tested. Paths
+    that share a state share its record, and equal values are one object,
+    so a running meet already set to a path's value meets it in one
+    identity test."""
     n = graph.n
     kinds = graph.kinds
     succ = graph.succ
@@ -72,6 +77,7 @@ def mop_table(
         if not frontier:
             break
         nxt: list[list] = []
+        fresh = False
         for state in frontier:
             # one succ call per path, after all of the level's meets:
             # perfbench's tracer pairs the two to count distinct states
@@ -92,11 +98,15 @@ def mop_table(
                     record = here.get(id(step))
                     if record is None:
                         record = here[id(step)] = [s, step, None]
+                        fresh = True
                     out.append(record)
             nxt += out
         if len(nxt) > cap:
             raise PathLimitError(f"more than {cap} paths of one length")
-        frontier = nxt
+        # a level that reaches no new state ends the walk: every path of
+        # ``nxt`` ends in a state already met and expanded, and so do all
+        # of their extensions, so no later row can change
+        frontier = nxt if fresh else []
     return rows
 
 

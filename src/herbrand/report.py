@@ -212,10 +212,6 @@ class _Render:
         return [head.format(pad, k) + self.entry(e, deep) for k, e in enumerate(state, start=1)]
 
 
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def render_points(
     head: dict,
     state: Iterable[LatticeElem],
@@ -285,7 +281,7 @@ def verify_lines(report: VerifyReport, fmt: str = "text") -> Iterator[str]:
         "fixpoint_mismatches": report.fixpoint_mismatches,
         "ok": report.ok,
     }
-    return iter([render_json(fields)])
+    return iter([json.dumps(fields, indent=2) + "\n"])
 
 
 def _verify_text(report: VerifyReport) -> Iterator[str]:

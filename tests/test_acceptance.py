@@ -16,10 +16,13 @@ from herbrand import (
     apply_statement,
     assign_transfer,
     bottom,
+    equivalent,
     meet,
     nondet_transfer,
     parse_program,
+    parse_term,
     solve,
+    term_value,
     verify_mop_mfp,
 )
 from herbrand.cli import main
@@ -38,6 +41,7 @@ from helpers import (
     rand_universe,
     reference_refines,
     reference_round_robin,
+    visible_classes,
     y_free_universe_terms,
 )
 
@@ -225,3 +229,41 @@ def test_criterion_7_canonical_examples(corpus, capsys):
     assert code == 0
     assert out == (GOLDEN_DIR / "loop_full_trace.txt").read_text(encoding="utf-8")
     _report(7, "hand-derived classes and golden reports for the three canonical programs")
+
+
+# The README's 7-line program, and a diamond that computes z from a+b on
+# each arm. On every path to the last node, y+c ≡ z and (a+b)+c ≡ z hold,
+# but a depth-1 value drops the definition of z's class once no atom is left
+# in the class of a+b, and cannot bring it back. ``verify`` still says ok,
+# because both of its routes cut at the same depth. A value that keeps
+# deeper classes closes these misses, and then this test must change.
+DEPTH_ONE_MISSES = {
+    "kill": (
+        "vars x y z\nconsts a b c\nnode 1 entry\n"
+        "node 2 assign x := a + b pred 1\nnode 3 assign z := x + c pred 2\n"
+        "node 4 nondet x pred 3\nnode 5 assign y := a + b pred 4\n",
+        5, "y+c", [["a+b", "y"]], 21,
+    ),
+    "diamond": (
+        "vars x w z\nconsts a b c\nnode 1 entry\n"
+        "node 2 assign x := a + b pred 1\nnode 3 assign z := x + c pred 2\n"
+        "node 4 assign w := a + b pred 1\nnode 5 assign z := w + c pred 4\n"
+        "node 6 confluence pred 3 5\n",
+        6, "(a+b)+c", [], (36, 5),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEPTH_ONE_MISSES))
+def test_documented_depth_one_misses(name, tmp_path, capsys):
+    text, node, term, shown, value = DEPTH_ONE_MISSES[name]
+    universe, graph = parse_program(text)
+    p = solve(graph, universe).state[node - 1]
+    assert visible_classes(p) == shown
+    t, z = parse_term(term, universe), parse_term("z", universe)
+    assert (term_value(t, p), term_value(z, p)) == (value, 2)
+    assert not equivalent(t, z, p)
+    path = tmp_path / f"{name}.dfg"
+    path.write_text(text)
+    assert main(["verify", str(path), "--max-len", "12"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "ok"

@@ -122,6 +122,23 @@ def test_term_value_keeps_unmatched_structure(u):
             term_value(t, bot)
 
 
+def test_queries_leave_a_value_as_built():
+    # a value holds its labels, triples and hash; a class query reads the
+    # triples and stores nothing, so no value gains state after construction
+    fields = {"universe", "atoms", "defs", "_hash"}
+    for name, text in full_corpus():
+        universe, graph = parse_program(text)
+        for p in solve(graph, universe).state:
+            if is_top(p):
+                continue
+            assert vars(p).keys() == fields, name
+            for t in universe.terms:
+                assert term_value(t, p) == p.class_of(t)
+                assert t in get_class(t, p)
+            term_value(Sum(universe.terms[-1], universe.atoms[0]), p)
+            assert vars(p).keys() == fields, name
+
+
 def test_equivalent_is_reflexive(u):
     bot = bottom(u)
     for t in u.terms:

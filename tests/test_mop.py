@@ -1,5 +1,7 @@
 import dataclasses
+import os
 import random
+import subprocess
 import sys
 
 import pytest
@@ -252,10 +254,36 @@ def test_mop_output_does_not_depend_on_a_bound_past_the_paths(fmt, capsys):
     assert run(10**6) == run(100)
 
 
+def test_verify_on_a_loop_ends_at_the_first_level_with_no_new_state(capsys):
+    # nested_loop's paths of 8 edges reach only states that shorter paths
+    # reached, so the walk ends there; walking on to length 3000 passed the
+    # path cap and exited 3
+    assert main(["verify", str(PROGRAMS_DIR / "nested_loop.dfg"), "--max-len", "3000"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1] == "ok"
+
+
+def test_mop_on_a_loop_answers_at_any_bound(capsys):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "herbrand.cli", "mop", "programs/loop.dfg", "--max-len", "1000000000000"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert main(["mop", str(PROGRAMS_DIR / "loop.dfg"), "--max-len", "40"]) == 0
+    short = capsys.readouterr().out
+    assert done.stdout == short.replace("max_len: 40\n", "max_len: 1000000000000\n")
+    assert "stabilized: yes\n" in short
+
+
 @pytest.mark.parametrize("name", ["diamond.dfg", "nested_loop.dfg"])
 def test_mop_table_meets_once_per_path(name, monkeypatch):
     # the path count is what --path-cap limits and what the benchmark's
-    # frontier counters read, so the table must not skip or merge paths
+    # frontier counters read, so the table never merges paths. The only
+    # paths it skips are those from the first length whose paths reach no
+    # (node, congruence) state that a shorter path did not: their states,
+    # and all their extensions', are met already, so no row can change
     universe, graph = load_program(name)
     calls = 0
 
@@ -266,8 +294,19 @@ def test_mop_table_meets_once_per_path(name, monkeypatch):
 
     monkeypatch.setattr("herbrand.mop.meet", counting_meet)
     mop_table(graph, universe, 12)
-    paths = sum(len(enum_paths(graph, k, 12)) for k in range(1, graph.n + 1))
-    assert calls == paths > graph.n
+    paths = [p for k in range(1, graph.n + 1) for p in enum_paths(graph, k, 12)]
+    seen: set = set()
+    end = 0
+    while True:
+        level = {(p[-1], path_congruence(p, graph, universe)) for p in paths if len(p) == end + 1}
+        if level <= seen:
+            break
+        seen |= level
+        end += 1
+    assert calls == sum(len(p) - 1 < end for p in paths) > graph.n
+    # the diamond's paths run out after 3 edges; nested_loop's 22 paths
+    # below 12 edges hold 10 below 8, where the walk ends
+    assert (end, calls) == {"diamond.dfg": (4, 6), "nested_loop.dfg": (8, 10)}[name]
 
 
 def _shared_chain():
