@@ -11,13 +11,14 @@ characterizations against each other:
 
 ``mop_table`` enumerates the paths breadth-first and carries each path's
 congruence along, one edge at a time. A path's state is its end node and its
-congruence. Every path in one state refers to one shared record, which lists
-its successor states' records on its first expansion, so each statement
-transfers each of its input values once. The frontier still holds one entry
-per path: each path is met into its node's value and counts against the
-path cap. The walk ends when the paths run out, or at the first level that
-reaches no new state: from there on every path ends in a state already met,
-so the meet over all paths (Steffen 1990, p. 393) is reached, even on a
+congruence. Each node keys its states' records by value, and every path in
+one state refers to that record, which lists its successor states' records
+on its first expansion, so each statement transfers each of its input values
+once. The frontier still holds one entry per path: each path is met into its
+node's value and counts against the path cap. The walk ends when the paths
+run out, once the row for the length bound is written, or at the first level
+that reaches no new state: from there on every path ends in a state already
+met, so the meet over all paths (Steffen 1990, p. 393) is reached, even on a
 program with a loop. ``verify_mop_mfp`` compares the table's rows with the
 solver's iterates. The literal definitions, which rebuild every path from
 scratch, live with the tests and cross-check ``mop_table`` there.
@@ -52,29 +53,25 @@ def mop_table(
     state, as every later row would repeat that row, so ``table[-1]`` is the
     row for ``max_len`` and stands for every row past the end.
 
-    Each level meets every path's value into its end node's running meet,
-    then expands the paths, and raises ``PathLimitError`` when the next
-    level holds more than ``cap`` paths, before the stop is tested. Paths
-    that share a state share its record, and equal values are one object,
-    so a running meet already set to a path's value meets it in one
-    identity test."""
-    n = graph.n
+    Each level meets every path's value into its end node's running meet.
+    Unless that row is the one for ``max_len``, the level's paths are then
+    expanded, and ``PathLimitError`` is raised when the next level holds
+    more than ``cap`` paths, before the stop is tested. Paths that share a
+    state share its record and its value object, so a running meet already
+    set to a path's value meets it in one identity test."""
     kinds = graph.kinds
     succ = graph.succ
-    cum: list[LatticeElem] = [TOP] * n
+    cum: list[LatticeElem] = [TOP] * graph.n
     rows: list[tuple[LatticeElem, ...]] = [tuple(cum)]
-    # one record [node, value, successor records or None] per path state.
-    # Equal values are one object, kept alive by ``values`` for the whole
-    # call, so each node's records are keyed by the ids of their values.
-    start = bottom(universe)
-    values: dict[LatticeElem, LatticeElem] = {start: start}
-    states: list[dict[int, list]] = [{} for _ in range(n)]
-    frontier: list[list] = [[1, start, None]]
+    # one record [node, value, successor records or None] per path state,
+    # each node's records keyed by their values
+    states: list[dict[LatticeElem, list]] = [{} for _ in range(graph.n)]
+    frontier: list[list] = [[1, bottom(universe), None]]
     for _ in range(max_len):
         for end, value, _ in frontier:
             cum[end - 1] = meet(cum[end - 1], value)
         rows.append(tuple(cum))
-        if not frontier:
+        if not frontier or len(rows) > max_len:
             break
         nxt: list[list] = []
         fresh = False
@@ -93,11 +90,9 @@ def mop_table(
                     step = value
                     if type(kind) is not Confluence:
                         step = apply_statement(value, kind)
-                        step = values.setdefault(step, step)
-                    here = states[s - 1]
-                    record = here.get(id(step))
+                    record = states[s - 1].get(step)
                     if record is None:
-                        record = here[id(step)] = [s, step, None]
+                        record = states[s - 1][step] = [s, step, None]
                         fresh = True
                     out.append(record)
             nxt += out

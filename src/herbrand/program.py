@@ -200,7 +200,7 @@ def parse_program(text: str) -> tuple[TermUniverse, FlowGraph]:
     try:
         graph = validate_graph(kinds, {node_id: node[3] for node_id, node in nodes.items()})
     except GraphError as err:
-        if err.node is None or err.line is not None:
+        if err.node is None:
             raise
         raise GraphError(str(err), line=nodes[err.node][0], node=err.node) from None
     return universe, graph

@@ -316,38 +316,63 @@ def _shared_chain():
     return program, *parse_program(program.text())
 
 
+def _chain_paths(graph, bound):
+    return [p for k in range(1, graph.n + 1) for p in enum_paths(graph, k, bound)]
+
+
 def test_mop_table_shares_one_state_per_node_and_value(monkeypatch):
     _, universe, graph = _shared_chain()
-    met: list = []
+    # the table meets a level's paths and then expands them in the same
+    # order, one succ call per path, so the i-th meet of a level belongs to
+    # the path whose end node is the i-th succ argument
+    events: list = []
     transfers: list = []
+    succ = type(graph).succ
 
     def counting_meet(l1, l2):
-        met.append(l2)
+        events.append(("meet", l2))
         return meet(l1, l2)
+
+    def counting_succ(self, k):
+        events.append(("succ", k))
+        return succ(self, k)
 
     def counting_apply(value, kind):
         transfers.append((kind, value))
         return apply_statement(value, kind)
 
     monkeypatch.setattr("herbrand.mop.meet", counting_meet)
+    monkeypatch.setattr(type(graph), "succ", counting_succ)
     monkeypatch.setattr("herbrand.mop.apply_statement", counting_apply)
     mop_table(graph, universe, 15)
-    # equal frontier values are one object: 61 path meets over 7 values
-    assert (len(met), len(set(map(id, met))), len(set(met))) == (61, 7, 7)
+    met: list = []
+    pending: list = []
+    for kind, item in events:
+        if kind == "meet":
+            pending.append(item)
+        else:
+            met.append((item, pending.pop(0)))
+    assert pending == []
+    # 61 path meets over the 17 (node, value) states that the paths reach,
+    # counted independently, and over 7 distinct values; every state's
+    # paths are met with one object
+    states = {(path[-1], path_congruence(path, graph, universe)) for path in _chain_paths(graph, 15)}
+    assert len(met) == 61 and set(met) == states and len(states) == 17
+    assert len({value for _, value in met}) == 7
+    assert len({(k, id(value)) for k, value in met}) == 17
     # one transfer per distinct (statement node, input value), counted
     # independently from the paths one node longer than the table's
     inputs = {
         (path[-1], path_congruence(path[:-1], graph, universe))
-        for k in range(2, graph.n + 1)
-        if not isinstance(graph.kinds[k - 1], Confluence)
-        for path in enum_paths(graph, k, 16)
+        for path in _chain_paths(graph, 16)
+        if len(path) > 1 and not isinstance(graph.kinds[path[-1] - 1], Confluence)
     }
     assert len(transfers) == len(inputs) == 14
 
 
 def test_path_cap_counts_paths_not_states(tmp_path, capsys):
     program, universe, graph = _shared_chain()
-    paths = [p for k in range(1, graph.n + 1) for p in enum_paths(graph, k, 16)]
+    paths = _chain_paths(graph, 16)
     widest = max(sum(len(p) == size for p in paths) for size in range(1, 17))
     states = max(len({path_congruence(p, graph, universe) for p in paths if p[-1] == k}) for k in range(1, graph.n + 1))
     assert (widest, states) == (16, 2)
@@ -360,3 +385,22 @@ def test_path_cap_counts_paths_not_states(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines() == [f"error[E_PATH_LIMIT]: more than {widest - 1} paths of one length"]
+
+
+@pytest.mark.parametrize("max_len, cap", [(1, 1), (3, 2), (5, 4), (7, 8)])
+def test_path_cap_ignores_the_level_no_row_uses(max_len, cap, tmp_path, capsys):
+    # the chain's levels hold 1, 2, 2, 4, 4, 8, 8, 16, 16 paths; the rows
+    # up to ``max_len`` cover only levels below it, which hold at most
+    # ``cap``, so the level of paths of length ``max_len`` is never built
+    program, universe, graph = _shared_chain()
+    assert mop_table(graph, universe, max_len, cap=cap) == mop_table(graph, universe, max_len)
+    with pytest.raises(PathLimitError):
+        mop_table(graph, universe, max_len + 1, cap=cap)
+    path = tmp_path / "chain.dfg"
+    path.write_text(program.text())
+    for command in ("mop", "verify"):
+        args = [command, str(path), "--max-len", str(max_len)]
+        assert main(args) == 0
+        full = capsys.readouterr()
+        assert main(args + ["--path-cap", str(cap)]) == 0
+        assert capsys.readouterr() == full
