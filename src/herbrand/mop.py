@@ -56,9 +56,10 @@ def mop_table(
     Each level meets every path's value into its end node's running meet.
     Unless that row is the one for ``max_len``, the level's paths are then
     expanded, and ``PathLimitError`` is raised when the next level holds
-    more than ``cap`` paths, before the stop is tested. Paths that share a
-    state share its record and its value object, so a running meet already
-    set to a path's value meets it in one identity test."""
+    more than ``cap`` paths and reaches a new state: a level that reaches
+    none is never met, so it is not counted. Paths that share a state share
+    its record and its value object, so a running meet already set to a
+    path's value meets it in one identity test."""
     kinds = graph.kinds
     succ = graph.succ
     cum: list[LatticeElem] = [TOP] * graph.n
@@ -96,11 +97,12 @@ def mop_table(
                         fresh = True
                     out.append(record)
             nxt += out
-        if len(nxt) > cap:
+        # a level that reaches no new state ends the walk unmet and is not
+        # counted against the cap: every path of ``nxt`` ends in a state
+        # already met and expanded, and so do all of their extensions, so
+        # no later row can change
+        if fresh and len(nxt) > cap:
             raise PathLimitError(f"more than {cap} paths of one length")
-        # a level that reaches no new state ends the walk: every path of
-        # ``nxt`` ends in a state already met and expanded, and so do all
-        # of their extensions, so no later row can change
         frontier = nxt if fresh else []
     return rows
 

@@ -10,23 +10,31 @@ One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
 * per universe, the visible names (all atoms with ``full``; otherwise those
-  below the reserved constants), the interned atom groups, one row memo and,
-  per distinct labels tuple (``Partition.atoms``), that tuple's groups and
-  rows. The labels alone fix which atoms share a class, so ``_base`` works
-  once per labels tuple, however many values share it: it groups the
-  visible atoms by representative label, interns each distinct group once
-  per render as its id and sorted names, and lists, sorted, each atom class
-  alone and each pair of operand groups as a class of pairs only, the rows
-  of a value with those labels and no definition. ``rows`` lists a value's
-  classes from them: a copy of that list less the rows its definition
-  triples own (a triple's atom class and its operand pair), plus one row per
-  triple, the class's atoms and the pairs over its operand groups, sorted
-  again. The memo is keyed by a row's group ids and holds its least member
-  and its text. A miss formats only that row's members (the atoms of group
-  c and ``a+b`` over groups l × r) and sorts them, so no table of the m²
-  pair names is built, and a row that recurs across the values of a report
-  is formatted once. A value's rows sort by their least members, since
-  classes are disjoint, and those members tell its rows apart;
+  below the reserved constants), whether they keep their order when each is
+  followed by ``+b``, the interned atom groups, one row memo and, per
+  distinct labels tuple (``Partition.atoms``), that tuple's groups and rows.
+  Each visible atom's one-atom group is interned once, with the universe.
+  The labels alone fix which atoms share a class, so ``_base`` works once
+  per labels tuple, however many values share it: it starts each class as
+  its representative's one-atom group, walks only the atoms that are not a
+  representative, interns each larger group once per render as its id and
+  sorted names, and lists, sorted, each atom class alone and each pair of
+  operand groups as a class of pairs only, the rows of a value with those
+  labels and no definition. A value's rows sort by their least members,
+  since classes are disjoint, and those members tell its rows apart, so
+  ``rows`` edits a copy of that list by bisection: it deletes the rows its
+  definition triples own (a triple's atom class and its operand pair) and
+  inserts one row per triple, the class's atoms and the pairs over its
+  operand groups. The memo is keyed by a row's group ids and holds its
+  least member and its text. A miss formats only that row's members, so no
+  table of the m² pair names is built, and a row that recurs across the
+  values of a report is formatted once. A pair row with one name on a side
+  is one join: over a left name ``a`` its members are ``a+`` and the right
+  names in order, and over a right name ``b`` the left names, each followed
+  by ``+b``, in order unless a name holds a character at or below ``+``
+  after its first (only a hand-built universe has such names). Any other
+  row's members (the atoms of group c and ``a+b`` over groups l × r) are
+  formatted one by one and sorted;
 * one entry memo keyed by depth and value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   top-level entry is rendered once from its class rows, and a ``--trace``
@@ -49,8 +57,10 @@ here, and ``FORMATS`` lists the formats. Any other ``fmt`` raises
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from itertools import compress
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import Iterable, Iterator
 
 from .congruence import LatticeElem, Partition, is_top
@@ -82,13 +92,15 @@ _Group = tuple[int, list[str]]
 # one labels tuple's groups, keyed by representative, and the sorted rows of
 # a value with those labels and no definition
 _Base = tuple[dict[int, _Group], list[_Row]]
-# one universe's visible names, interned groups, row memo and labels' bases
-_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base]]
+# one universe's visible names, their interned groups (each visible atom's
+# one-atom group among them), row memo and labels' bases, and whether each
+# name's "+b" pairs sort in the names' order
+_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base], bool]
 
 
 class _Render:
     """One render call: per universe its visible names, interned atom groups,
-    row memo and labels' bases, and each value's entry."""
+    row memo, labels' bases and name order, and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
@@ -116,37 +128,44 @@ class _Render:
             for name in names if self.json else ():
                 if encode_basestring_ascii(name) != f'"{name}"':
                     raise ValueError(f"atom name {name!r} needs a JSON escape")
-            known = self.universes[elem.universe] = (names, {(): (0, [])}, {}, {})
-        names, ids, memo, bases = known
+            # "x+b" < "y+b" whenever "x" < "y", unless a name holds a
+            # character at or below "+" after its first
+            ordered = all(min(name[1:], default=",") > "+" for name in names)
+            # the empty group, then each visible atom alone
+            ids = {(): (0, [])}
+            ids.update(((i,), (i + 1, [name])) for i, name in enumerate(names))
+            known = self.universes[elem.universe] = (names, ids, {}, {}, ordered)
+        names, ids, memo, bases, ordered = known
         base = bases.get(elem.atoms)
         if base is None:
-            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo)
+            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo, ordered)
         groups, shown = base
-        if not elem.defs:
-            return shown[:]
+        rows = shown[:]
         # a class with no visible atom has the empty group
         empty = ids[()]
         least = self.least
         # each triple (c, l, r) owns atom class c and the operand pair (l, r):
-        # it drops their rows from the labels' rows and adds its own
-        dropped, rows = set(), []
+        # it swaps their rows for its own; classes are disjoint, so rows sort
+        # by their least members, and a row is found by its least member
         for c, lc, rc in elem.defs:
             (c, own), (l, left), (r, right) = groups.get(c, empty), groups.get(lc, empty), groups.get(rc, empty)
             if len(own) >= least:
-                dropped.add(memo[c, -1, -1][0])
+                del rows[bisect_left(rows, (memo[c, -1, -1][0],))]
             pairs = len(left) * len(right)
             if pairs >= least:
-                dropped.add(memo[l, r][0])
+                del rows[bisect_left(rows, (memo[l, r][0],))]
             if len(own) + pairs >= least:
                 key = (c, l, r)
-                rows.append(memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right] + own))
-        # classes are disjoint, so rows sort by their least members
-        rows += [row for row in shown if row[0] not in dropped]
-        rows.sort(key=itemgetter(0))
+                insort(rows, memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right] + own))
         return rows
 
     def _base(
-        self, atoms: tuple[int, ...], names: list[str], ids: dict[tuple[int, ...], _Group], memo: dict[tuple, _Row]
+        self,
+        atoms: tuple[int, ...],
+        names: list[str],
+        ids: dict[tuple[int, ...], _Group],
+        memo: dict[tuple, _Row],
+        ordered: bool,
     ) -> _Base:
         """The interned atom groups of one labels tuple, keyed by
         representative, and the sorted rows of a value with those labels
@@ -154,16 +173,19 @@ class _Render:
         pair as a class of pairs only."""
         # each shown class's visible atoms, interned as (id, sorted names) and
         # keyed by its representative, in ascending order; a visible atom's
-        # representative is at most its own index, so is visible too
-        indices: list[list[int]] = [[] for _ in names]
-        for i, c in zip(range(len(names)), atoms):
-            indices[c].append(i)
-        groups: dict[int, _Group] = {}
-        for c in dict.fromkeys(atoms[: len(names)]):
-            group = tuple(indices[c])
-            interned = ids.get(group)
+        # representative is at most its own index, so is visible too. Each
+        # class starts as its representative's one-atom group, and only the
+        # atoms that are not a representative join their class's group
+        k = len(names)
+        groups = {c: ids[c,] for c in dict.fromkeys(atoms[:k])}
+        merged: dict[int, list[int]] = {}
+        for i in compress(range(k), map(ne, atoms, range(k))):
+            merged.setdefault(atoms[i], [atoms[i]]).append(i)
+        for c, group in merged.items():
+            key = tuple(group)
+            interned = ids.get(key)
             if interned is None:
-                interned = ids[group] = (len(ids), sorted([names[i] for i in group]))
+                interned = ids[key] = (len(ids), sorted([names[i] for i in group]))
             groups[c] = interned
         # a class of pairs over (l, r) has |l| * |r| members, so below
         # ``least`` a one-atom l needs an r of two or more
@@ -176,9 +198,26 @@ class _Render:
                 rows.append(memo.get(key) or self._miss(memo, key, left[:]))
             for r, right in groups.values() if len(left) >= least else shared:
                 key = (l, r)
-                rows.append(memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right]))
+                rows.append(memo.get(key) or self._pair(memo, key, left, right, ordered))
         rows.sort(key=itemgetter(0))
         return groups, rows
+
+    def _pair(self, memo: dict[tuple, _Row], key: tuple, left: list[str], right: list[str], ordered: bool) -> _Row:
+        """Format and keep the row of the pairs over two groups. Over one
+        right name b its members are the left names, in order when
+        ``ordered``, each followed by "+b", and over one left name a they
+        are "a+" and the right names in order, so either is one join; any
+        other row is sorted by ``_miss``."""
+        head, sep, tail = self.row
+        if len(right) == 1 and (ordered or len(left) == 1):
+            b = "+" + right[0]
+            row = memo[key] = (left[0] + b, head + (b + sep).join(left) + b + tail)
+        elif len(left) == 1:
+            a = left[0] + "+"
+            row = memo[key] = (a + right[0], head + a + (sep + a).join(right) + tail)
+        else:
+            row = self._miss(memo, key, [f"{a}+{b}" for a in left for b in right])
+        return row
 
     def _miss(self, memo: dict[tuple, _Row], key: tuple, members: list[str]) -> _Row:
         """Format and keep a row not yet in ``memo``, from its members."""

@@ -404,3 +404,36 @@ def test_path_cap_ignores_the_level_no_row_uses(max_len, cap, tmp_path, capsys):
         full = capsys.readouterr()
         assert main(args + ["--path-cap", str(cap)]) == 0
         assert capsys.readouterr() == full
+
+
+def test_path_cap_ignores_a_level_that_reaches_no_new_state(tmp_path, capsys):
+    # a random program (4-9 nodes) whose levels hold 1, 1, 1, 4, 10 and 17
+    # paths; every path of the sixth level ends in a (node, value) state
+    # that a shorter path reached, so the walk ends before meeting it and a
+    # cap of 10 to 16 paths changes no output
+    text = (
+        "vars x\nconsts a b\nnode 1 entry\nnode 2 assign x := b + a pred 1\n"
+        "node 3 confluence pred 2 3\nnode 4 confluence pred 3 4\nnode 5 nondet x pred 4\n"
+        "node 6 confluence pred 3 6\nnode 7 confluence pred 6 7\nnode 8 confluence pred 3 6\n"
+        "node 9 assign x := b pred 4\n"
+    )
+    universe, graph = parse_program(text)
+    paths = _chain_paths(graph, 6)
+    assert [sum(len(p) == size for p in paths) for size in range(1, 7)] == [1, 1, 1, 4, 10, 17]
+    table = mop_table(graph, universe, 12)
+    assert len(table) == 7 and table[-1] == table[-2]
+    for cap in (10, 16):
+        assert mop_table(graph, universe, 12, cap=cap) == table
+    with pytest.raises(PathLimitError):
+        mop_table(graph, universe, 12, cap=9)
+    path = tmp_path / "levels.dfg"
+    path.write_text(text)
+    for command in ("mop", "verify"):
+        args = [command, str(path), "--max-len", "12"]
+        assert main(args) == 0
+        full = capsys.readouterr()
+        for cap in (10, 16):
+            assert main(args + ["--path-cap", str(cap)]) == 0
+            assert capsys.readouterr() == full
+        assert main(args + ["--path-cap", "9"]) == 3
+        assert capsys.readouterr().err == "error[E_PATH_LIMIT]: more than 9 paths of one length\n"

@@ -258,6 +258,77 @@ def test_rows_sort_names_below_the_operator_sign():
     assert visible_classes(p)[:3] == listed
 
 
+def _hand_built_universe(names):
+    # variables with any names, which ``build_universe`` would refuse, and
+    # the reserved constants
+    atoms = tuple(Atom(VARIABLE, name) for name in names) + (Atom(RESERVED, "$nd1"), Atom(RESERVED, "$nd2"))
+    return TermUniverse(
+        variables=atoms[:-2],
+        constants=(),
+        reserved=atoms[-2:],
+        atoms=atoms,
+        index={atom: i for i, atom in enumerate(atoms)},
+        by_name={atom.name: atom for atom in atoms},
+    )
+
+
+def _row_shapes(p, count):
+    """The shown rows of ``p`` without ``full``, by shape: "k" stands for an
+    operand of two or more names."""
+    groups, listed = members(p, count, 2)
+    sizes = [len(group) for group in groups]
+    return {
+        "triple" if c >= 0 else f"{'1' if sizes[l] == 1 else 'k'}x{'1' if sizes[r] == 1 else 'k'}"
+        for c, l, r in listed
+        if l >= 0
+    }
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        # names that prefix one another: each pair row over one name is one join
+        ["v1", "v10", "v1_", "V1", "_v", "w"],
+        # a character below "+" after the first: "v1!+w" < "v1+w", so a row
+        # over one right name is sorted after its members are joined
+        ["v1", "v1!", "v1$", "v1*", "v10", "w*", "w"],
+    ],
+)
+def test_both_row_formats_match_reference_on_hand_built_universes(names):
+    universe = _hand_built_universe(names)
+    # the first three names one class and the next two another, with no
+    # definition and with the sixth name defined as the pairs over them
+    labels = [0, 0, 0, 3, 3] + list(range(5, len(universe.atoms)))
+    state = (Partition(universe, labels, []), Partition(universe, labels, [(5, 0, 3)]))
+    rng = random.Random(59)
+    state += tuple(rand_partition(universe, rng, steps=rng.randrange(2, 14)) for _ in range(40)) + (TOP,)
+    shapes = set().union(*(_row_shapes(p, len(names)) for p in state[:-1]))
+    assert {"kx1", "1xk", "kxk", "triple"} <= shapes
+    for fmt in FORMATS:
+        for full in (False, True):
+            got = emit_report(state, 0, fmt, full)
+            _assert_same(got, reference_emit_report(state, 0, fmt, full), (fmt, full))
+
+
+def test_pair_rows_over_one_name_are_joined_without_a_sort(monkeypatch):
+    # only atom rows, triple rows and pair rows whose operands both have two
+    # or more names have their members formatted one by one and sorted
+    formatted = []
+    miss = _Render._miss
+    monkeypatch.setattr(_Render, "_miss", lambda render, memo, key, rows: formatted.append((key, rows)) or miss(render, memo, key, rows))
+    universe, graph = parse_program(workloads.build("analyze-wide", 3)[0].program.text())
+    result = solve(graph, universe)
+    for fmt in FORMATS:
+        for full in (False, True):
+            formatted.clear()
+            emit_report(result.state, result.iterations, fmt, full)
+            pairs = [rows for key, rows in formatted if len(key) == 2]
+            assert len(formatted) > len(pairs) > 0, (fmt, full)
+            for rows in pairs:
+                left, right = zip(*(row.split("+") for row in rows))
+                assert len(set(left)) > 1 and len(set(right)) > 1, (fmt, full, rows)
+
+
 def test_nodes_sharing_a_value_render_it_identically():
     universe, graph = load_program("diamond.dfg")
     state = solve(graph, universe).state
