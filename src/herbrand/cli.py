@@ -10,11 +10,18 @@ The command line is declared in one table: ``_FLAGS`` holds each flag's
 subcommand with its help, handler and flags in help order. Every
 subcommand takes the ``program`` positional first. A new flag or
 subcommand is a new entry or row.
+
+Every handler computes its result and hands ``sys.stdout`` to its
+``herbrand.report`` writer, which writes the report piece by piece and
+returns nothing. ``main`` flushes stdout before it returns, so a failed
+write, to a reader that closed its pipe too, is one ``error[E_IO]`` line
+on stderr and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -23,7 +30,7 @@ from .dataflow import FlowGraph, solve
 from .errors import AnalysisError, ParseError
 from .mop import DEFAULT_PATH_CAP, mop_table, verify_mop_mfp
 from .program import LINE_END_RE, parse_program
-from .report import FORMATS, emit_report, render_check, render_mop, verify_lines
+from .report import FORMATS, emit_report, render_check, render_mop, render_verify
 from .terms import TermUniverse
 
 
@@ -50,24 +57,24 @@ def _non_negative(text: str) -> int:
 
 def _cmd_analyze(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     result = solve(graph, universe, trace=args.trace)
-    sys.stdout.write(emit_report(result.state, result.iterations, args.format, args.full, result.trace))
+    emit_report(sys.stdout, result.state, result.iterations, args.format, args.full, result.trace)
     return 0
 
 
 def _cmd_mop(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     rows = mop_table(graph, universe, args.max_len, cap=args.path_cap)
-    sys.stdout.write(render_mop(rows, args.max_len, args.format, args.full))
+    render_mop(sys.stdout, rows, args.max_len, args.format, args.full)
     return 0
 
 
 def _cmd_verify(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
     report = verify_mop_mfp(graph, universe, args.max_len, cap=args.path_cap)
-    sys.stdout.writelines(verify_lines(report, args.format))
+    render_verify(sys.stdout, report, args.format)
     return 0 if report.ok else 1
 
 
 def _cmd_check(universe: TermUniverse, graph: FlowGraph, args: argparse.Namespace) -> int:
-    sys.stdout.write(render_check(universe, graph))
+    render_check(sys.stdout, universe, graph)
     return 0
 
 
@@ -115,12 +122,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(*_load(args.program), args)
+        code = args.func(*_load(args.program), args)
+        sys.stdout.flush()
+        return code
     except AnalysisError as err:
         print(f"error[{err.code}]: {err}", file=sys.stderr)
         return err.exit_status
     except OSError as err:
         print(f"error[E_IO]: {err}", file=sys.stderr)
+        if isinstance(err, BrokenPipeError):
+            # what stdout still holds goes nowhere, so the interpreter's
+            # final flush cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

@@ -35,11 +35,11 @@ after it:
   after its first (only a hand-built universe has such names). Any other
   row's members (the atoms of group c and ``a+b`` over groups l × r) are
   formatted one by one and sorted;
-* one entry memo keyed by depth and value. A point's entry is what follows
+* one entry memo keyed by value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
-  top-level entry is rendered once from its class rows, and a ``--trace``
-  iterate's entry is that text indented one level deeper, so a value's
-  classes are listed once per report however many points share it;
+  entry is rendered once from its class rows, so a value's classes are
+  listed once per report however many points share it. A ``--trace``
+  iterate is its points, joined and indented one level deeper as one text;
 * one points writer for both formats. JSON has the layout of
   ``json.dumps(indent=2)`` but is written directly. A JSON row is its
   member names quoted and joined, unescaped: ``build_universe`` admits only
@@ -50,18 +50,24 @@ after it:
 
 This module is the only one that knows how a report looks: every
 subcommand's report, ``verify``'s and ``check``'s included, is rendered
-here, and ``FORMATS`` lists the formats. Any other ``fmt`` raises
-``ValueError``.
+here, and ``FORMATS`` lists the formats. Every report is written, not
+returned: each writer (``render_points``, ``emit_report``, ``render_mop``,
+``render_verify`` and ``render_check``) takes the output stream ``out``
+first, writes to it and returns nothing. It writes one piece per point of
+the state, one per ``--trace`` iterate and one per ``verify`` text line,
+so no report is held whole: a render keeps only its memos, the rows and
+each distinct value's entry. Any other ``fmt`` raises ``ValueError``
+before the first piece.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from itertools import compress
+from itertools import chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter, ne
-from typing import Iterable, Iterator
+from typing import Iterable, TextIO
 
 from .congruence import LatticeElem, Partition, is_top
 from .dataflow import FlowGraph
@@ -85,6 +91,18 @@ def _json_array(items: list[str], indent: str) -> str:
     return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
 
 
+def _write_array(out: TextIO, items: Iterable[str]) -> None:
+    """Write a top-level JSON array of rendered items to ``out``, one piece
+    per item."""
+    sep = "[\n    "
+    for item in items:
+        out.write(sep + item)
+        sep = ",\n    "
+    out.write("\n  ]" if sep[0] == "," else "[]")
+
+
+# one value per node, by node
+_State = tuple[LatticeElem, ...]
 # a class row: its least member and its text in the render's format
 _Row = tuple[str, str]
 # an interned atom group: its id in the render and its sorted visible names
@@ -105,14 +123,12 @@ class _Render:
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
         self.full = full
-        # a trace iterate's points sit one level deeper than the state's
-        self.step = "    " if self.json else "  "
         # a class row's text: its sorted members, joined and wrapped
         self.row = ('[\n          "', '",\n          "', '"\n        ]') if self.json else ("\n  [", ", ", "]")
         # a shown class has at least this many visible members
         self.least = 1 if full else 2
         self.universes: dict[TermUniverse, _Known] = {}
-        self.entries: dict[tuple[bool, LatticeElem], str] = {}
+        self.entries: dict[LatticeElem, str] = {}
 
     def rows(self, elem: LatticeElem) -> list[_Row] | None:
         """The shown class rows of ``elem``, sorted, in a new list; ``None``
@@ -226,120 +242,118 @@ class _Render:
         row = memo[key] = (members[0], head + sep.join(members) + tail)
         return row
 
-    def entry(self, elem: LatticeElem, deep: bool) -> str:
-        entry = self.entries.get((deep, elem))
+    def entry(self, elem: LatticeElem) -> str:
+        entry = self.entries.get(elem)
         if entry is None:
-            if deep:
-                entry = self.entry(elem, False).replace("\n", "\n" + self.step)
+            rows = self.rows(elem)
+            if not self.json:
+                entry = "top" if rows is None else "partition" + "".join(row[1] for row in rows)
+            elif rows is None:
+                entry = '\n      "status": "top"\n    }'
             else:
-                rows = self.rows(elem)
-                if not self.json:
-                    entry = "top" if rows is None else "partition" + "".join(row[1] for row in rows)
-                elif rows is None:
-                    entry = '\n      "status": "top"\n    }'
-                else:
-                    classes = _json_array([row[1] for row in rows], "      ")
-                    entry = f'\n      "status": "partition",\n      "classes": {classes}\n    }}'
-            self.entries[deep, elem] = entry
+                classes = _json_array([row[1] for row in rows], "      ")
+                entry = f'\n      "status": "partition",\n      "classes": {classes}\n    }}'
+            self.entries[elem] = entry
         return entry
 
-    def points(self, state: Iterable[LatticeElem], deep: bool = False) -> list[str]:
-        """One item per point of ``state``, a trace iterate's when ``deep``:
-        a text line or a JSON object."""
-        pad = self.step if deep else ""
-        head = '{{\n{}      "id": {},' if self.json else "{}node {}: "
-        return [head.format(pad, k) + self.entry(e, deep) for k, e in enumerate(state, start=1)]
+    def point(self, k: int, elem: LatticeElem) -> str:
+        """Point ``k``: a text line or a JSON object."""
+        return f'{{\n      "id": {k},{self.entry(elem)}' if self.json else f"node {k}: {self.entry(elem)}\n"
+
+    def iterate(self, l: int, row: _State) -> str:
+        """Iterate ``l`` of a trace: its points joined and indented one
+        level deeper, past each newline."""
+        points = [self.point(k, e) for k, e in enumerate(row, start=1)]
+        if self.json:
+            points = _json_array(points, "  ").replace("\n", "\n    ")
+            return f'{{\n      "iteration": {l},\n      "points": {points}\n    }}'
+        # each point ends in a newline: indent after every newline but that last one
+        return f"iterate {l}:" + ("\n" + "".join(points))[:-1].replace("\n", "\n  ") + "\n"
 
 
 def render_points(
+    out: TextIO,
     head: dict,
     state: Iterable[LatticeElem],
     fmt: str = "text",
     full: bool = False,
-    trace: list[tuple[LatticeElem, ...]] | None = None,
-) -> str:
-    """A report: the ``head`` fields, the points of ``state``, then ``trace``.
+    trace: list[_State] | None = None,
+) -> None:
+    """Write a report to ``out``: the ``head`` fields, then the points of
+    ``state``, one piece each, then the iterates of ``trace``, one piece
+    each.
 
     ``head`` maps field names to strings, integers or booleans; text shows a
     boolean as ``yes`` or ``no``.
     """
     render = _Render(fmt, full)
-    if render.json:
-        fields = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in head.items()]
-        fields.append(f'  "points": {_json_array(render.points(state), "  ")}')
-        if trace is not None:
-            arrays = (_json_array(render.points(row, True), "      ") for row in trace)
-            iterates = [
-                f'{{\n      "iteration": {l},\n      "points": {points}\n    }}' for l, points in enumerate(arrays)
-            ]
-            fields.append(f'  "trace": {_json_array(iterates, "  ")}')
-        return "{\n" + ",\n".join(fields) + "\n}\n"
-    lines = [
-        f"{key}: {'yes' if value is True else 'no' if value is False else value}"
-        for key, value in head.items()
-    ]
-    lines += render.points(state)
+    points = (render.point(k, e) for k, e in enumerate(state, start=1))
+    iterates = (render.iterate(l, row) for l, row in enumerate(trace or ()))
+    if not render.json:
+        for key, value in head.items():
+            out.write(f"{key}: {'yes' if value is True else 'no' if value is False else value}\n")
+        out.writelines(chain(points, iterates))
+        return
+    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
+    out.write("{\n" + fields + '  "points": ')
+    _write_array(out, points)
     if trace is not None:
-        for l, row in enumerate(trace):
-            lines.append(f"iterate {l}:")
-            lines += render.points(row, True)
-    return "\n".join(lines) + "\n"
+        out.write(',\n  "trace": ')
+        _write_array(out, iterates)
+    out.write("\n}\n")
 
 
 def emit_report(
+    out: TextIO,
     state: Iterable[LatticeElem],
     iterations: int,
     fmt: str = "text",
     full: bool = False,
-    trace: list[tuple[LatticeElem, ...]] | None = None,
-) -> str:
-    """Render an analysis state; ``fmt`` is one of ``FORMATS``."""
-    return render_points({"solver": "jacobi", "iterations": iterations}, state, fmt, full, trace)
+    trace: list[_State] | None = None,
+) -> None:
+    """Write the report of an analysis state to ``out``; ``fmt`` is one of
+    ``FORMATS``."""
+    render_points(out, {"solver": "jacobi", "iterations": iterations}, state, fmt, full, trace)
 
 
-def render_mop(rows: list[tuple[LatticeElem, ...]], max_len: int, fmt: str = "text", full: bool = False) -> str:
-    """Render the last row of a ``mop_table`` bounded by ``max_len``."""
-    return render_points({"solver": "mop", "max_len": max_len, "stabilized": stabilized(rows)}, rows[-1], fmt, full)
+def render_mop(out: TextIO, rows: list[_State], max_len: int, fmt: str = "text", full: bool = False) -> None:
+    """Write the report of the last row of a ``mop_table`` bounded by
+    ``max_len`` to ``out``."""
+    render_points(out, {"solver": "mop", "max_len": max_len, "stabilized": stabilized(rows)}, rows[-1], fmt, full)
 
 
-def verify_lines(report: VerifyReport, fmt: str = "text") -> Iterator[str]:
-    """A ``verify_mop_mfp`` report in pieces. Text comes one line at a time,
-    so a report of any length is written without being held whole: one line
-    per length, the nodes that mismatch at it sorted, then the fixpoint
-    check and the verdict. JSON is one piece. An unknown ``fmt`` raises
-    here, before the first piece."""
-    if not _is_json(fmt):
-        return _verify_text(report)
-    fields = {
-        "solver": "verify",
-        "max_len": report.max_len,
-        "nodes": report.node_count,
-        "checks": report.checks,
-        "stabilized": report.stabilized,
-        "iterate_mismatches": [list(m) for m in report.iterate_mismatches],
-        "fixpoint_mismatches": report.fixpoint_mismatches,
-        "ok": report.ok,
-    }
-    return iter([json.dumps(fields, indent=2) + "\n"])
-
-
-def _verify_text(report: VerifyReport) -> Iterator[str]:
+def render_verify(out: TextIO, report: VerifyReport, fmt: str = "text") -> None:
+    """Write a ``verify_mop_mfp`` report to ``out``. Text is one piece per
+    line: one line per length, the nodes that mismatch at it sorted, then
+    the fixpoint check and the verdict. JSON is one piece."""
+    if _is_json(fmt):
+        fields = {
+            "solver": "verify",
+            "max_len": report.max_len,
+            "nodes": report.node_count,
+            "checks": report.checks,
+            "stabilized": report.stabilized,
+            "iterate_mismatches": report.iterate_mismatches,
+            "fixpoint_mismatches": report.fixpoint_mismatches,
+            "ok": report.ok,
+        }
+        out.write(json.dumps(fields, indent=2) + "\n")
+        return
     bad: dict[int, list[int]] = {}
     for k, l in report.iterate_mismatches:
         bad.setdefault(l, []).append(k)
     ok = f"ok ({report.node_count} nodes)\n"
     for l in range(report.max_len + 1):
-        yield f"length {l}: MISMATCH at nodes {sorted(bad[l])}\n" if l in bad else f"length {l}: {ok}"
-    yield f"stabilized within bound: {'yes' if report.stabilized else 'no'}\n"
+        out.write(f"length {l}: MISMATCH at nodes {sorted(bad[l])}\n" if l in bad else f"length {l}: {ok}")
+    out.write(f"stabilized within bound: {'yes' if report.stabilized else 'no'}\n")
     if report.stabilized:
         fixpoint = report.fixpoint_mismatches
-        yield f"path meet vs fixpoint: {f'MISMATCH at nodes {fixpoint}' if fixpoint else 'ok'}\n"
-    yield "ok\n" if report.ok else "FAILED\n"
+        out.write(f"path meet vs fixpoint: {f'MISMATCH at nodes {fixpoint}' if fixpoint else 'ok'}\n")
+    out.write("ok\n" if report.ok else "FAILED\n")
 
 
-def render_check(universe: TermUniverse, graph: FlowGraph) -> str:
-    """The one-line summary of a program that parsed and validated."""
-    return (
-        f"ok: {graph.n} nodes, {len(universe.variables)} vars, "
-        f"{len(universe.constants)} consts, {len(universe)} universe terms\n"
-    )
+def render_check(out: TextIO, universe: TermUniverse, graph: FlowGraph) -> None:
+    """Write the one-line summary of a program that parsed and validated to
+    ``out``."""
+    counts = f"{len(universe.variables)} vars, {len(universe.constants)} consts, {len(universe)} universe terms"
+    out.write(f"ok: {graph.n} nodes, {counts}\n")

@@ -49,8 +49,8 @@ from herbrand import (
 )
 from herbrand.cli import main as cli_main
 from herbrand.dataflow import ARITY, default_iteration_limit
-from herbrand.mop import DEFAULT_PATH_CAP, VerifyReport
-from herbrand.report import _Render, verify_lines
+from herbrand.mop import DEFAULT_PATH_CAP
+from herbrand.report import _Render
 from herbrand.program import _KINDS, LINE_END_RE
 from herbrand.terms import IDENT_RE, VARIABLE
 
@@ -653,10 +653,12 @@ def visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | 
     return [text.removeprefix("\n  [").removesuffix("]").split(", ") for _, text in _Render("text", full).rows(elem)]
 
 
-def render_verify(report: VerifyReport, fmt: str = "text") -> str:
-    """The whole ``verify`` report as one string, joined from
-    ``verify_lines``."""
-    return "".join(verify_lines(report, fmt))
+def written(writer, *args) -> str:
+    """What a report writer of ``herbrand.report`` writes, as one string:
+    ``writer(out, *args)`` into a ``StringIO``."""
+    out = io.StringIO()
+    writer(out, *args)
+    return out.getvalue()
 
 
 def reference_visible_classes(elem: LatticeElem, full: bool = False) -> list[list[str]] | None:
@@ -989,6 +991,33 @@ def rand_program_text(rng: random.Random, max_nodes: int = 8, min_nodes: int = 2
         else:
             lhs, rhs = rng.choice(atoms), rng.choice(atoms)
             lines.append(f"node {k} assign {target} := {lhs} + {rhs} pred {primary}")
+    return "\n".join(lines) + "\n"
+
+
+def chain_program_text(seed: int, nodes: int, atoms: int, joins: float = 0.0) -> str:
+    """A seeded program of ``nodes`` nodes over ``atoms`` atoms, one constant
+    per ten variables and at least one. Node k follows node k - 1. A share
+    ``joins`` of the nodes after the second are confluences whose second
+    predecessor is a random node; a tenth of the rest are ``y := *``, and the
+    others assignments, half of them of a pair."""
+    rng = random.Random(seed)
+    count = max(1, atoms // 11)
+    variables = [f"v{i}" for i in range(atoms - count)]
+    constants = [f"c{i}" for i in range(count)]
+    lines = ["vars " + " ".join(variables), "consts " + " ".join(constants), "node 1 entry"]
+    for k in range(2, nodes + 1):
+        if k > 2 and rng.random() < joins:
+            lines.append(f"node {k} confluence pred {k - 1} {rng.randrange(1, nodes + 1)}")
+            continue
+        target = rng.choice(variables)
+        pool = [a for a in variables + constants if a != target]
+        if rng.random() < 0.1:
+            statement = f"nondet {target}"
+        elif rng.random() < 0.5:
+            statement = f"assign {target} := {rng.choice(pool)}"
+        else:
+            statement = f"assign {target} := {rng.choice(pool)} + {rng.choice(pool)}"
+        lines.append(f"node {k} {statement} pred {k - 1}")
     return "\n".join(lines) + "\n"
 
 

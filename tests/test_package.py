@@ -1,3 +1,4 @@
+import inspect
 import re
 import types
 
@@ -41,15 +42,22 @@ def test_term_level_oracles_are_not_exported():
 
 
 def test_report_oracles_are_test_helpers():
-    # the whole-string verify report and the class lists live in
-    # tests/helpers.py; the command line writes verify_lines
+    # the class lists and ``written``, which reads a report back as one
+    # string, live in tests/helpers.py; every report writer takes the output
+    # stream first and returns nothing, and none returns a report or yields
+    # its pieces
     import herbrand.report as report_module
 
-    for name in ("visible_classes", "render_verify"):
+    for name in ("visible_classes", "written", "verify_lines"):
         assert name not in herbrand.__all__
         assert not hasattr(herbrand, name)
         assert not hasattr(report_module, name)
-    assert hasattr(report_module, "verify_lines")
+    writers = ("render_points", "emit_report", "render_mop", "render_verify", "render_check")
+    for name in writers:
+        writer = getattr(report_module, name)
+        assert next(iter(inspect.signature(writer).parameters)) == "out", name
+        assert inspect.signature(writer).return_annotation == "None", name
+        assert not inspect.isgeneratorfunction(writer), name
 
 
 def test_lattice_order_and_node_lookups_are_test_helpers():

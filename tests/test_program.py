@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import os
 import random
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -633,6 +635,17 @@ def test_cli_input_errors_exit_2(tmp_path, capsys):
         f"error[E_IO]: [Errno 2] No such file or directory: '{missing}'\n",
     )
     assert _run(capsys, "analyze", str(tmp_path)) == (2, "", f"error[E_IO]: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+def test_cli_report_into_a_closed_pipe_is_one_io_error(capsys):
+    # the check line waits in the stream's buffer until ``main`` flushes it,
+    # so a reader gone before the first byte is one E_IO error and not a
+    # failed flush at exit; what the buffer holds then goes to /dev/null
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout, redirect_stdout(stdout):
+        assert main(["check", str(PROGRAMS_DIR / "diamond.dfg")]) == 2
+    assert capsys.readouterr() == ("", "error[E_IO]: [Errno 32] Broken pipe\n")
 
 
 _HEAD = "vars x y\nconsts a\nnode 1 entry\n"

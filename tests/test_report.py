@@ -25,19 +25,21 @@ from herbrand import (
     build_universe,
     emit_report,
     format_term,
+    mop_table,
     parse_program,
     parse_term,
     solve,
     verify_mop_mfp,
 )
 from herbrand.cli import build_parser, main
-from herbrand.report import FORMATS, _Render, render_points, verify_lines
+from herbrand.report import FORMATS, _Render, render_mop, render_points, render_verify
 from herbrand.terms import IDENT_RE, RESERVED, VARIABLE
 from helpers import (
     CORPUS_FILES,
     GridPartition,
     PROGRAMS_DIR,
     ROOT,
+    chain_program_text,
     full_corpus,
     load_program,
     make_partition,
@@ -46,8 +48,8 @@ from helpers import (
     reference_emit_report,
     reference_mop_report,
     reference_visible_classes,
-    render_verify,
     visible_classes,
+    written,
 )
 
 # the benchmark's program generator, read only
@@ -71,7 +73,7 @@ def _assert_same_reports(name, text, variants=VARIANTS):
     result = solve(graph, universe, trace=True)
     for fmt, full, trace in variants:
         iterates = result.trace if trace else None
-        got = emit_report(result.state, result.iterations, fmt, full, iterates)
+        got = written(emit_report, result.state, result.iterations, fmt, full, iterates)
         want = reference_emit_report(result.state, result.iterations, fmt, full, iterates)
         _assert_same(got, want, (name, fmt, full, trace))
 
@@ -180,7 +182,7 @@ def test_one_report_over_values_sharing_atom_groups_matches_reference():
     trace = [state[::-1], state[1::2]]
     for fmt, full, with_trace in VARIANTS:
         iterates = trace if with_trace else None
-        got = emit_report(state, 3, fmt, full, iterates)
+        got = written(emit_report, state, 3, fmt, full, iterates)
         _assert_same(got, reference_emit_report(state, 3, fmt, full, iterates), (fmt, full, with_trace))
 
 
@@ -203,11 +205,11 @@ def test_one_report_over_values_sharing_labels_but_not_triples_matches_reference
     for fmt, full, with_trace in VARIANTS:
         iterates = trace if with_trace else None
         bases.clear()
-        got = emit_report(state, 1, fmt, full, iterates)
+        got = written(emit_report, state, 1, fmt, full, iterates)
         _assert_same(got, reference_emit_report(state, 1, fmt, full, iterates), (fmt, full, with_trace))
         assert sorted(bases) == [labels, other]
-    assert "\n  [w, z+$nd1]" in emit_report(state, 1, "text", True)
-    assert "$nd1" not in emit_report(state, 1) and "\n  [w]" not in emit_report(state, 1)
+    assert "\n  [w, z+$nd1]" in written(emit_report, state, 1, "text", True)
+    assert "$nd1" not in written(emit_report, state, 1) and "\n  [w]" not in written(emit_report, state, 1)
     # a value's rows are a new list: a caller that edits one changes no
     # later value's rows, nor the same value's rows asked for again
     for full in (False, True):
@@ -230,9 +232,9 @@ def test_rows_sort_names_that_prefix_one_another():
     trace = [state[::-1], (operand, mixed)]
     for fmt, full, with_trace in VARIANTS:
         iterates = trace if with_trace else None
-        got = emit_report(state, 2, fmt, full, iterates)
+        got = written(emit_report, state, 2, fmt, full, iterates)
         _assert_same(got, reference_emit_report(state, 2, fmt, full, iterates), (fmt, full, with_trace))
-    assert "\n  [V1, _v, v1+v1, v1+v10, v10+v1, v10+v10]\n" in emit_report(state, 2)
+    assert "\n  [V1, _v, v1+v1, v1+v10, v10+v1, v10+v10]\n" in written(emit_report, state, 2)
 
 
 def test_rows_sort_names_below_the_operator_sign():
@@ -253,7 +255,7 @@ def test_rows_sort_names_below_the_operator_sign():
     p = Partition(universe, [0, 0, 1, 1, 2, 3, 4], [(2, 0, 1)])
     state = (p, bottom(universe), p)
     for full in (False, True):
-        _assert_same(emit_report(state, 0, "text", full), reference_emit_report(state, 0, "text", full), full)
+        _assert_same(written(emit_report, state, 0, "text", full), reference_emit_report(state, 0, "text", full), full)
     listed = [["a", "a!"], ["a!+a", "a!+a!", "a+a", "a+a!"], ["a!+a-", "a!+b", "a+a-", "a+b", "c"]]
     assert visible_classes(p)[:3] == listed
 
@@ -306,7 +308,7 @@ def test_both_row_formats_match_reference_on_hand_built_universes(names):
     assert {"kx1", "1xk", "kxk", "triple"} <= shapes
     for fmt in FORMATS:
         for full in (False, True):
-            got = emit_report(state, 0, fmt, full)
+            got = written(emit_report, state, 0, fmt, full)
             _assert_same(got, reference_emit_report(state, 0, fmt, full), (fmt, full))
 
 
@@ -321,7 +323,7 @@ def test_pair_rows_over_one_name_are_joined_without_a_sort(monkeypatch):
     for fmt in FORMATS:
         for full in (False, True):
             formatted.clear()
-            emit_report(result.state, result.iterations, fmt, full)
+            written(emit_report, result.state, result.iterations, fmt, full)
             pairs = [rows for key, rows in formatted if len(key) == 2]
             assert len(formatted) > len(pairs) > 0, (fmt, full)
             for rows in pairs:
@@ -335,7 +337,7 @@ def test_nodes_sharing_a_value_render_it_identically():
     shared = (state[4],) * 3 + (TOP,) + (state[4],)
     for fmt in ("text", "json"):
         for full in (False, True):
-            got = emit_report(shared, 0, fmt, full, [shared, shared])
+            got = written(emit_report, shared, 0, fmt, full, [shared, shared])
             _assert_same(got, reference_emit_report(shared, 0, fmt, full, [shared, shared]), (fmt, full))
 
 
@@ -357,7 +359,7 @@ def test_a_report_lists_the_classes_of_each_distinct_value_once(monkeypatch):
         for fmt, full, trace in VARIANTS:
             iterates = result.trace if trace else None
             calls.clear()
-            emit_report(result.state, result.iterations, fmt, full, iterates)
+            written(emit_report, result.state, result.iterations, fmt, full, iterates)
             values = set(result.state).union(*(iterates or ())) - {TOP}
             assert len(calls) == len(values), (name, fmt, full, trace)
 
@@ -372,7 +374,7 @@ def test_a_thousand_variable_report_formats_only_its_shown_rows():
     for fmt in FORMATS:
         tracemalloc.start()
         try:
-            report = emit_report(result.state, result.iterations, fmt)
+            report = written(emit_report, result.state, result.iterations, fmt)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,7 +400,7 @@ def test_report_names_need_no_json_escape():
     joined = assign_transfer(bottom(universe), x, y)
     state = (bottom(universe), joined, assign_transfer(joined, z, parse_term(f"{x.name} + {y.name}", universe)))
     for full in (False, True):
-        _assert_same(emit_report(state, 0, "json", full), reference_emit_report(state, 0, "json", full), full)
+        _assert_same(written(emit_report, state, 0, "json", full), reference_emit_report(state, 0, "json", full), full)
 
 
 def test_json_report_rejects_a_name_that_needs_an_escape():
@@ -413,21 +415,21 @@ def test_json_report_rejects_a_name_that_needs_an_escape():
     )
     for full in (False, True):
         with pytest.raises(ValueError, match="needs a JSON escape"):
-            emit_report([bottom(universe)], 0, "json", full)
-    assert '\n  [a"b+a"b]\n' in emit_report([bottom(universe)], 0, "text", True)
+            written(emit_report, [bottom(universe)], 0, "json", full)
+    assert '\n  [a"b+a"b]\n' in written(emit_report, [bottom(universe)], 0, "text", True)
 
 
 def test_emit_report_rejects_an_unknown_format():
     universe, graph = load_program("diamond.dfg")
     result = solve(graph, universe)
     with pytest.raises(ValueError, match="unknown report format 'JSON'"):
-        emit_report(result.state, result.iterations, "JSON")
+        written(emit_report, result.state, result.iterations, "JSON")
 
 
 def test_render_points_rejects_an_unknown_format():
     universe, graph = load_program("diamond.dfg")
     with pytest.raises(ValueError, match="unknown report format 'yaml'"):
-        render_points({"solver": "jacobi"}, solve(graph, universe).state, "yaml")
+        written(render_points, {"solver": "jacobi"}, solve(graph, universe).state, "yaml")
 
 
 def test_render_verify_rejects_an_unknown_format():
@@ -435,7 +437,7 @@ def test_render_verify_rejects_an_unknown_format():
     report = verify_mop_mfp(graph, universe, 4)
     assert report.ok
     with pytest.raises(ValueError, match="unknown report format 'xml'"):
-        verify_lines(report, "xml")
+        written(render_verify, report, "xml")
 
 
 class _DigestSink(io.TextIOBase):
@@ -454,7 +456,7 @@ def test_verify_writes_a_long_report_in_bounded_memory():
     # 10 KiB, where a list of the lines and their joined string took 26 MiB
     path = str(PROGRAMS_DIR / "straight_line.dfg")
     universe, graph = load_program("straight_line.dfg")
-    want = render_verify(verify_mop_mfp(graph, universe, 200_000))
+    want = written(render_verify, verify_mop_mfp(graph, universe, 200_000))
     assert want.count("\n") == 200_004
     sink = _DigestSink()
     build_parser()
@@ -469,16 +471,123 @@ def test_verify_writes_a_long_report_in_bounded_memory():
     assert peak < 2**18, peak
 
 
+class _Pieces(io.TextIOBase):
+    """A text stream that keeps each piece written to it; ``writelines``
+    writes its items one by one through ``write``."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.pieces.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_traced_report_is_written_one_point_or_iterate_at_a_time(fmt):
+    # one piece per point of the state and one per iterate, that iterate's
+    # points joined: no piece holds two points of the state, nor more than
+    # one iterate
+    universe, graph = parse_program(chain_program_text(2, 40, 4))
+    result = solve(graph, universe, trace=True)
+    assert len(result.trace) > 2
+    out = _Pieces()
+    emit_report(out, result.state, result.iterations, fmt, False, result.trace)
+    want = reference_emit_report(result.state, result.iterations, fmt, False, result.trace)
+    _assert_same("".join(out.pieces), want, fmt)
+    point, iterate = ("node ", "iterate ") if fmt == "text" else ('"id"', '"iteration"')
+    start = next(i for i, piece in enumerate(out.pieces) if iterate in piece or '"trace"' in piece)
+    assert [piece.count(point) for piece in out.pieces[:start] if point in piece] == [1] * graph.n
+    for piece in out.pieces[start:]:
+        assert piece.count(iterate) <= 1 and piece.count(point) <= graph.n, piece[:80]
+    assert sum(iterate in piece for piece in out.pieces) == len(result.trace)
+
+
+def test_an_unknown_format_raises_before_the_first_piece():
+    universe, graph = load_program("diamond.dfg")
+    state = solve(graph, universe).state
+    writers = [
+        (emit_report, (state, 0, "yaml")),
+        (render_points, ({"solver": "jacobi"}, state, "yaml")),
+        (render_mop, (mop_table(graph, universe, 4), 4, "yaml")),
+        (render_verify, (verify_mop_mfp(graph, universe, 4), "yaml")),
+    ]
+    for writer, args in writers:
+        out = _Pieces()
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+            writer(out, *args)
+        assert out.pieces == [], writer.__name__
+
+
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python with this checkout's ``src`` on its
+    path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def test_a_reader_that_closes_early_gives_one_io_error(tmp_path):
+    # each report is far larger than a pipe's buffer, so the writer is still
+    # writing when its reader closes after 100 bytes; mop lists every class,
+    # since the plain mop report of this chain (60 KB) fits in the buffer
+    path = tmp_path / "chain.dfg"
+    path.write_text(chain_program_text(1, 500, 4))
+    for argv in (["analyze", path, "--trace"], ["mop", path, "--max-len", "1000000", "--full"],
+                 ["verify", path, "--max-len", "1000000"]):
+        child = subprocess.Popen(
+            [sys.executable, "-m", "herbrand.cli", *map(str, argv)],
+            env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=60)
+        assert (child.returncode, err) == (2, b"error[E_IO]: [Errno 32] Broken pipe\n"), argv
+
+
+# Peak RSS in KiB (on Linux) of ``herbrand ARGS`` with its stdout sent to
+# /dev/null. Linux keeps a process's high-water mark across ``exec``, so a
+# child of the test process would read that process's peak in its own
+# RUSAGE_SELF; this fresh wrapper is small, and its RUSAGE_CHILDREN holds
+# only the one child it runs.
+_PEAK_RSS = """\
+import resource, subprocess, sys
+done = subprocess.run([sys.executable, "-m", "herbrand.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+@pytest.mark.parametrize(
+    "nodes, atoms, joins, flags, bound_mib",
+    [
+        # a 3-variable chain prints 500 iterates of 500 points (18 MB); the
+        # whole report string peaked at 84 MiB
+        (500, 4, 0.0, ["--trace"], 40),
+        # a 50-atom program's JSON report is 33 MB; as one string it peaked
+        # at 229 MiB
+        (2000, 50, 0.1, ["--format", "json"], 120),
+    ],
+)
+def test_analyze_writes_its_report_in_memory_below_a_bound(tmp_path, nodes, atoms, joins, flags, bound_mib):
+    path = tmp_path / "program.dfg"
+    path.write_text(chain_program_text(1, nodes, atoms, joins))
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, "analyze", str(path), *flags],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    code, peak_kib = map(int, done.stdout.split())
+    assert (done.returncode, code, done.stderr) == (0, 0, "")
+    assert peak_kib < bound_mib * 1024, peak_kib / 1024
+
+
 def test_verify_json_past_both_tables_ends_takes_no_time_per_length():
     # both tables of straight_line.dfg stop after a few rows and agree, so
     # no length past them is listed and the JSON report is the same few
     # lines at any bound; the mismatch tail once walked every length up to it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "herbrand.cli", "verify", "programs/straight_line.dfg",
          "--max-len", "1000000000000", "--format", "json"],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        cwd=ROOT, env=_child_env(), capture_output=True, text=True, timeout=60,
     )
     assert (done.returncode, done.stderr) == (0, "")
     assert '"checks": 3000000000003' in done.stdout

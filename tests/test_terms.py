@@ -21,7 +21,7 @@ from herbrand import (
     verify_mop_mfp,
 )
 from herbrand.terms import MAX_SUM_DEPTH, MAX_TERM_DEPTH
-from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs
+from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs, written
 
 
 @pytest.fixture
@@ -290,7 +290,7 @@ def test_universe_membership_is_its_atoms_and_their_pairs(universe):
 def test_analysis_never_builds_the_term_list(name):
     universe, graph = load_program(name)
     result = solve(graph, universe, trace=True)
-    emit_report(result.state, result.iterations, "json", True, result.trace)
+    written(emit_report, result.state, result.iterations, "json", True, result.trace)
     mop_table(graph, universe, 8)
     assert verify_mop_mfp(graph, universe, 8).ok
     # get_class reads one class from the labels and definitions
