@@ -15,7 +15,8 @@ Every handler computes its result and hands ``sys.stdout`` to its
 ``herbrand.report`` writer, which writes the report piece by piece and
 returns nothing. ``main`` flushes stdout before it returns, so a failed
 write, to a reader that closed its pipe too, is one ``error[E_IO]`` line
-on stderr and exit 2.
+on stderr and exit 2. So is a run whose stdout was closed when it started
+(Python then sets ``sys.stdout`` to ``None``); it reads no program.
 """
 
 from __future__ import annotations
@@ -122,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         code = args.func(*_load(args.program), args)
         sys.stdout.flush()
         return code

@@ -2,17 +2,18 @@
 
 Class labels are internal, so reports list classes as sorted term strings,
 sorted again across classes; re-running an analysis reproduces the output
-byte for byte. By default singleton classes and terms mentioning a reserved
-constant are hidden; ``full=True`` shows everything. Filtering affects
-visibility only, never membership.
+byte for byte. Every atom name obeys ``TermUniverse``'s name rule: an
+``IDENT_RE`` name or one of the two ``RESERVED_NAMES``. By default
+singleton classes and terms mentioning a reserved constant are hidden;
+``full=True`` shows everything. Filtering affects visibility only, never
+membership.
 
 One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
 * per universe, the visible names (all atoms with ``full``; otherwise those
-  below the reserved constants), whether they keep their order when each is
-  followed by ``+b``, the interned atom groups, one row memo and, per
-  distinct labels tuple (``Partition.atoms``), that tuple's groups and rows.
+  below the reserved constants), the interned atom groups, one row memo
+  and, per distinct labels tuple (``Partition.atoms``), that tuple's groups and rows.
   Each visible atom's one-atom group is interned once, with the universe.
   The labels alone fix which atoms share a class, so ``_base`` works once
   per labels tuple, however many values share it: it starts each class as
@@ -28,13 +29,12 @@ after it:
   operand groups. The memo is keyed by a row's group ids and holds its
   least member and its text. A miss formats only that row's members, so no
   table of the m² pair names is built, and a row that recurs across the
-  values of a report is formatted once. A pair row with one name on a side
-  is one join: over a left name ``a`` its members are ``a+`` and the right
-  names in order, and over a right name ``b`` the left names, each followed
-  by ``+b``, in order unless a name holds a character at or below ``+``
-  after its first (only a hand-built universe has such names). Any other
-  row's members (the atoms of group c and ``a+b`` over groups l × r) are
-  formatted one by one and sorted;
+  values of a report is formatted once. A pair row over groups l × r is one
+  join with no sort: its members ``a+b``, for each name ``a`` of l and then
+  each name ``b`` of r, are in order, since both groups are sorted and
+  every character after a name's first sorts above ``+``. An atom class's
+  row is its group's sorted names. Only a triple row, which merges a
+  class's atoms with its pairs, is sorted after its members are formatted;
 * one entry memo keyed by value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   entry is rendered once from its class rows, so a value's classes are
@@ -42,11 +42,8 @@ after it:
   iterate is its points, joined and indented one level deeper as one text;
 * one points writer for both formats. JSON has the layout of
   ``json.dumps(indent=2)`` but is written directly. A JSON row is its
-  member names quoted and joined, unescaped: ``build_universe`` admits only
-  ``IDENT_RE`` names besides ``$nd1`` and ``$nd2``, and JSON escapes none
-  of them. Each universe's visible names are checked once against
-  ``encode_basestring_ascii``, and a name that would need an escape raises
-  ``ValueError``.
+  member names quoted and joined, unescaped: JSON escapes no character
+  that the name rule admits.
 
 This module is the only one that knows how a report looks: every
 subcommand's report, ``verify``'s and ``check``'s included, is rendered
@@ -65,7 +62,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, insort
 from itertools import chain, compress
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter, ne
 from typing import Iterable, TextIO
 
@@ -111,14 +107,13 @@ _Group = tuple[int, list[str]]
 # a value with those labels and no definition
 _Base = tuple[dict[int, _Group], list[_Row]]
 # one universe's visible names, their interned groups (each visible atom's
-# one-atom group among them), row memo and labels' bases, and whether each
-# name's "+b" pairs sort in the names' order
-_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base], bool]
+# one-atom group among them), row memo and labels' bases
+_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base]]
 
 
 class _Render:
     """One render call: per universe its visible names, interned atom groups,
-    row memo, labels' bases and name order, and each value's entry."""
+    row memo and labels' bases, and each value's entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
@@ -141,20 +136,14 @@ class _Render:
             names = [atom.name for atom in elem.universe.atoms]
             if not self.full:
                 names = names[: len(names) - len(elem.universe.reserved)]
-            for name in names if self.json else ():
-                if encode_basestring_ascii(name) != f'"{name}"':
-                    raise ValueError(f"atom name {name!r} needs a JSON escape")
-            # "x+b" < "y+b" whenever "x" < "y", unless a name holds a
-            # character at or below "+" after its first
-            ordered = all(min(name[1:], default=",") > "+" for name in names)
             # the empty group, then each visible atom alone
             ids = {(): (0, [])}
             ids.update(((i,), (i + 1, [name])) for i, name in enumerate(names))
-            known = self.universes[elem.universe] = (names, ids, {}, {}, ordered)
-        names, ids, memo, bases, ordered = known
+            known = self.universes[elem.universe] = (names, ids, {}, {})
+        names, ids, memo, bases = known
         base = bases.get(elem.atoms)
         if base is None:
-            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo, ordered)
+            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo)
         groups, shown = base
         rows = shown[:]
         # a class with no visible atom has the empty group
@@ -181,7 +170,6 @@ class _Render:
         names: list[str],
         ids: dict[tuple[int, ...], _Group],
         memo: dict[tuple, _Row],
-        ordered: bool,
     ) -> _Base:
         """The interned atom groups of one labels tuple, keyed by
         representative, and the sorted rows of a value with those labels
@@ -214,25 +202,28 @@ class _Render:
                 rows.append(memo.get(key) or self._miss(memo, key, left[:]))
             for r, right in groups.values() if len(left) >= least else shared:
                 key = (l, r)
-                rows.append(memo.get(key) or self._pair(memo, key, left, right, ordered))
+                rows.append(memo.get(key) or self._pair(memo, key, left, right))
         rows.sort(key=itemgetter(0))
         return groups, rows
 
-    def _pair(self, memo: dict[tuple, _Row], key: tuple, left: list[str], right: list[str], ordered: bool) -> _Row:
-        """Format and keep the row of the pairs over two groups. Over one
-        right name b its members are the left names, in order when
-        ``ordered``, each followed by "+b", and over one left name a they
-        are "a+" and the right names in order, so either is one join; any
-        other row is sorted by ``_miss``."""
+    def _pair(self, memo: dict[tuple, _Row], key: tuple, left: list[str], right: list[str]) -> _Row:
+        """Format and keep the row of the pairs over two groups: "a+b" for
+        each name a of the left group and then each name b of the right
+        group, joined with no sort. Both groups are sorted, and under
+        ``TermUniverse``'s name rule every character after a name's first
+        sorts above "+", so ``a+b`` < ``a'+b'`` whenever ``a`` < ``a'``: the
+        members are already in order. Over one right name b, or one left
+        name a, the row is one join of the other group's names."""
         head, sep, tail = self.row
-        if len(right) == 1 and (ordered or len(left) == 1):
+        if len(right) == 1:
             b = "+" + right[0]
-            row = memo[key] = (left[0] + b, head + (b + sep).join(left) + b + tail)
+            members = (b + sep).join(left) + b
         elif len(left) == 1:
             a = left[0] + "+"
-            row = memo[key] = (a + right[0], head + a + (sep + a).join(right) + tail)
+            members = a + (sep + a).join(right)
         else:
-            row = self._miss(memo, key, [f"{a}+{b}" for a in left for b in right])
+            members = sep.join([a + "+" + (sep + a + "+").join(right) for a in left])
+        row = memo[key] = (f"{left[0]}+{right[0]}", head + members + tail)
         return row
 
     def _miss(self, memo: dict[tuple, _Row], key: tuple, members: list[str]) -> _Row:

@@ -5,10 +5,12 @@ Terms are built from declared variables and constants with a single binary
 operator ``+`` treated as uninterpreted (no commutativity, no arithmetic).
 An atom is itself a term, so ``Term = Atom | Sum``: a variable, a constant
 or a sum of two terms. The universe of a program consists of every atom plus
-every ordered pair of atoms under ``+``, but a ``TermUniverse`` stores only
-its m atoms: ``len(universe)`` is |U| = m + m², and a ``Sum`` of two of them
-is ``in`` it. A class query takes an atom as it is: ``p.class_of(atom)``,
-and ``congruence.term_value`` gives an ``int`` class label or a pair.
+every ordered pair of atoms under ``+``. A ``TermUniverse`` is built from
+the declared names alone, so no two of its fields can disagree and every
+atom obeys the name rule. It stores only its m atoms: ``len(universe)`` is
+|U| = m + m², and a ``Sum`` of two of them is ``in`` it. A class query
+takes an atom as it is: ``p.class_of(atom)``, and ``congruence.term_value``
+gives an ``int`` class label or a pair.
 """
 
 from __future__ import annotations
@@ -83,11 +85,16 @@ def occurs(t: Term, x: Atom) -> bool:
     return occurs(t.left, x) or occurs(t.right, x)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TermUniverse:
     """The finite expression universe: all atoms and all atom pairs.
 
-    ``index`` maps each of the m atoms to its position; ``len(universe)`` is
+    It is built from the declared names alone: ``TermUniverse(variables,
+    constants)`` checks that each is an ``IDENT_RE`` name declared once and
+    derives every field from them, so the only other names in a universe
+    are the two ``RESERVED_NAMES``. ``atoms`` is the variables, then the
+    constants, then the reserved pair. ``index`` maps each of the m atoms to
+    its position and ``by_name`` each name to its atom; ``len(universe)`` is
     |U| = m + m². ``terms`` is every atom and then, row by row, the pair of
     atoms i and j at position m + i*m + j; it is built on first read, by
     tests and the benchmark, never by the CLI. ``positions`` is the tuple
@@ -101,6 +108,24 @@ class TermUniverse:
     atoms: tuple[Atom, ...]
     index: dict[Atom, int]
     by_name: dict[str, Atom]
+
+    def __init__(self, variables: list[str], constants: list[str]) -> None:
+        seen: set[str] = set()
+        for name in [*variables, *constants]:
+            # the name rule: an identifier, declared once
+            if not IDENT_RE.match(name):
+                raise DeclarationError(f"invalid identifier {name!r}")
+            if name in seen:
+                raise DeclarationError(f"duplicate declaration of {name!r}")
+            seen.add(name)
+        fields = {
+            "variables": tuple(Atom(VARIABLE, n) for n in variables),
+            "constants": tuple(Atom(CONSTANT, n) for n in constants),
+            "reserved": (Atom(RESERVED, RESERVED_NAMES[0]), Atom(RESERVED, RESERVED_NAMES[1])),
+        }
+        atoms = fields["atoms"] = fields["variables"] + fields["constants"] + fields["reserved"]
+        fields.update(index={a: i for i, a in enumerate(atoms)}, by_name={a.name: a for a in atoms})
+        self.__dict__.update(fields)
 
     def __len__(self) -> int:
         return len(self.atoms) * (len(self.atoms) + 1)
@@ -124,29 +149,9 @@ class TermUniverse:
         return atom
 
 
-def build_universe(variables: list[str], constants: list[str]) -> TermUniverse:
-    """Build the universe for the declared names plus the reserved constants."""
-    seen: set[str] = set()
-    for name in list(variables) + list(constants):
-        if not IDENT_RE.match(name):
-            raise DeclarationError(f"invalid identifier {name!r}")
-        if name in seen:
-            raise DeclarationError(f"duplicate declaration of {name!r}")
-        seen.add(name)
-
-    var_atoms = tuple(Atom(VARIABLE, n) for n in variables)
-    const_atoms = tuple(Atom(CONSTANT, n) for n in constants)
-    reserved = (Atom(RESERVED, RESERVED_NAMES[0]), Atom(RESERVED, RESERVED_NAMES[1]))
-    atoms = var_atoms + const_atoms + reserved
-
-    return TermUniverse(
-        variables=var_atoms,
-        constants=const_atoms,
-        reserved=reserved,
-        atoms=atoms,
-        index={a: i for i, a in enumerate(atoms)},
-        by_name={a.name: a for a in atoms},
-    )
+# the universe of the declared names; the name ``program.parse_program``
+# calls and the benchmark traces
+build_universe = TermUniverse
 
 
 def parse_term(text: str, universe: TermUniverse) -> Term:

@@ -17,9 +17,7 @@ import pytest
 
 from herbrand import (
     TOP,
-    Atom,
     Partition,
-    TermUniverse,
     assign_transfer,
     bottom,
     build_universe,
@@ -33,7 +31,7 @@ from herbrand import (
 )
 from herbrand.cli import build_parser, main
 from herbrand.report import FORMATS, _Render, render_mop, render_points, render_verify
-from herbrand.terms import IDENT_RE, RESERVED, VARIABLE
+from herbrand.terms import IDENT_RE
 from helpers import (
     CORPUS_FILES,
     GridPartition,
@@ -237,43 +235,6 @@ def test_rows_sort_names_that_prefix_one_another():
     assert "\n  [V1, _v, v1+v1, v1+v10, v10+v1, v10+v10]\n" in written(emit_report, state, 2)
 
 
-def test_rows_sort_names_below_the_operator_sign():
-    # in a hand-built universe a name may hold characters that sort below
-    # "+": "a" < "a!", but "a!+b" < "a+b", so a row is sorted after its
-    # members are joined from the sorted names of its groups
-    names = ["a", "a!", "a-", "b", "c", "$nd1", "$nd2"]
-    atoms = tuple(Atom(VARIABLE, name) for name in names[:5]) + tuple(Atom(RESERVED, name) for name in names[5:])
-    universe = TermUniverse(
-        variables=atoms[:5],
-        constants=(),
-        reserved=atoms[5:],
-        atoms=atoms,
-        index={atom: i for i, atom in enumerate(atoms)},
-        by_name={atom.name: atom for atom in atoms},
-    )
-    # {a, a!} and {a-, b}, and c defined as the class of their pairs
-    p = Partition(universe, [0, 0, 1, 1, 2, 3, 4], [(2, 0, 1)])
-    state = (p, bottom(universe), p)
-    for full in (False, True):
-        _assert_same(written(emit_report, state, 0, "text", full), reference_emit_report(state, 0, "text", full), full)
-    listed = [["a", "a!"], ["a!+a", "a!+a!", "a+a", "a+a!"], ["a!+a-", "a!+b", "a+a-", "a+b", "c"]]
-    assert visible_classes(p)[:3] == listed
-
-
-def _hand_built_universe(names):
-    # variables with any names, which ``build_universe`` would refuse, and
-    # the reserved constants
-    atoms = tuple(Atom(VARIABLE, name) for name in names) + (Atom(RESERVED, "$nd1"), Atom(RESERVED, "$nd2"))
-    return TermUniverse(
-        variables=atoms[:-2],
-        constants=(),
-        reserved=atoms[-2:],
-        atoms=atoms,
-        index={atom: i for i, atom in enumerate(atoms)},
-        by_name={atom.name: atom for atom in atoms},
-    )
-
-
 def _row_shapes(p, count):
     """The shown rows of ``p`` without ``full``, by shape: "k" stands for an
     operand of two or more names."""
@@ -289,15 +250,16 @@ def _row_shapes(p, count):
 @pytest.mark.parametrize(
     "names",
     [
-        # names that prefix one another: each pair row over one name is one join
+        # names that prefix one another: "v1" < "v10", and "v1+w" < "v10+w"
         ["v1", "v10", "v1_", "V1", "_v", "w"],
-        # a character below "+" after the first: "v1!+w" < "v1+w", so a row
-        # over one right name is sorted after its members are joined
-        ["v1", "v1!", "v1$", "v1*", "v10", "w*", "w"],
+        # names whose later characters are the lowest the name rule admits,
+        # digits, just above "+": "w0+x" < "w00+x" < "w09+x" < "w0_+x"
+        ["w0", "w00", "w09", "w0_", "w", "W", "x"],
     ],
 )
 def test_both_row_formats_match_reference_on_hand_built_universes(names):
-    universe = _hand_built_universe(names)
+    # a universe over chosen names, and values with their labels set by hand
+    universe = build_universe(names, [])
     # the first three names one class and the next two another, with no
     # definition and with the sixth name defined as the pairs over them
     labels = [0, 0, 0, 3, 3] + list(range(5, len(universe.atoms)))
@@ -313,22 +275,29 @@ def test_both_row_formats_match_reference_on_hand_built_universes(names):
 
 
 def test_pair_rows_over_one_name_are_joined_without_a_sort(monkeypatch):
-    # only atom rows, triple rows and pair rows whose operands both have two
-    # or more names have their members formatted one by one and sorted
-    formatted = []
-    miss = _Render._miss
-    monkeypatch.setattr(_Render, "_miss", lambda render, memo, key, rows: formatted.append((key, rows)) or miss(render, memo, key, rows))
+    # no pair row (l, r), whatever the sizes of its operand groups, reaches
+    # the sort in ``_miss``: only atom-class rows (c, -1, -1) and triple
+    # rows (c, l, r) do
+    missed, paired = [], []
+    miss, pair = _Render._miss, _Render._pair
+    monkeypatch.setattr(_Render, "_miss", lambda render, memo, key, rows: missed.append(key) or miss(render, memo, key, rows))
+    monkeypatch.setattr(
+        _Render,
+        "_pair",
+        lambda render, memo, key, left, right: paired.append((len(left) > 1, len(right) > 1)) or pair(render, memo, key, left, right),
+    )
     universe, graph = parse_program(workloads.build("analyze-wide", 3)[0].program.text())
     result = solve(graph, universe)
     for fmt in FORMATS:
         for full in (False, True):
-            formatted.clear()
+            missed.clear()
+            paired.clear()
             written(emit_report, result.state, result.iterations, fmt, full)
-            pairs = [rows for key, rows in formatted if len(key) == 2]
-            assert len(formatted) > len(pairs) > 0, (fmt, full)
-            for rows in pairs:
-                left, right = zip(*(row.split("+") for row in rows))
-                assert len(set(left)) > 1 and len(set(right)) > 1, (fmt, full, rows)
+            assert all(len(key) == 3 for key in missed), (fmt, full)
+            atoms = [key for key in missed if key[1:] == (-1, -1)]
+            assert 0 < len(atoms) < len(missed), (fmt, full)
+            # the pair rows joined include rows over two groups of two or more
+            assert {(True, False), (False, True), (True, True)} <= set(paired), (fmt, full)
 
 
 def test_nodes_sharing_a_value_render_it_identically():
@@ -388,6 +357,9 @@ def test_report_names_need_no_json_escape():
     rng = random.Random(53)
     first = string.ascii_letters + "_"
     names = {"".join([rng.choice(first)] + rng.choices(first + string.digits, k=rng.randrange(12))) for _ in range(500)}
+    # and many extend another by one to three characters, as "v10" and
+    # "v1_" extend "v1"
+    names.update(name + "".join(rng.choices(first + string.digits, k=rng.randrange(1, 4))) for name in sorted(names)[::4])
     names = sorted(names)
     assert all(IDENT_RE.match(name) for name in names)
     universe = build_universe(names, [])
@@ -401,22 +373,19 @@ def test_report_names_need_no_json_escape():
     state = (bottom(universe), joined, assign_transfer(joined, z, parse_term(f"{x.name} + {y.name}", universe)))
     for full in (False, True):
         _assert_same(written(emit_report, state, 0, "json", full), reference_emit_report(state, 0, "json", full), full)
-
-
-def test_json_report_rejects_a_name_that_needs_an_escape():
-    atoms = (Atom(VARIABLE, 'a"b'), Atom(RESERVED, "$nd1"), Atom(RESERVED, "$nd2"))
-    universe = TermUniverse(
-        variables=atoms[:1],
-        constants=(),
-        reserved=atoms[1:],
-        atoms=atoms,
-        index={atom: i for i, atom in enumerate(atoms)},
-        by_name={atom.name: atom for atom in atoms},
-    )
-    for full in (False, True):
-        with pytest.raises(ValueError, match="needs a JSON escape"):
-            written(emit_report, [bottom(universe)], 0, "json", full)
-    assert '\n  [a"b+a"b]\n' in written(emit_report, [bottom(universe)], 0, "text", True)
+    # pair rows are joined in their groups' order with no sort, which must
+    # hold for names that prefix one another: 40 of them, each a prefix of
+    # the next or extending the one before it
+    chained = {name for pair in zip(names, names[1:]) if pair[1].startswith(pair[0]) for name in pair}
+    chosen = sorted(chained)[:40]
+    assert len(chosen) == 40
+    assert sum(b.startswith(a) for a, b in zip(chosen, chosen[1:])) >= 20
+    universe = build_universe(chosen, [])
+    state = tuple(rand_partition(universe, rng, steps=rng.randrange(2, 30)) for _ in range(40))
+    for fmt in FORMATS:
+        for full in (False, True):
+            got = written(emit_report, state, 0, fmt, full)
+            _assert_same(got, reference_emit_report(state, 0, fmt, full), (fmt, full))
 
 
 def test_emit_report_rejects_an_unknown_format():
@@ -543,6 +512,21 @@ def test_a_reader_that_closes_early_gives_one_io_error(tmp_path):
         child.stdout.close()
         _, err = child.communicate(timeout=60)
         assert (child.returncode, err) == (2, b"error[E_IO]: [Errno 32] Broken pipe\n"), argv
+
+
+def test_a_closed_stdout_gives_one_io_error(capsys, monkeypatch):
+    # with file descriptor 1 closed at start, Python sets ``sys.stdout`` to
+    # None: every subcommand writes one line to stderr and exits 2
+    program = str(PROGRAMS_DIR / "diamond.dfg")
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["check", program]) == 2
+    assert capsys.readouterr().err == "error[E_IO]: standard output is closed\n"
+    for command in ("analyze", "mop", "verify", "check"):
+        done = subprocess.run(
+            ["sh", "-c", '"$0" -m herbrand.cli "$@" >&-', sys.executable, command, program],
+            env=_child_env(), capture_output=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (2, b"error[E_IO]: standard output is closed\n"), command
 
 
 # Peak RSS in KiB (on Linux) of ``herbrand ARGS`` with its stdout sent to

@@ -1,12 +1,16 @@
 import random
+import re
+import string
 import tracemalloc
 
 import pytest
 
 from herbrand import (
+    Atom,
     DeclarationError,
     ParseError,
     Sum,
+    TermUniverse,
     bottom,
     build_universe,
     emit_report,
@@ -20,7 +24,7 @@ from herbrand import (
     term_value,
     verify_mop_mfp,
 )
-from herbrand.terms import MAX_SUM_DEPTH, MAX_TERM_DEPTH
+from herbrand.terms import CONSTANT, MAX_SUM_DEPTH, MAX_TERM_DEPTH, RESERVED, RESERVED_NAMES, VARIABLE
 from helpers import CORPUS_FILES, depth, load_program, substitute, universe_pairs, written
 
 
@@ -116,6 +120,55 @@ def test_universe_rejects_bad_identifiers():
         build_universe([""], [])
     with pytest.raises(DeclarationError):
         build_universe(["$nd1"], [])
+
+
+@pytest.mark.parametrize("name", ["a!", "v1$", 'a"b', "a\nnode 9: top", "$nd2"])
+def test_universe_rejects_a_name_outside_the_name_rule(name):
+    # no name that a report would have to escape, or that would forge a line
+    # of a text report, can reach a universe, as a variable or a constant
+    message = f"^invalid identifier {re.escape(repr(name))}$"
+    with pytest.raises(DeclarationError, match=message):
+        build_universe(["x", name], ["a"])
+    with pytest.raises(DeclarationError, match=message):
+        build_universe(["x"], ["a", name])
+    # names are checked in declaration order, each for its spelling first
+    with pytest.raises(DeclarationError, match=message):
+        build_universe([name, name], [])
+    with pytest.raises(DeclarationError, match="^duplicate declaration of 'x'$"):
+        build_universe(["x", "x", name], [])
+    with pytest.raises(DeclarationError, match="^duplicate declaration of 'x'$"):
+        build_universe(["x"], ["x", name])
+
+
+def test_a_universe_has_one_constructor_over_its_declared_names():
+    assert build_universe is TermUniverse
+    atoms = (Atom(VARIABLE, "x"), Atom(RESERVED, "$nd1"), Atom(RESERVED, "$nd2"))
+    with pytest.raises(TypeError):
+        TermUniverse(
+            variables=atoms[:1],
+            constants=(),
+            reserved=atoms[1:],
+            atoms=atoms,
+            index={atom: i for i, atom in enumerate(atoms)},
+            by_name={atom.name: atom for atom in atoms},
+        )
+
+
+def test_a_universe_derives_every_field_from_its_names():
+    rng = random.Random(61)
+    first = string.ascii_letters + "_"
+    for _ in range(50):
+        drawn = ("".join([rng.choice(first), *rng.choices(first + string.digits, k=rng.randrange(4))]) for _ in range(8))
+        names = list(dict.fromkeys(drawn))[: rng.randrange(9)]
+        k = rng.randrange(len(names) + 1)
+        u = build_universe(names[:k], names[k:])
+        assert [(a.kind, a.name) for a in u.variables] == [(VARIABLE, n) for n in names[:k]]
+        assert [(a.kind, a.name) for a in u.constants] == [(CONSTANT, n) for n in names[k:]]
+        assert [(a.kind, a.name) for a in u.reserved] == [(RESERVED, n) for n in RESERVED_NAMES]
+        assert u.atoms == u.variables + u.constants + u.reserved
+        assert u.index == {a: i for i, a in enumerate(u.atoms)}
+        assert u.by_name == {a.name: a for a in u.atoms}
+        assert len(u) == len(u.atoms) * (len(u.atoms) + 1)
 
 
 def test_parse_term_accepts_atoms_and_flat_sums(universe):
