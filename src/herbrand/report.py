@@ -12,29 +12,33 @@ One ``_Render`` serves one render call, in one format, and keeps nothing
 after it:
 
 * per universe, the visible names (all atoms with ``full``; otherwise those
-  below the reserved constants), the interned atom groups, one row memo
-  and, per distinct labels tuple (``Partition.atoms``), that tuple's groups and rows.
-  Each visible atom's one-atom group is interned once, with the universe.
-  The labels alone fix which atoms share a class, so ``_base`` works once
-  per labels tuple, however many values share it: it starts each class as
-  its representative's one-atom group, walks only the atoms that are not a
-  representative, interns each larger group once per render as its id and
-  sorted names, and lists, sorted, each atom class alone and each pair of
-  operand groups as a class of pairs only, the rows of a value with those
-  labels and no definition. A value's rows sort by their least members,
-  since classes are disjoint, and those members tell its rows apart, so
-  ``rows`` edits a copy of that list by bisection: it deletes the rows its
-  definition triples own (a triple's atom class and its operand pair) and
-  inserts one row per triple, the class's atoms and the pairs over its
-  operand groups. The memo is keyed by a row's group ids and holds its
-  least member and its text. A miss formats only that row's members, so no
-  table of the m² pair names is built, and a row that recurs across the
-  values of a report is formatted once. A pair row over groups l × r is one
-  join with no sort: its members ``a+b``, for each name ``a`` of l and then
-  each name ``b`` of r, are in order, since both groups are sorted and
-  every character after a name's first sorts above ``+``. An atom class's
-  row is its group's sorted names. Only a triple row, which merges a
-  class's atoms with its pairs, is sorted after its members are formatted;
+  below the reserved constants), the interned atom groups, their row
+  vectors, one memo of the other rows and, per distinct labels tuple
+  (``Partition.atoms``), that tuple's groups and rows. Group 0 is the empty
+  group and group i + 1 visible atom i alone. The labels alone fix which
+  atoms share a class, so ``_base`` works once per labels tuple, however
+  many values share it: it walks only the atoms that are not a
+  representative, interns each group of two or more once per render as
+  its id and sorted names, and lists, sorted, each atom class alone and
+  each pair of operand groups as a class of pairs only, the rows of a
+  value with those labels and no definition. A group's rows are formatted
+  once per render, when it is first shown: its atom-class row, its sorted
+  names joined, and its row vector, the pair rows ``group + b`` for each
+  visible name b and then, for a group of two or more, ``a + group`` for
+  each a. Each half of a vector is built in one C-level pass that fills a
+  per-group template, and its rows are in order with no sort, since the
+  group is sorted and every character after a name's first sorts above
+  ``+``. A labels tuple gathers its rows over one-atom classes from the
+  vectors with ``compress``, so every labels tuple that shows a group
+  shares its rows, and only a shown group has a vector. A pair row over
+  two groups of two or more is one join with no sort, kept in the memo by
+  the groups' ids. Only a triple row, which merges a class's atoms with
+  the pairs over its operand groups, is sorted after its members are
+  formatted; the memo keeps it by its triple. A value's rows sort by
+  their least members, since classes are disjoint, and those members tell
+  its rows apart, so ``rows`` edits a copy of its labels' list by
+  bisection: it deletes the rows its definition triples own (a triple's
+  atom class and its operand pair) and inserts one triple row per triple;
 * one entry memo keyed by value. A point's entry is what follows
   ``node k: `` in text and the ``"id"`` field in JSON. Each distinct value's
   entry is rendered once from its class rows, so a value's classes are
@@ -61,8 +65,8 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, insort
-from itertools import chain, compress
-from operator import itemgetter, ne
+from itertools import chain, compress, repeat
+from operator import add, eq, itemgetter, ne
 from typing import Iterable, TextIO
 
 from .congruence import LatticeElem, Partition, is_top
@@ -103,17 +107,31 @@ _State = tuple[LatticeElem, ...]
 _Row = tuple[str, str]
 # an interned atom group: its id in the render and its sorted visible names
 _Group = tuple[int, list[str]]
-# one labels tuple's groups, keyed by representative, and the sorted rows of
-# a value with those labels and no definition
-_Base = tuple[dict[int, _Group], list[_Row]]
-# one universe's visible names, their interned groups (each visible atom's
-# one-atom group among them), row memo and labels' bases
-_Known = tuple[list[str], dict[tuple[int, ...], _Group], dict[tuple, _Row], dict[tuple[int, ...], _Base]]
+# one labels tuple's groups, by representative (each other atom has its
+# one-atom group), and the sorted rows of a value with those labels and no
+# definition
+_Base = tuple[list[_Group], list[_Row]]
+# an interned group's atom-class row and its row vector: its pair rows
+# ``group + b`` for each visible name b, then, for a group of two or more,
+# ``a + group`` for each a
+_Vectors = tuple[_Row, list[_Row]]
+# one universe's visible names, each atom's one-atom group (the empty group
+# for a hidden atom), the interned groups of two or more names, the groups'
+# row vectors by id, the memo of the other rows and the labels' bases
+_Known = tuple[
+    list[str],
+    list[_Group],
+    dict[tuple[int, ...], _Group],
+    dict[int, _Vectors],
+    dict[tuple, _Row],
+    dict[tuple[int, ...], _Base],
+]
 
 
 class _Render:
     """One render call: per universe its visible names, interned atom groups,
-    row memo and labels' bases, and each value's entry."""
+    their row vectors, the row memo and labels' bases, and each value's
+    entry."""
 
     def __init__(self, fmt: str, full: bool) -> None:
         self.json = _is_json(fmt)
@@ -134,100 +152,117 @@ class _Render:
         known = self.universes.get(elem.universe)
         if known is None:
             names = [atom.name for atom in elem.universe.atoms]
-            if not self.full:
-                names = names[: len(names) - len(elem.universe.reserved)]
-            # the empty group, then each visible atom alone
-            ids = {(): (0, [])}
-            ids.update(((i,), (i + 1, [name])) for i, name in enumerate(names))
-            known = self.universes[elem.universe] = (names, ids, {}, {})
-        names, ids, memo, bases = known
+            hidden = 0 if self.full else len(elem.universe.reserved)
+            names = names[: len(names) - hidden]
+            # group 0 is the empty group, and group i + 1 visible atom i alone
+            alone = [(i + 1, [name]) for i, name in enumerate(names)] + [(0, [])] * hidden
+            known = self.universes[elem.universe] = (names, alone, {}, {}, {}, {})
+        memo, bases = known[4:]
         base = bases.get(elem.atoms)
         if base is None:
-            base = bases[elem.atoms] = self._base(elem.atoms, names, ids, memo)
+            base = bases[elem.atoms] = self._base(elem.atoms, known)
         groups, shown = base
         rows = shown[:]
-        # a class with no visible atom has the empty group
-        empty = ids[()]
         least = self.least
         # each triple (c, l, r) owns atom class c and the operand pair (l, r):
         # it swaps their rows for its own; classes are disjoint, so rows sort
         # by their least members, and a row is found by its least member
         for c, lc, rc in elem.defs:
-            (c, own), (l, left), (r, right) = groups.get(c, empty), groups.get(lc, empty), groups.get(rc, empty)
+            (c, own), (l, left), (r, right) = groups[c], groups[lc], groups[rc]
             if len(own) >= least:
-                del rows[bisect_left(rows, (memo[c, -1, -1][0],))]
+                del rows[bisect_left(rows, (own[0],))]
             pairs = len(left) * len(right)
             if pairs >= least:
-                del rows[bisect_left(rows, (memo[l, r][0],))]
+                del rows[bisect_left(rows, (left[0] + "+" + right[0],))]
             if len(own) + pairs >= least:
                 key = (c, l, r)
                 insort(rows, memo.get(key) or self._miss(memo, key, [f"{a}+{b}" for a in left for b in right] + own))
         return rows
 
-    def _base(
-        self,
-        atoms: tuple[int, ...],
-        names: list[str],
-        ids: dict[tuple[int, ...], _Group],
-        memo: dict[tuple, _Row],
-    ) -> _Base:
-        """The interned atom groups of one labels tuple, keyed by
-        representative, and the sorted rows of a value with those labels
-        and no definition: each atom class alone, and each operand class
-        pair as a class of pairs only."""
-        # each shown class's visible atoms, interned as (id, sorted names) and
-        # keyed by its representative, in ascending order; a visible atom's
-        # representative is at most its own index, so is visible too. Each
-        # class starts as its representative's one-atom group, and only the
-        # atoms that are not a representative join their class's group
+    def _base(self, atoms: tuple[int, ...], known: _Known) -> _Base:
+        """The atom groups of one labels tuple, by representative, and the
+        sorted rows of a value with those labels and no definition: each
+        atom class alone, and each operand class pair as a class of pairs
+        only."""
+        names, alone, ids, vectors, memo, _ = known
+        # each class with two or more visible atoms, interned as (id, sorted
+        # names); a visible atom's representative is at most its own index,
+        # so is visible too. Every other class keeps its representative's
+        # one-atom group, so only the atoms that are not a representative
+        # are walked
         k = len(names)
-        groups = {c: ids[c,] for c in dict.fromkeys(atoms[:k])}
         merged: dict[int, list[int]] = {}
         for i in compress(range(k), map(ne, atoms, range(k))):
             merged.setdefault(atoms[i], [atoms[i]]).append(i)
+        groups = alone[:]
+        # whether each visible atom is a class alone: its index is its
+        # place in both halves of a row vector
+        single = list(map(eq, atoms, range(k)))
+        shared = []
         for c, group in merged.items():
             key = tuple(group)
             interned = ids.get(key)
             if interned is None:
-                interned = ids[key] = (len(ids), sorted([names[i] for i in group]))
+                interned = ids[key] = (k + 1 + len(ids), sorted([names[i] for i in group]))
             groups[c] = interned
-        # a class of pairs over (l, r) has |l| * |r| members, so below
-        # ``least`` a one-atom l needs an r of two or more
-        least = self.least
-        shared = [group for group in groups.values() if len(group[1]) > 1]
+            shared.append(interned)
+            single[c] = False
         rows = []
-        for l, left in groups.values():
-            if len(left) >= least:
-                key = (l, -1, -1)
-                rows.append(memo.get(key) or self._miss(memo, key, left[:]))
-            for r, right in groups.values() if len(left) >= least else shared:
-                key = (l, r)
-                rows.append(memo.get(key) or self._pair(memo, key, left, right))
+        # a class of pairs over (l, r) has |l| * |r| members: over a group
+        # of two or more it is shown, over two one-atom groups only with
+        # ``full``, as is a one-atom class
+        halves = single * 2
+        for l, left in shared:
+            row, vector = vectors.get(l) or self._vectors(vectors, l, left, names)
+            rows.append(row)
+            rows += compress(vector, halves)
+            for r, right in shared:
+                rows.append(memo.get((l, r)) or self._pair(memo, (l, r), left, right))
+        if self.full:
+            for c in compress(range(k), single):
+                row, vector = vectors.get(c + 1) or self._vectors(vectors, c + 1, alone[c][1], names)
+                rows.append(row)
+                rows += compress(vector, single)
         rows.sort(key=itemgetter(0))
         return groups, rows
 
-    def _pair(self, memo: dict[tuple, _Row], key: tuple, left: list[str], right: list[str]) -> _Row:
-        """Format and keep the row of the pairs over two groups: "a+b" for
-        each name a of the left group and then each name b of the right
-        group, joined with no sort. Both groups are sorted, and under
+    def _vectors(self, vectors: dict[int, _Vectors], l: int, group: list[str], names: list[str]) -> _Vectors:
+        """Format and keep the rows of interned group ``l``: its atom-class
+        row, its sorted names joined, and its row vector, the pair rows of
+        ``group + b`` for each visible name b and then, for a group of two
+        or more, of ``a + group`` for each visible name a (a one-atom
+        class's row ``a + c`` is in a's own first half). Each half is one
+        C-level pass that fills a template, in which "\0" stands for the
+        other name, and pairs it with the row's least member. Over one name
+        b, ``a+b`` < ``a'+b`` whenever ``a`` < ``a'``, since under
         ``TermUniverse``'s name rule every character after a name's first
-        sorts above "+", so ``a+b`` < ``a'+b'`` whenever ``a`` < ``a'``: the
-        members are already in order. Over one right name b, or one left
-        name a, the row is one join of the other group's names."""
+        sorts above "+": the group's sorted names give sorted members, with
+        no sort."""
         head, sep, tail = self.row
-        if len(right) == 1:
-            b = "+" + right[0]
-            members = (b + sep).join(left) + b
-        elif len(left) == 1:
-            a = left[0] + "+"
-            members = a + (sep + a).join(right)
-        else:
-            members = sep.join([a + "+" + (sep + a + "+").join(right) for a in left])
+        first = group[0]
+        after = head + ("+\0" + sep).join(group) + "+\0" + tail
+        leasts = map(add, repeat(first + "+"), names)
+        texts = map(after.replace, repeat("\0"), names)
+        if len(group) > 1:
+            before = head + "\0+" + (sep + "\0+").join(group) + tail
+            leasts = chain(leasts, map(add, names, repeat("+" + first)))
+            texts = chain(texts, map(before.replace, repeat("\0"), names))
+        rows = vectors[l] = ((first, head + sep.join(group) + tail), list(zip(leasts, texts)))
+        return rows
+
+    def _pair(self, memo: dict[tuple, _Row], key: tuple, left: list[str], right: list[str]) -> _Row:
+        """Format and keep the row of the pairs over two groups of two or
+        more names: "a+b" for each name a of the left group and then each
+        name b of the right group, joined with no sort, in order as in a
+        row vector's."""
+        head, sep, tail = self.row
+        members = sep.join([a + "+" + (sep + a + "+").join(right) for a in left])
         row = memo[key] = (f"{left[0]}+{right[0]}", head + members + tail)
         return row
 
     def _miss(self, memo: dict[tuple, _Row], key: tuple, members: list[str]) -> _Row:
-        """Format and keep a row not yet in ``memo``, from its members."""
+        """Format and keep a triple row not yet in ``memo``, from its
+        members: the one row whose members are sorted here."""
         members.sort()
         head, sep, tail = self.row
         row = memo[key] = (members[0], head + sep.join(members) + tail)

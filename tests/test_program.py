@@ -420,6 +420,19 @@ def test_cli_golden_reports(capsys):
         assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"), name
 
 
+def test_cli_golden_name_order_reports(capsys):
+    # names declared out of sorted order (vars v2 v10 v1 x, consts b a):
+    # rows list sorted members and sort by their least ones, so v1+v10
+    # comes before v10+v1, and --full adds the reserved $nd1 and $nd2
+    path = str(GOLDEN_DIR / "name_order.dfg")
+    for flags, golden in (([], "name_order.txt"), (["--format", "json"], "name_order.json"),
+                          (["--full", "--format", "json"], "name_order_full.json")):
+        code, out, _ = _run(capsys, "analyze", path, *flags)
+        assert code == 0
+        assert out == (GOLDEN_DIR / golden).read_text(encoding="utf-8"), golden
+    assert "[v1+v1, v1+v10, v10+v1, v10+v10, x]" in (GOLDEN_DIR / "name_order.txt").read_text(encoding="utf-8")
+
+
 def test_cli_full_exposes_hidden_classes(capsys):
     path = str(PROGRAMS_DIR / "straight_line.dfg")
     code, out, _ = _run(capsys, "analyze", path, "--format", "json", "--full")
