@@ -34,10 +34,12 @@ hash equal. The meet is the product of the two partitions (Kildall, POPL
 1973). ``meet`` builds it only when five cheap exits fail, in this order:
 the same object on both sides, ``TOP`` on either side, the universe check,
 the finest congruence on either side, and a left operand that refines the
-right, which an equal left operand does. All but the last cost O(1) or one
-tuple compare; the refinement test is one O(m) map and compare plus one
-lookup per left definition. The running path meet of ``mop_table`` rarely
-gets past them; the README gives the counts on the ``perfbench`` chains.
+right, which an equal left operand does. All but the last cost O(1): a
+value flags itself as the finest congruence when it is built. The
+refinement test is one O(m) label map in one C call and one tuple compare,
+plus one lookup per left definition. The running path meet of
+``mop_table`` rarely gets past them; the README gives the counts on the
+``perfbench`` chains.
 
 ``term_value`` folds a term of any depth bottom-up into an ``int`` class
 name or a pair (tuple) of operand values, collapsing each operand pair of
@@ -58,6 +60,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
 from itertools import count
+from operator import itemgetter
 from typing import Union
 
 from .errors import DeclarationError, UniverseMismatchError
@@ -97,8 +100,10 @@ class Partition:
     universe pair can then reach it. A triple that is not three keys raises
     ``ValueError``, and so do two triples for one class and two classes with
     one definition, which would be one class. The hash is computed once per
-    value, in the constructor. The repr shows the labels and the triples,
-    not the universe.
+    value, in the constructor, and so is the ``_finest`` flag that ``meet``
+    reads: no triple and every atom its own representative. Neither is a
+    field, so ``==``, the repr and ``dataclasses.replace`` ignore them. The
+    repr shows the labels and the triples, not the universe.
     """
 
     universe: TermUniverse
@@ -121,7 +126,10 @@ class Partition:
             if len({triple[0] for triple in out}) != len(out) or len({triple[1:] for triple in out}) != len(out):
                 raise ValueError("two atom classes share a definition, or one class has two")
         triples = tuple(out)
-        self.__dict__.update(universe=universe, atoms=labels, defs=triples, _hash=hash((labels, triples)))
+        finest = not triples and labels == universe.positions
+        self.__dict__.update(
+            universe=universe, atoms=labels, defs=triples, _hash=hash((labels, triples)), _finest=finest
+        )
 
     def __hash__(self) -> int:
         # equal partitions have equal labels and definitions; the generated
@@ -195,13 +203,14 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
     3. Different universes raise ``UniverseMismatchError``.
     4. The finest congruence, no definition and every atom its own
        representative, on either side: that side, ``l1`` tested first. It
-       is the least element, so it is the product. One emptiness test and
-       one tuple compare per side.
+       is the least element, so it is the product. One read per side of
+       the flag the constructor set.
     5. ``l1`` refines ``l2``: ``l1``. Each atom's ``l1`` representative must
-       have the atom's ``l2`` label, one O(m) map and tuple compare; then
-       each ``l1`` triple, read through ``l2``'s labels, must be an ``l2``
-       triple. An ``l1`` equal to ``l2`` refines it, so equal values
-       return ``l1`` here.
+       have the atom's ``l2`` label: the label image is built by one
+       ``itemgetter`` call and compared with ``l2``'s labels, O(m) in C.
+       Then, only when ``l1`` has triples, each one, read through ``l2``'s
+       labels, must be an ``l2`` triple. An ``l1`` equal to ``l2`` refines
+       it, so equal values return ``l1`` here.
     """
     if l1 is l2:
         return l1
@@ -211,18 +220,18 @@ def meet(l1: LatticeElem, l2: LatticeElem) -> LatticeElem:
         return l1
     if l1.universe is not l2.universe:
         raise UniverseMismatchError("partitions built over different universes")
-    atoms1, atoms2, defs1, defs2 = l1.atoms, l2.atoms, l1.defs, l2.defs
     # the finest congruence is the least element: its product with any
     # congruence has m singleton atom classes and no definition, so is itself
-    finest = l1.universe.positions
-    if not defs1 and atoms1 == finest:
+    if l1._finest:
         return l1
-    if not defs2 and atoms2 == finest:
+    if l2._finest:
         return l2
+    atoms1, atoms2, defs1, defs2 = l1.atoms, l2.atoms, l1.defs, l2.defs
     # the product has l1's atom classes, each inside one l2 class; it keeps
-    # l1's definitions when l2 defines each such class by the operands' ones
-    if tuple(map(atoms2.__getitem__, atoms1)) == atoms2 and all(
-        (atoms2[c], atoms2[l], atoms2[r]) in defs2 for c, l, r in defs1
+    # l1's definitions when l2 defines each such class by the operands' ones.
+    # m >= 2 (the reserved pair), so the getter always returns a tuple
+    if itemgetter(*atoms1)(atoms2) == atoms2 and (
+        not defs1 or all((atoms2[c], atoms2[l], atoms2[r]) in defs2 for c, l, r in defs1)
     ):
         return l1
     defs = [((c1, c2), (a1, a2), (b1, b2)) for c1, a1, b1 in defs1 for c2, a2, b2 in defs2]

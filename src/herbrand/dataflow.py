@@ -82,9 +82,11 @@ def validate_graph(
     """Check the structural rules and return an immutable graph.
 
     Node ids and predecessors are plain ``int``s (a ``bool`` is not one),
-    ``preds`` is a mapping and each predecessor list is a sequence; anything
-    else raises ``GraphError``.
+    ``kinds`` and ``preds`` are mappings and each predecessor list is a
+    sequence; anything else raises ``GraphError``.
     """
+    if not isinstance(kinds, Mapping):
+        raise GraphError(f"node kinds {kinds!r} are not a mapping")
     for k in kinds:
         if type(k) is not int:
             raise GraphError(f"node id {k!r} is not an int")

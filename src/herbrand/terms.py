@@ -98,8 +98,10 @@ class TermUniverse:
     |U| = m + m². ``terms`` is every atom and then, row by row, the pair of
     atoms i and j at position m + i*m + j; it is built on first read, by
     tests and the benchmark, never by the CLI. ``positions`` is the tuple
-    0..m-1, built on first read by ``bottom`` or ``meet``. Universes compare
-    by identity; one run shares one universe.
+    0..m-1, built on first read by ``bottom`` or by the ``Partition``
+    constructor, which compares the labels of a value with no triple to it
+    once and sets the flag that ``meet`` reads in its place. Universes
+    compare by identity; one run shares one universe.
     """
 
     variables: tuple[Atom, ...]

@@ -19,6 +19,7 @@ from herbrand import (
     is_top,
     meet,
     mop_table,
+    nondet_transfer,
     occurs,
     parse_program,
     parse_term,
@@ -48,6 +49,7 @@ from helpers import (
     meet_all,
     num_classes,
     rand_partition,
+    rand_rhs,
     rand_universe,
     reference_meet,
     reference_refines,
@@ -58,6 +60,7 @@ from helpers import (
 # the benchmark's program generator, read only
 sys.path.append(str(ROOT / "perfbench"))
 import gen  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.fixture
@@ -123,9 +126,10 @@ def test_term_value_keeps_unmatched_structure(u):
 
 
 def test_queries_leave_a_value_as_built():
-    # a value holds its labels, triples and hash; a class query reads the
-    # triples and stores nothing, so no value gains state after construction
-    fields = {"universe", "atoms", "defs", "_hash"}
+    # a value holds its labels, triples, hash and finest flag; a class query
+    # reads the triples and stores nothing, so no value gains state after
+    # construction
+    fields = {"universe", "atoms", "defs", "_hash", "_finest"}
     for name, text in full_corpus():
         universe, graph = parse_program(text)
         for p in solve(graph, universe).state:
@@ -247,6 +251,28 @@ def test_meet_exit_the_finest_operand_absorbs_the_meet(u, monkeypatch):
             assert meet(p, b) is b
             assert meet(b, p) is b
     assert built[0] == 0
+
+
+def test_finest_flag_is_set_at_construction():
+    # the flag meet's fourth exit reads: no triple and every atom its own
+    # representative, however the value was built
+    rng = random.Random(41)
+    values = []
+    for names in ((["x", "y"], ["a", "b"]), (["x"], []), (["x", "y", "z"], ["a"])):
+        universe = build_universe(*names)
+        finest = bottom(universe)
+        x = universe.variables[0]
+        randoms = [rand_partition(universe, rng) for _ in range(25)]
+        transfers = [assign_transfer(p, x, rand_rhs(universe, rng, x) or universe.reserved[0]) for p in randoms]
+        transfers += [nondet_transfer(p, x) for p in [finest, *randoms]]
+        products = [meet(p, q) for p, q in zip(randoms, transfers)]
+        raw = [_relabeled(finest, lambda c: ("raw", -c)), _relabeled(finest, str)]
+        built = [finest, *randoms, *transfers, *products, *raw]
+        values += built + [dataclasses.replace(p) for p in built]
+    for p in values:
+        assert p._finest == (not p.defs and p.atoms == tuple(range(len(p.atoms)))), p
+    assert any(p._finest and p is not bottom(p.universe) for p in values)
+    assert any(not p.defs and not p._finest for p in values)
 
 
 def test_partition_repr_shows_labels_and_triples_not_the_universe():
@@ -421,6 +447,47 @@ def test_frontier_meets_with_a_finest_operand_return_it(monkeypatch):
     monkeypatch.setattr("herbrand.mop.meet", counting_meet)
     mop_table(graph, universe, 15)
     assert (calls, absorbed) == (61, 16)
+
+
+def test_frontier_meets_take_the_exits_the_readme_counts(monkeypatch):
+    # the seed-3 verify-paths chains: every frontier meet, classified by the
+    # first exit it meets, and each exit returns what it says
+    counts = dict.fromkeys(("same", "top", "equal", "finest", "refines", "product"), 0)
+    top_left = 0
+
+    def classifying_meet(l1, l2):
+        nonlocal top_left
+        met = meet(l1, l2)
+        if l1 is l2:
+            kind = "same"
+            assert met is l1
+        elif is_top(l1) or is_top(l2):
+            kind = "top"
+            top_left += is_top(l1)
+            assert met is (l2 if is_top(l1) else l1)
+        elif l1 == l2:
+            kind = "equal"
+            assert met is l1
+        elif finest in (l1, l2):
+            kind = "finest"
+            assert met is (l1 if l1 == finest else l2)
+        elif met is l1:
+            kind = "refines"
+            assert not l1.defs
+        else:
+            kind = "product"
+            assert met is not l2 and met != l1
+        counts[kind] += 1
+        return met
+
+    monkeypatch.setattr("herbrand.mop.meet", classifying_meet)
+    for case in workloads.build("verify-paths", 3):
+        universe, graph = parse_program(case.program.text())
+        finest = bottom(universe)
+        max_len = int(case.args[case.args.index("--max-len") + 1])
+        mop_table(graph, universe, max_len)
+    assert counts == dict(same=49472, top=173, equal=0, finest=42135, refines=4170, product=291)
+    assert sum(counts.values()) == 96241 and top_left == 173
 
 
 def test_equal_partitions_hash_equal(u):

@@ -103,6 +103,11 @@ def test_every_kind_is_checked_against_its_arity(kinds, preds):
         pytest.param({1: Entry()}, [1], "predecessors [1] are not a mapping", None, id="preds-list"),
         pytest.param({1: Entry()}, (1,), "predecessors (1,) are not a mapping", None, id="preds-tuple"),
         pytest.param({1: Entry()}, None, "predecessors None are not a mapping", None, id="preds-none"),
+        pytest.param(None, {}, "node kinds None are not a mapping", None, id="kinds-none"),
+        pytest.param(
+            {1: Entry()}.keys(), {}, "node kinds dict_keys([1]) are not a mapping", None, id="kinds-keys"
+        ),
+        pytest.param([Entry()], {}, "node kinds [Entry()] are not a mapping", None, id="kinds-list"),
     ],
 )
 def test_malformed_ids_and_predecessor_lists_rejected(kinds, preds, message, node):
