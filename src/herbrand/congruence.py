@@ -58,13 +58,12 @@ only path, but ``equivalent`` returns ``False`` there.
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from dataclasses import dataclass
 from itertools import count
 from operator import itemgetter
 from typing import Union
 
 from .errors import DeclarationError, UniverseMismatchError
-from .terms import Atom, Sum, Term, TermUniverse
+from .terms import Atom, Frozen, Sum, Term, TermUniverse
 
 
 class Top:
@@ -83,8 +82,7 @@ class Top:
 TOP = Top()
 
 
-@dataclass(frozen=True, init=False)
-class Partition:
+class Partition(Frozen):
     """A congruence of the universe terms, labeled by representatives.
 
     ``atoms[i]`` is the least atom index of the class of
@@ -102,13 +100,12 @@ class Partition:
     one definition, which would be one class. The hash is computed once per
     value, in the constructor, and so is the ``_finest`` flag that ``meet``
     reads: no triple and every atom its own representative. Neither is a
-    field, so ``==``, the repr and ``dataclasses.replace`` ignore them. The
-    repr shows the labels and the triples, not the universe.
+    field, so ``==`` ignores them and a value rebuilt from its own fields
+    gets them again. The repr shows the labels and the triples, not the
+    universe.
     """
 
-    universe: TermUniverse
-    atoms: tuple[int, ...]
-    defs: tuple[tuple[int, int, int], ...]
+    _fields = ("universe", "atoms", "defs")
 
     def __init__(self, universe: TermUniverse, atoms: Iterable[Hashable], defs: Iterable[tuple]) -> None:
         ids: dict[Hashable, int] = {}
@@ -131,9 +128,18 @@ class Partition:
             universe=universe, atoms=labels, defs=triples, _hash=hash((labels, triples)), _finest=finest
         )
 
+    def __eq__(self, other: object) -> bool:
+        # the fields' ``==``; equal values have equal hashes, so one int
+        # compare tells most unequal values apart
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self.atoms == other.atoms and self.defs == other.defs and (
+            self.universe is other.universe
+        )
+
     def __hash__(self) -> int:
-        # equal partitions have equal labels and definitions; the generated
-        # __eq__ still tells partitions over different universes apart
+        # equal partitions have equal labels and definitions; ``==`` still
+        # tells partitions over different universes apart
         return self._hash
 
     def __repr__(self) -> str:

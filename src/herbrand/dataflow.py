@@ -30,23 +30,20 @@ per iterate.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .congruence import LatticeElem, TOP, bottom, is_top, meet
 from .errors import GraphError, IterationLimitError
-from .terms import TermUniverse
+from .terms import Frozen, TermUniverse
 from .transfer import Assign, NonDet, apply_statement
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Frozen):
     pass
 
 
-@dataclass(frozen=True)
-class Confluence:
+class Confluence(Frozen):
     pass
 
 
@@ -55,11 +52,11 @@ NodeKind = Union[Entry, Assign, NonDet, Confluence]
 ARITY = {Entry: 0, Assign: 1, NonDet: 1, Confluence: 2}
 
 
-@dataclass(frozen=True)
-class FlowGraph:
-    n: int
-    kinds: tuple[NodeKind, ...]
-    preds: tuple[tuple[int, ...], ...]
+class FlowGraph(Frozen):
+    _fields = ("n", "kinds", "preds")
+
+    def __init__(self, n: int, kinds: tuple[NodeKind, ...], preds: tuple[tuple[int, ...], ...]) -> None:
+        self.__dict__.update(n=n, kinds=kinds, preds=preds)
 
     @cached_property
     def succs(self) -> tuple[tuple[int, ...], ...]:
@@ -171,8 +168,7 @@ def composite_step(
     return tuple(out)
 
 
-@dataclass
-class SolveResult:
+class SolveResult(NamedTuple):
     state: tuple[LatticeElem, ...]
     iterations: int
     trace: list[tuple[LatticeElem, ...]] | None = None

@@ -26,12 +26,10 @@ scratch, live with the tests and cross-check ``mop_table`` there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .congruence import LatticeElem, TOP, bottom, meet
 from .dataflow import Confluence, FlowGraph, solve
 from .errors import PathLimitError
-from .terms import TermUniverse
+from .terms import Frozen, TermUniverse
 from .transfer import apply_statement
 
 DEFAULT_PATH_CAP = 10**6
@@ -118,14 +116,29 @@ def stabilized(rows: list[tuple[LatticeElem, ...]]) -> bool:
     return len(rows) >= 2 and rows[-2] == rows[-1]
 
 
-@dataclass
-class VerifyReport:
-    node_count: int
-    max_len: int
-    stabilized: bool
-    checks: int = 0
-    iterate_mismatches: list[tuple[int, int]] = field(default_factory=list)
-    fixpoint_mismatches: list[int] = field(default_factory=list)
+class VerifyReport(Frozen):
+    """What ``verify_mop_mfp`` found: its fields are set once, and its two
+    lists are built before it is."""
+
+    _fields = ("node_count", "max_len", "stabilized", "checks", "iterate_mismatches", "fixpoint_mismatches")
+
+    def __init__(
+        self,
+        node_count: int,
+        max_len: int,
+        stabilized: bool,
+        checks: int = 0,
+        iterate_mismatches: list[tuple[int, int]] | None = None,
+        fixpoint_mismatches: list[int] | None = None,
+    ) -> None:
+        self.__dict__.update(
+            node_count=node_count,
+            max_len=max_len,
+            stabilized=stabilized,
+            checks=checks,
+            iterate_mismatches=[] if iterate_mismatches is None else iterate_mismatches,
+            fixpoint_mismatches=[] if fixpoint_mismatches is None else fixpoint_mismatches,
+        )
 
     @property
     def ok(self) -> bool:
@@ -148,27 +161,20 @@ def verify_mop_mfp(
     solved = solve(graph, universe, trace=True)
     trace = solved.trace
     assert trace is not None
-    report = VerifyReport(
-        node_count=graph.n,
-        max_len=max_len,
-        stabilized=stabilized(rows),
-        checks=graph.n * max(max_len + 1, 0),
-    )
     # from length ``last`` on, both tables repeat their last rows, which
     # are compared once and stand for every remaining length
     last = max(len(rows), len(trace)) - 1
+    mismatches = []
     for l in range(min(max_len, last) + 1):
         row, iterate = _row(rows, l), _row(trace, l)
         for k in range(1, graph.n + 1):
             if row[k - 1] != iterate[k - 1]:
-                report.iterate_mismatches.append((k, l))
-    at_last = [k for k, l in report.iterate_mismatches if l == last]
+                mismatches.append((k, l))
+    at_last = [k for k, l in mismatches if l == last]
     # the tail is walked only when it lists something, so an agreeing
     # report takes no time per length past both ends
     if at_last:
-        report.iterate_mismatches += [(k, l) for l in range(last + 1, max_len + 1) for k in at_last]
-    if report.stabilized:
-        for k in range(1, graph.n + 1):
-            if rows[-1][k - 1] != solved.state[k - 1]:
-                report.fixpoint_mismatches.append(k)
-    return report
+        mismatches += [(k, l) for l in range(last + 1, max_len + 1) for k in at_last]
+    done = stabilized(rows)
+    fixpoint = [k for k in range(1, graph.n + 1) if rows[-1][k - 1] != solved.state[k - 1]] if done else []
+    return VerifyReport(graph.n, max_len, done, graph.n * max(max_len + 1, 0), mismatches, fixpoint)

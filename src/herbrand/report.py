@@ -51,7 +51,10 @@ after it:
 
 This module is the only one that knows how a report looks: every
 subcommand's report, ``verify``'s and ``check``'s included, is rendered
-here, and ``FORMATS`` lists the formats. Every report is written, not
+here, and ``FORMATS`` lists the formats. Every JSON report, its head fields
+and ``verify``'s whole report included, has the layout of
+``json.dumps(indent=2)`` and is written directly, by ``_json_value`` and
+``_json_array``: the module imports no ``json``. Every report is written, not
 returned: each writer (``render_points``, ``emit_report``, ``render_mop``,
 ``render_verify`` and ``render_check``) takes the output stream ``out``
 first, writes to it and returns nothing. It writes one piece per point of
@@ -63,7 +66,6 @@ before the first piece.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left, insort
 from itertools import chain, compress, repeat
 from operator import add, eq, itemgetter, ne
@@ -81,6 +83,24 @@ def _is_json(fmt: str) -> bool:
     if fmt not in FORMATS:
         raise ValueError(f"unknown report format {fmt!r}, expected one of {FORMATS}")
     return fmt == "json"
+
+
+def _json_value(value: object, indent: str) -> str:
+    """A report field's value in JSON, as ``json.dumps(indent=2)`` writes it
+    at ``indent``: a boolean, an integer, a solver name, which JSON escapes
+    nothing of, or a list or tuple of them."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, (list, tuple)):
+        return _json_array([_json_value(item, indent + "  ") for item in value], indent)
+    return str(value)
+
+
+def _json_fields(fields: dict) -> list[str]:
+    """Each field as a member of a top-level JSON object, without its comma."""
+    return [f'  "{key}": {_json_value(value, "  ")}' for key, value in fields.items()]
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -320,8 +340,7 @@ def render_points(
             out.write(f"{key}: {'yes' if value is True else 'no' if value is False else value}\n")
         out.writelines(chain(points, iterates))
         return
-    fields = "".join(f"  {json.dumps(key)}: {json.dumps(value)},\n" for key, value in head.items())
-    out.write("{\n" + fields + '  "points": ')
+    out.write("{\n" + "".join(member + ",\n" for member in _json_fields(head)) + '  "points": ')
     _write_array(out, points)
     if trace is not None:
         out.write(',\n  "trace": ')
@@ -363,7 +382,7 @@ def render_verify(out: TextIO, report: VerifyReport, fmt: str = "text") -> None:
             "fixpoint_mismatches": report.fixpoint_mismatches,
             "ok": report.ok,
         }
-        out.write(json.dumps(fields, indent=2) + "\n")
+        out.write("{\n" + ",\n".join(_json_fields(fields)) + "\n}\n")
         return
     bad: dict[int, list[int]] = {}
     for k, l in report.iterate_mismatches:

@@ -16,9 +16,8 @@ gives an ``int`` class label or a pair.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DeclarationError, ParseError
 
@@ -46,8 +45,36 @@ MAX_TERM_DEPTH = 100
 MAX_SUM_DEPTH = MAX_TERM_DEPTH + 1
 
 
-@dataclass(frozen=True)
-class Atom:
+class Frozen:
+    """The base of the immutable value classes that are not tuples. Their
+    ``_fields`` are set once, through ``__dict__``, by ``__init__``, and
+    fix ``==``, the hash and the repr as a frozen dataclass's would: equal
+    only to the same class with equal fields, the hash of the field tuple,
+    and ``Name(field=value, ...)``. Setting or deleting an attribute raises
+    ``AttributeError``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Atom(NamedTuple):
     kind: str
     name: str
 
@@ -58,14 +85,12 @@ class Atom:
         return self.name
 
 
-@dataclass(frozen=True, init=False)
-class Sum:
+class Sum(Frozen):
     """An ordered sum. Its ``depth``, one more than its deeper operand's, is
     kept outside the fields, so ``==``, ``hash`` and ``repr`` read only the
     operands."""
 
-    left: Term
-    right: Term
+    _fields = ("left", "right")
 
     def __init__(self, left: Term, right: Term) -> None:
         depth = max(left.depth, right.depth) + 1
@@ -85,8 +110,7 @@ def occurs(t: Term, x: Atom) -> bool:
     return occurs(t.left, x) or occurs(t.right, x)
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TermUniverse:
+class TermUniverse(Frozen):
     """The finite expression universe: all atoms and all atom pairs.
 
     It is built from the declared names alone: ``TermUniverse(variables,
@@ -101,15 +125,12 @@ class TermUniverse:
     0..m-1, built on first read by ``bottom`` or by the ``Partition``
     constructor, which compares the labels of a value with no triple to it
     once and sets the flag that ``meet`` reads in its place. Universes
-    compare by identity; one run shares one universe.
+    compare and hash by identity; one run shares one universe.
     """
 
-    variables: tuple[Atom, ...]
-    constants: tuple[Atom, ...]
-    reserved: tuple[Atom, Atom]
-    atoms: tuple[Atom, ...]
-    index: dict[Atom, int]
-    by_name: dict[str, Atom]
+    _fields = ("variables", "constants", "reserved", "atoms", "index", "by_name")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __init__(self, variables: list[str], constants: list[str]) -> None:
         seen: set[str] = set()

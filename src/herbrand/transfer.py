@@ -33,26 +33,23 @@ returns before any check, one type test; the solver passes none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .congruence import LatticeElem, Partition, Top
 from .errors import DeclarationError, SelfReferenceError, UniverseMismatchError
-from .terms import Atom, Sum, Term, VARIABLE, occurs
+from .terms import Atom, Frozen, Sum, Term, VARIABLE, occurs
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: Atom
-    rhs: Term
+class Assign(Frozen):
+    _fields = ("target", "rhs")
 
-    def __post_init__(self) -> None:
-        if occurs(self.rhs, self.target):
-            raise SelfReferenceError(f"{self.target.name!r} appears in its own right-hand side")
+    def __init__(self, target: Atom, rhs: Term) -> None:
+        if occurs(rhs, target):
+            raise SelfReferenceError(f"{target.name!r} appears in its own right-hand side")
+        self.__dict__.update(target=target, rhs=rhs)
 
 
-@dataclass(frozen=True)
-class NonDet:
+class NonDet(NamedTuple):
     target: Atom
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import subprocess
@@ -12,6 +11,7 @@ from herbrand import (
     NonDet,
     Partition,
     PathLimitError,
+    SolveResult,
     TOP,
     apply_statement,
     bottom,
@@ -226,7 +226,8 @@ def test_verify_lists_a_mismatch_past_both_ends_at_every_length(monkeypatch):
     trace = list(solve(graph, universe, trace=True).trace)
     trace[-1] = (*trace[-1][:1], bottom(universe), *trace[-1][2:4], bottom(universe))
     trace[2] = (*trace[2][:3], bottom(universe), trace[2][4])
-    doctored = dataclasses.replace(solve(graph, universe), trace=trace)
+    solved = solve(graph, universe)
+    doctored = SolveResult(state=solved.state, iterations=solved.iterations, trace=trace)
     monkeypatch.setattr("herbrand.mop.solve", lambda *a, **k: doctored)
     for max_len in (1, len(trace) - 1, len(rows) + len(trace), 50):
         report = verify_mop_mfp(graph, universe, max_len)

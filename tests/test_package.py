@@ -1,6 +1,11 @@
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import herbrand
 from helpers import PROGRAMS_DIR, ROOT
@@ -116,3 +121,59 @@ def test_readme_library_example_prints_a_class(monkeypatch, capsys):
     printed = eval(capsys.readouterr().out, {"Atom": herbrand.Atom, "Sum": herbrand.Sum})
     assert isinstance(printed, set)
     assert {herbrand.format_term(t) for t in printed} == {"x", "y", "a"}
+
+
+def test_importing_the_cli_imports_no_dataclasses_inspect_or_json():
+    # a fresh interpreter, so no module another test imported counts
+    code = "import sys, herbrand.cli; print(sorted({'dataclasses', 'inspect', 'json'} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_value_classes_keep_the_frozen_dataclass_contract():
+    universe = herbrand.build_universe(["x", "y"], ["a"])
+    x, y, a = universe.atoms[:3]
+    pair = herbrand.Sum(x, a)
+    assign, nondet = herbrand.Assign(y, pair), herbrand.NonDet(x)
+    kinds = (herbrand.Entry(), assign, nondet)
+    graph = herbrand.FlowGraph(n=3, kinds=kinds, preds=((), (1,), (2,)))
+    values = {
+        x: ("kind", "name"),
+        pair: ("left", "right"),
+        universe: ("variables", "atoms", "index"),
+        herbrand.bottom(universe): ("universe", "atoms", "defs"),
+        assign: ("target", "rhs"),
+        nondet: ("target",),
+        graph: ("n", "kinds", "preds"),
+    }
+    for value, fields in values.items():
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is not None
+    # the hash of the field tuple, as a frozen dataclass's, so no set or
+    # dict order moves
+    assert hash(x) == hash(("variable", "x"))
+    assert hash(pair) == hash((x, a))
+    assert hash(assign) == hash((y, pair))
+    assert hash(nondet) == hash((x,))
+    assert hash(graph) == hash((3, kinds, ((), (1,), (2,))))
+    assert herbrand.Entry() == herbrand.Entry() != herbrand.Confluence()
+    assert hash(herbrand.Entry()) == hash(herbrand.Confluence()) == hash(())
+    assert herbrand.Sum(x, a) == pair != herbrand.Sum(a, x)
+    assert herbrand.Assign(target=y, rhs=pair) == assign
+    assert herbrand.build_universe(["x", "y"], ["a"]) != universe
+    assert repr(x) == "Atom(kind='variable', name='x')"
+    assert repr(herbrand.Entry()) == "Entry()"
+    assert repr(assign) == (
+        "Assign(target=Atom(kind='variable', name='y'), "
+        "rhs=Sum(left=Atom(kind='variable', name='x'), right=Atom(kind='constant', name='a')))"
+    )
+    assert repr(graph).startswith("FlowGraph(n=3, kinds=(Entry(), Assign(")
+    assert graph.succ(1) == (2,) and graph.succs == ((2,), (3,), ())
+    result = herbrand.SolveResult(state=(herbrand.TOP,), iterations=0, trace=None)
+    assert (result.state, result.iterations, result.trace) == ((herbrand.TOP,), 0, None)
+    assert herbrand.SolveResult((herbrand.TOP,), 0) == result

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -18,6 +17,7 @@ from herbrand import (
     GraphError,
     ParseError,
     SelfReferenceError,
+    SolveResult,
     Sum,
     bottom,
     build_universe,
@@ -545,7 +545,8 @@ def test_cli_verify_exit_1_on_mismatch(monkeypatch, capsys):
     def doctored(graph, universe, **kwargs):
         solved = solve(graph, universe, **kwargs)
         assert solved.state[1] != bottom(universe)
-        return dataclasses.replace(solved, state=(solved.state[0], bottom(universe), *solved.state[2:]))
+        state = (solved.state[0], bottom(universe), *solved.state[2:])
+        return SolveResult(state=state, iterations=solved.iterations, trace=solved.trace)
 
     monkeypatch.setattr(cli_module, "verify_mop_mfp", verify_mop_mfp)
     monkeypatch.setattr("herbrand.mop.solve", doctored)

@@ -30,6 +30,7 @@ from herbrand import (
     verify_mop_mfp,
 )
 from herbrand.cli import build_parser, main
+from herbrand.mop import VerifyReport
 from herbrand.report import FORMATS, _Render, render_mop, render_points, render_verify
 from herbrand.terms import IDENT_RE
 from helpers import (
@@ -599,6 +600,39 @@ def test_verify_json_past_both_tables_ends_takes_no_time_per_length():
         "solver": "verify", "max_len": 10**12, "nodes": 3, "checks": 3 * 10**12 + 3, "stabilized": True,
         "iterate_mismatches": [], "fixpoint_mismatches": [], "ok": True,
     }
+
+
+def test_verify_and_head_json_are_the_bytes_of_json_dumps():
+    # the JSON writers are hand-written; each must give the bytes of
+    # ``json.dumps(indent=2)``, for every shape of a verify report
+    universe, graph = load_program("diamond.dfg")
+    reports = [
+        verify_mop_mfp(graph, universe, 12),
+        VerifyReport(5, 3, False, 20, [(2, 1)]),
+        VerifyReport(7, 40, True, 287, [(k, l) for l in range(3, 41) for k in (1, 4, 6)], [4, 6]),
+        VerifyReport(2, 0, True, 2, [], [1, 2]),
+    ]
+    assert reports[0].ok and not any(report.ok for report in reports[1:])
+    for report in reports:
+        fields = {
+            "solver": "verify",
+            "max_len": report.max_len,
+            "nodes": report.node_count,
+            "checks": report.checks,
+            "stabilized": report.stabilized,
+            "iterate_mismatches": report.iterate_mismatches,
+            "fixpoint_mismatches": report.fixpoint_mismatches,
+            "ok": report.ok,
+        }
+        assert written(render_verify, report, "json") == json.dumps(fields, indent=2) + "\n", report
+    # the head fields of analyze and mop reports, over no points
+    heads = [
+        {"solver": "jacobi", "iterations": 0},
+        {"solver": "mop", "max_len": 10**12, "stabilized": True},
+        {"solver": "mop", "max_len": 3, "stabilized": False},
+    ]
+    for head in heads:
+        assert written(render_points, head, (), "json") == json.dumps({**head, "points": []}, indent=2) + "\n"
 
 
 def test_cli_formats_are_the_report_formats():
